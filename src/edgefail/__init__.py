@@ -1,10 +1,11 @@
 """Attack-resilient vehicle-to-edge service mapping.
 
 A numpy-based library plus a small CLI: optimal primary assignment of
-vehicle demand to edge service instances, a proactive load-balanced
-failover split solved as a separable convex program, baseline failover
-policies, and a discrete-time failure/recovery simulation with delay,
-load-factor, and fairness metrics.
+vehicle demand to edge service instances, a load-balanced failover
+split solved as a separable convex program at attack onset from a
+snapshot of the previous unit's data, baseline failover policies, and a
+discrete-time failure/recovery simulation with delay, load-factor, and
+fairness metrics.
 """
 
 __version__ = "0.1.0"

@@ -82,9 +82,9 @@ def simulate_policy(cfg: ExperimentConfig, policy: str, requests=None) -> list[M
 
 
 def _worker(args):
-    cfg_dict, policy = args
+    cfg_dict, policy, requests = args
     cfg = ExperimentConfig.from_sources(overrides=cfg_dict)
-    return policy, simulate_policy(cfg, policy)
+    return policy, simulate_policy(cfg, policy, requests)
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,22 @@ def resolve_out_dir(cfg: ExperimentConfig, out: str | None = None) -> str:
 def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     """Execute the configured sweep and write the artifact set.
 
-    Policies run over one shared request stream so their rows are
-    directly comparable.  ``jobs > 1`` runs policies in parallel worker
-    processes; outputs are merged in policy order so the CSV bodies stay
-    byte-identical either way.
+    Policies run over one request stream, built once and shared with
+    every worker, so their rows are directly comparable.  ``jobs > 1``
+    runs policies in parallel worker processes; outputs are merged in
+    policy order so the CSV bodies stay byte-identical either way.
     """
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)
     os.makedirs(out_dir, exist_ok=True)
 
+    requests = build_requests(cfg)
     if cfg.jobs > 1 and len(policies) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(policies))) as pool:
-            results = dict(pool.map(_worker, [(cfg.to_dict(), p) for p in policies]))
+            results = dict(pool.map(_worker, [(cfg.to_dict(), p, requests) for p in policies]))
         records = {p: results[p] for p in policies}
     else:
-        requests = build_requests(cfg)
         records = {p: simulate_policy(cfg, p, requests) for p in policies}
 
     S = cfg.services_count

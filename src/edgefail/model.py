@@ -251,15 +251,10 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class AttackEvent:
-    """A single-node outage: onset time, target node, units until recovery."""
+    """A single-node outage: onset time and target node."""
 
     time: int
     target: int
-    duration: int = 1
-
-    def __post_init__(self):
-        if self.duration < 1:
-            raise ValueError("attack duration must be >= 1 time unit")
 
 
 @dataclass(frozen=True)

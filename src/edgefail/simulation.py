@@ -2,12 +2,13 @@
 
 The loop walks a three-phase state machine per attack cycle:
 
-* PreAttack -- demand is served by the primary mapping; failover splits
-  for every possible single-node outage are kept fresh each unit, so an
-  attack at time t uses mappings computed from the data of t-1.
-* Attack -- the stored split for the hit node activates within the same
-  unit (zero-gap failover); the previous unit's mapping acts as routing
-  proportions rescaled to the current demand so no request is dropped.
+* PreAttack -- demand is served by the primary mapping; each unit keeps
+  a snapshot of the inputs of a failover split.
+* Attack -- at onset the hit node's splits are solved from the snapshot
+  of t-1, so an attack at time t activates a mapping computed from the
+  data of t-1 within the same unit (zero-gap failover); the previous
+  unit's mapping acts as routing proportions rescaled to the current
+  demand so no request is dropped.
 * Recovered -- lost instances are re-instantiated elsewhere after the
   recovery delay and normal serving resumes on the new topology.  The
   attacked node returns to service after a quarantine, by default the
@@ -41,7 +42,7 @@ from .model import (
     SimPhase,
 )
 from .placement import place_services, recover_placement, reserve_backup
-from .solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
+from .solvers import build_lb_psvm, solve_lb_psvm, solve_primary_mapping, solve_psvm
 
 logger = logging.getLogger(__name__)
 
@@ -76,16 +77,26 @@ def evaluate_quality(monitor: QualityMonitor, records) -> float:
     return float(np.mean(np.clip(1.0 - mean_delay / monitor.thresholds, 0.0, 1.0)))
 
 
+@dataclass(frozen=True)
+class SplitInputs:
+    """What a failover split is solved from, besides the placement;
+    kept after each non-attack unit for an attack in the next one."""
+
+    gamma: PrimaryMapping
+    delay: DelayModel
+    healthy: frozenset[int]
+
+
 @dataclass
 class SimulationState:
     nodes: list
     monitor: QualityMonitor
-    clock: int = 0
     placement: PlacementDecision | None = None
     primary: PrimaryMapping | None = None
     primary_demand: np.ndarray | None = None
     delay: DelayModel | None = None
-    proactive: dict = field(default_factory=dict)
+    split_inputs: SplitInputs | None = None  # snapshot of the last non-attack unit
+    proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
     active_attack: AttackEvent | None = None
     phase: SimPhase = SimPhase.PRE_ATTACK
     history: list = field(default_factory=list)
@@ -164,7 +175,7 @@ class Simulation:
     # ---- state transitions ----------------------------------------------
 
     def inject_attack(self, target: int, t: int) -> bool:
-        """Mark the target down and activate its stored failover splits.
+        """Solve the target's failover splits from t-1 data, then mark it down.
 
         Returns False (a warned no-op) when the target hosts nothing.
 
@@ -180,8 +191,17 @@ class Simulation:
         if st.placement is None or not st.placement.services_on(target, include_reserved=True):
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
+        # no split when a recovery in this unit dropped the snapshot or the
+        # target was down at t-1
+        snap = st.split_inputs
+        st.proactive = {}
+        if snap is not None and target in snap.healthy:
+            st.proactive = {
+                (target, s): self._policy_secondary(snap, target, s)
+                for s in st.placement.services_on(target)
+            }
         st.nodes[target] = st.nodes[target].with_status(NodeStatus.ATTACKED)
-        st.active_attack = AttackEvent(time=t, target=target, duration=self.cfg.recovery_delay)
+        st.active_attack = AttackEvent(time=t, target=target)
         st.phase = SimPhase.ATTACK
         st.recover_at = t + self.cfg.recovery_delay
         st.heal_at = t + self.cfg.quarantine_units()
@@ -228,7 +248,7 @@ class Simulation:
         st.placement = plc
         st.phase = SimPhase.RECOVERED
         st.recover_at = None
-        st.proactive.clear()
+        st.split_inputs = None
 
     def _promote_reserved(self, plc: PlacementDecision, service: int):
         candidates = [e for e in plc.reserved_nodes(service) if self.state.nodes[e].healthy]
@@ -268,17 +288,19 @@ class Simulation:
         if st.phase is SimPhase.ATTACK:
             loads, added, unserved, cand_by_service = self._attack_serve(lam, d)
         else:
-            gamma = solve_primary_mapping_checked(st.placement, lam, d, self.capacity, t)
+            try:
+                gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"t={t}: {exc}") from exc
             st.primary = gamma
             st.primary_demand = lam
             loads = np.array(gamma.gamma)
             added = np.zeros_like(loads)
             unserved = np.zeros(self.num_services)
             cand_by_service = {}
-            self._refresh_proactive(gamma, d)
+            st.split_inputs = SplitInputs(gamma, d, frozenset(st.healthy_ids()))
         st.delay = d
         record = self._build_record(t, lam, d, loads, added, unserved, cand_by_service)
-        st.clock = t
         st.history.append(record)
         return record
 
@@ -290,26 +312,17 @@ class Simulation:
         if self.policy == "br" and self.cfg.br_enabled:
             plc = reserve_backup(plc, self.services, st.nodes)
         st.placement = plc
-        st.proactive.clear()
-
-    def _refresh_proactive(self, gamma: PrimaryMapping, d: DelayModel) -> None:
-        """Recompute failover splits for every possible single-node outage."""
-        st = self.state
-        st.proactive.clear()
-        healthy = st.healthy_ids()
-        for e in healthy:
-            for s in st.placement.services_on(e):
-                st.proactive[(e, s)] = self._policy_secondary(gamma, e, s, d, healthy)
 
     def _policy_secondary(
-        self, gamma: PrimaryMapping, target: int, service: int, d: DelayModel, healthy
+        self, snap: SplitInputs, target: int, service: int
     ) -> SecondaryMapping | None:
         st = self.state
+        gamma, d, healthy = snap.gamma, snap.delay, snap.healthy
         try:
             if self.policy == "br" and self.cfg.br_enabled:
                 reserved = [
                     e for e in st.placement.reserved_nodes(service)
-                    if e != target and st.nodes[e].healthy
+                    if e != target and e in healthy
                 ]
                 if reserved:
                     best = min(reserved, key=lambda e: (d.d[e, service], e))
@@ -346,7 +359,7 @@ class Simulation:
         except NoCandidateError:
             return None
         except InfeasibleError as exc:
-            logger.warning("proactive split for node %d service %d infeasible: %s",
+            logger.warning("onset split for node %d service %d infeasible: %s",
                            target, service, exc)
             return None
 
@@ -441,15 +454,6 @@ class Simulation:
             degraded_services=degraded,
             failover_active=bool(added.sum() > 0),
         )
-
-
-def solve_primary_mapping_checked(placement, lam, d, capacity, t):
-    from .solvers import solve_primary_mapping
-
-    try:
-        return solve_primary_mapping(placement, lam, d, capacity)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"t={t}: {exc}") from exc
 
 
 def _fill_cheapest(placement, service, demand, d, capacity):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from edgefail import experiment
 from edgefail.cli import main
 from edgefail.config import DEFAULTS, ExperimentConfig, parse_config_file
 from edgefail.errors import ConfigError
@@ -124,6 +125,18 @@ class TestRun:
         cfg2 = ExperimentConfig.from_sources(overrides={**FAST, "jobs": 3})
         b = run(cfg2, out=str(tmp_path / "b"))
         assert read(a.metrics_path) == read(b.metrics_path)
+
+    def test_worker_uses_the_parent_stream(self, monkeypatch):
+        cfg = ExperimentConfig.from_sources(overrides=FAST)
+        requests = experiment.build_requests(cfg)
+
+        def rebuild(cfg):
+            raise AssertionError("worker rebuilt the request stream")
+
+        monkeypatch.setattr(experiment, "build_requests", rebuild)
+        policy, records = experiment._worker((cfg.to_dict(), "psvm", requests))
+        assert policy == "psvm"
+        assert len(records) == cfg.horizon
 
     def test_trace_dataset_roundtrip(self, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -1,12 +1,16 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
 from edgefail.config import ExperimentConfig
-from edgefail.errors import ConcurrentAttackError
+from edgefail.errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
 from edgefail.experiment import build_requests, simulate_policy
 from edgefail.metrics import MetricsRecord
-from edgefail.model import SimPhase
+from edgefail.model import NodeStatus, SimPhase
 from edgefail.simulation import QualityMonitor, Simulation, evaluate_quality
+from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
 
 
 def small_cfg(**over):
@@ -25,6 +29,91 @@ def run_sim(cfg, policy="lb-psvm"):
     sim = Simulation(cfg, policy)
     records = sim.run(build_requests(cfg))
     return sim, records
+
+
+def direct_split(sim, plc, gamma, d, healthy, target, s):
+    """The policy's split for (target, s) solved straight from the given
+    inputs, or None when none is feasible."""
+    cfg = sim.cfg
+    try:
+        if sim.policy == "br" and cfg.br_enabled:
+            reserved = [e for e in plc.reserved_nodes(s) if e != target and e in healthy]
+            if reserved:
+                best = min(reserved, key=lambda e: (d.d[e, s], e))
+                return (best,), np.array([gamma.gamma[target, s]])
+        if sim.policy in ("psvm", "br"):
+            m = solve_psvm(gamma, plc, target, s, d, healthy)
+            return m.candidates, m.beta
+        problem = build_lb_psvm(
+            gamma, plc, target, s, d, sim.capacity, sim.services[s].delay_threshold,
+            k1=cfg.lbpsvm_k1, k2=cfg.lbpsvm_k2, epsilon=cfg.lbpsvm_epsilon, healthy=healthy,
+        )
+        m = solve_lb_psvm(problem, max_iters=cfg.solver_max_iters,
+                          kkt_tol=cfg.lbpsvm_kkt_tol).to_secondary()
+        return m.candidates, m.beta
+    except (NoCandidateError, InfeasibleError):
+        return None
+
+
+def check_onsets_against_previous_unit(cfg, policy):
+    """Run ``policy`` over ``cfg`` and, at every onset, compare the stored
+    splits with splits solved directly from the primary mapping, delay
+    matrix and healthy nodes seen after step t-1.  An onset whose unit
+    began with a recovery, or whose target was down at t-1, must have no
+    split.  Returns counts of what was checked."""
+    sim = Simulation(cfg, policy)
+    seen = {}
+    counts = {"onsets": 0, "splits": 0, "recoveries": 0, "onsets_after_heal": 0}
+    step, inject, recover, heal = sim.step, sim.inject_attack, sim.recover, sim.heal
+
+    def spy_step(requests, t):
+        record = step(requests, t)
+        st = sim.state
+        seen.update(placement=st.placement, gamma=st.primary, d=st.delay,
+                    healthy=st.healthy_ids(), recovered=False, healed=False,
+                    phase=record.state)
+        return record
+
+    def spy_recover(t):
+        recover(t)
+        seen["recovered"] = True
+        counts["recoveries"] += 1
+
+    def spy_heal(t):
+        heal(t)
+        seen["healed"] = True
+
+    def spy_inject(target, t):
+        ok = inject(target, t)
+        if not ok:
+            return ok
+        counts["onsets"] += 1
+        counts["onsets_after_heal"] += seen["healed"]
+        stored = sim.state.proactive
+        if seen["recovered"] or target not in seen["healthy"]:
+            assert stored == {}, t
+            return ok
+        assert seen["phase"] is not SimPhase.ATTACK
+        pairs = seen["placement"].services_on(target)
+        assert set(stored) == {(target, s) for s in pairs}, t
+        for s in pairs:
+            want = direct_split(sim, seen["placement"], seen["gamma"], seen["d"],
+                                seen["healthy"], target, s)
+            got = stored[(target, s)]
+            if want is None:
+                assert got is None, (t, s)
+                continue
+            counts["splits"] += 1
+            assert got.candidates == want[0], (t, s)
+            np.testing.assert_allclose(got.beta, want[1], rtol=0, atol=1e-12)
+            assert got.affected == pytest.approx(float(seen["gamma"].gamma[target, s]),
+                                                 abs=1e-9), (t, s)
+        return ok
+
+    sim.step, sim.inject_attack = spy_step, spy_inject
+    sim.recover, sim.heal = spy_recover, spy_heal
+    sim.run(build_requests(cfg))
+    return counts
 
 
 def onsets(records):
@@ -149,42 +238,98 @@ class TestServingInvariants:
         assert sim.state.phase is SimPhase.PRE_ATTACK
 
     def test_proactive_mapping_from_previous_unit(self):
-        # the split used at the attack unit must equal the one stored at t-1
-        cfg = small_cfg()
-        sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
-        stored_before = None
-        for t in range(1, 11):
-            if t == 10:
-                target = sim._pick_target()
-                stored_before = {
-                    k: v for k, v in sim.state.proactive.items() if k[0] == target
-                }
-                sim.inject_attack(target, t)
-            sim.step(reqs[t - 1], t)
-        assert stored_before
-        # stored mappings still the ones consulted during the attack unit
-        for key, mapping in sim.state.proactive.items():
-            if key in stored_before:
-                assert stored_before[key] is mapping
+        # at every onset the split of each pair on the target equals the
+        # one solved directly from the data seen after step t-1; the
+        # random-target run recovers after 2 units and heals each
+        # quarantine in the unit of the next onset
+        random_cfg = small_cfg(**{"attack.target": "random", "attack.every": 7,
+                                  "recovery.delay": 2, "horizon": 60, "seed": 3})
+        for cfg, policy in itertools.product((small_cfg(), random_cfg),
+                                             ("lb-psvm", "psvm", "br")):
+            checked = check_onsets_against_previous_unit(cfg, policy)
+            assert checked["onsets"] == cfg.horizon // cfg.attack_every
+            assert checked["splits"] > 0
+            assert checked["recoveries"] and checked["onsets_after_heal"]
 
     def test_proactive_covers_every_hosting_pair(self):
+        # attacking any hosting node stores one split per service it
+        # hosts, each re-homing exactly the node's primary load at t-1
         cfg = small_cfg()
-        sim = Simulation(cfg, "lb-psvm")
         reqs = build_requests(cfg)
+        for policy in ("lb-psvm", "psvm", "br"):
+            sim = Simulation(cfg, policy)
+            for t in range(1, 4):
+                sim.step(reqs[t - 1], t)
+            plc = sim.state.placement
+            gamma = sim.state.primary.gamma
+            hosting = [e for e in range(9) if plc.services_on(e)]
+            assert len(hosting) > 1
+            for e in hosting:
+                trial = copy.deepcopy(sim)
+                assert trial.inject_attack(e, 4)
+                stored = trial.state.proactive
+                assert set(stored) == {(e, s) for s in plc.services_on(e)}
+                for (_, s), mapping in stored.items():
+                    assert mapping is not None
+                    assert mapping.affected == pytest.approx(float(gamma[e, s]), abs=1e-9)
+                    assert float(np.sum(mapping.beta)) == pytest.approx(mapping.affected)
+
+    @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
+    def test_onset_splits_use_previous_unit_health(self, policy):
+        # a node that goes down after step t-1 stays a candidate of the
+        # splits solved at t, as it was healthy in the data of t-1
+        cfg = small_cfg()
+        reqs = build_requests(cfg)
+        sim = Simulation(cfg, policy)
+        for t in range(1, 10):
+            sim.step(reqs[t - 1], t)
+        target = sim._pick_target()
+        reference = copy.deepcopy(sim)
+        assert reference.inject_attack(target, 10)
+        used = {e for m in reference.state.proactive.values() if m is not None
+                for e in m.candidates}
+        assert used
+        for e in used:
+            sim.state.nodes[e] = sim.state.nodes[e].with_status(NodeStatus.ATTACKED)
+        assert sim.inject_attack(target, 10)
+        assert set(sim.state.proactive) == set(reference.state.proactive)
+        for key, want in reference.state.proactive.items():
+            got = sim.state.proactive[key]
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.candidates == want.candidates
+                assert np.array_equal(got.beta, want.beta)
+
+    def test_no_split_for_target_down_at_previous_unit(self):
+        cfg = small_cfg()
+        reqs = build_requests(cfg)
+        sim = Simulation(cfg, "lb-psvm")
         sim.step(reqs[0], 1)
-        plc = sim.state.placement
-        expected = {
-            (e, s)
-            for e in range(9)
-            for s in plc.services_on(e)
-        }
-        assert set(sim.state.proactive) == expected
-        # every stored split re-homes exactly the node's primary load
-        gamma = sim.state.primary.gamma
-        for (e, s), mapping in sim.state.proactive.items():
-            assert mapping is not None
-            assert mapping.affected == pytest.approx(float(gamma[e, s]), abs=1e-9)
+        target = sim._pick_target()
+        node = sim.state.nodes[target]
+        sim.state.nodes[target] = node.with_status(NodeStatus.ATTACKED)
+        sim.step(reqs[1], 2)
+        sim.state.nodes[target] = node
+        assert sim.inject_attack(target, 3)
+        assert sim.state.proactive == {}
+
+    def test_no_split_when_recovery_shares_the_onset_unit(self):
+        # recovery drops the t-1 snapshot; an attack in the same unit has
+        # no stored split and its affected vehicles go unserved
+        cfg = small_cfg(**{"recovery.delay": 10, "attack.quarantine": 10})
+        sim = Simulation(cfg, "lb-psvm")
+        stored = {}
+        inject = sim.inject_attack
+
+        def spy(target, t):
+            ok = inject(target, t)
+            stored[t] = dict(sim.state.proactive)
+            return ok
+
+        sim.inject_attack = spy
+        records = sim.run(build_requests(cfg))
+        assert stored[10] and not stored[20] and not stored[30]
+        assert float(records[19].unserved_per_service.sum()) > 0
 
     def test_attack_with_zero_affected_vehicles(self):
         # a hosting node carrying no load fails: nothing to re-home, the
