@@ -1,6 +1,7 @@
 """Experiment configuration: defaults, flat key-value files, hashing.
 
-Keys use dotted names (``grid.rows``, ``lbpsvm.k1``, ...).  Precedence is
+Keys are the fields of ``ExperimentConfig`` with the first underscore
+written as a dot (``grid.rows``, ``lbpsvm.k1``, ...).  Precedence is
 CLI overrides > config file > defaults.  The default values mirror the
 reference scenario: a 3x3 grid of edge nodes over 15x15 km^2, 100
 resource units per node, 8 service types with footprints 10..24 and
@@ -20,76 +21,19 @@ from .model import EdgeNode, ServiceType
 
 POLICIES = ("lb-psvm", "psvm", "br")
 
-DEFAULTS: dict[str, object] = {
-    "dataset": "synthetic",
-    "policies": "lb-psvm,psvm,br",
-    "horizon": 600,
-    "seed": 0,
-    "out": None,
-    "jobs": 1,
-    "grid.rows": 3,
-    "grid.cols": 3,
-    "grid.cell_km": 5.0,
-    "node.capacity": 100.0,
-    "services.count": 8,
-    "service.capacity": 30.0,
-    "delay.alpha_ms_per_km": 2.0,
-    "delay.base_ms": 1.0,
-    "trace.time_unit_s": 60.0,
-    "trace.carry_gap": 5,
-    "trace.bbox": None,
-    "mobility.vehicles": 500,
-    "mobility.p_request": 0.2,
-    "mobility.speed_min_kmh": 20.0,
-    "mobility.speed_max_kmh": 60.0,
-    "placement.instances_per_service": 3,
-    "placement.strategy": "greedy",
-    "br.enabled": True,
-    "lbpsvm.k1": None,
-    "lbpsvm.k2": None,
-    "lbpsvm.epsilon": 1e-3,
-    "lbpsvm.kkt_tol": 1e-8,
-    "solver.max_iters": 200,
-    "queue.ms_per_unit": 1000.0,
-    "attack.every": 100,
-    "attack.target": "most-loaded",
-    "attack.schedule": None,
-    "attack.quarantine": None,
-    "recovery.delay": 1,
-    "monitor.period": 5,
-    "monitor.threshold": 0.5,
-}
-
-# dotted key -> dataclass field
-KEY_MAP = {k: k.replace(".", "_").replace("-", "_") for k in DEFAULTS}
-FIELD_MAP = {v: k for k, v in KEY_MAP.items()}
-
-_INT_KEYS = {
-    "horizon", "seed", "jobs", "grid.rows", "grid.cols", "services.count",
-    "trace.carry_gap", "mobility.vehicles", "placement.instances_per_service",
-    "solver.max_iters", "attack.every", "attack.quarantine", "recovery.delay",
-    "monitor.period",
-}
-_FLOAT_KEYS = {
-    "grid.cell_km", "node.capacity", "service.capacity", "delay.alpha_ms_per_km",
-    "delay.base_ms", "trace.time_unit_s", "mobility.p_request",
-    "mobility.speed_min_kmh", "mobility.speed_max_kmh", "lbpsvm.k1", "lbpsvm.k2",
-    "lbpsvm.epsilon", "lbpsvm.kkt_tol", "queue.ms_per_unit", "monitor.threshold",
-}
-_BOOL_KEYS = {"br.enabled"}
-
 
 def _coerce(key: str, value, where: str = "") -> object:
     if value is None:
         return None
     if isinstance(value, str) and value.strip().lower() in ("none", "null", ""):
         return None
+    kind = _KINDS[key]
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(str(value))
-        if key in _FLOAT_KEYS:
+        if kind == "float":
             return float(str(value))
-        if key in _BOOL_KEYS:
+        if kind == "bool":
             if isinstance(value, bool):
                 return value
             v = str(value).strip().lower()
@@ -150,7 +94,6 @@ class ExperimentConfig:
     mobility_speed_min_kmh: float = 20.0
     mobility_speed_max_kmh: float = 60.0
     placement_instances_per_service: int = 3
-    placement_strategy: str = "greedy"
     br_enabled: bool = True
     lbpsvm_k1: float | None = None
     lbpsvm_k2: float | None = None
@@ -207,8 +150,6 @@ class ExperimentConfig:
             problems.append("capacities must be > 0")
         if self.placement_instances_per_service < 2:
             problems.append("placement.instances_per_service: must be >= 2")
-        if self.placement_strategy != "greedy":
-            problems.append("placement.strategy: only 'greedy' is available")
         if self.mobility_vehicles < 1:
             problems.append("mobility.vehicles: must be >= 1")
         if not (0.0 <= self.mobility_p_request <= 1.0):
@@ -217,8 +158,10 @@ class ExperimentConfig:
             problems.append("attack.every: must be >= 1")
         if self.recovery_delay < 1:
             problems.append("recovery.delay: must be >= 1")
-        if self.quarantine_units() < self.recovery_delay:
-            problems.append("attack.quarantine: must be >= recovery.delay")
+        # recovery drops the t-1 snapshot a split is solved from, so it
+        # must come at least one unit before the next onset can
+        if self.quarantine_units() <= self.recovery_delay:
+            problems.append("attack.quarantine: must be > recovery.delay")
         if self.monitor_period < 1:
             problems.append("monitor.period: must be >= 1")
         if not (0.0 <= self.monitor_threshold <= 1.0):
@@ -321,3 +264,10 @@ class ExperimentConfig:
         cfg = ExperimentConfig(**{KEY_MAP[k]: v for k, v in merged.items()})
         cfg.validate()
         return cfg
+
+
+FIELD_MAP = {f.name: f.name.replace("_", ".", 1) for f in fields(ExperimentConfig)}
+KEY_MAP = {k: f for f, k in FIELD_MAP.items()}
+DEFAULTS: dict[str, object] = {FIELD_MAP[f.name]: f.default for f in fields(ExperimentConfig)}
+# a key's type is the first alternative of its field's annotation
+_KINDS = {FIELD_MAP[f.name]: f.type.split("|")[0].strip() for f in fields(ExperimentConfig)}

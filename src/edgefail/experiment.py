@@ -192,7 +192,6 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
 class Comparison:
     """Side-by-side summaries of several runs sharing a config hash."""
 
-    columns: tuple[str, ...]  # (run_label, policy) pairs flattened
     values: dict  # (run_label, policy) -> {metric: value}
     deltas: dict  # (run_label, policy) -> {metric: value - baseline}
     winners: dict  # metric -> (run_label, policy)
@@ -273,9 +272,4 @@ def compare(summary_paths: list[str]) -> Comparison:
     for m in SUMMARY_COLUMNS[1:]:
         pick = min if m != "mean_fairness" else max
         winners[m] = pick(values, key=lambda k: values[k][m])
-    return Comparison(
-        columns=tuple(values),
-        values=values,
-        deltas=deltas,
-        winners=winners,
-    )
+    return Comparison(values=values, deltas=deltas, winners=winners)

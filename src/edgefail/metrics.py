@@ -15,8 +15,8 @@ import numpy as np
 from .errors import SaturationError
 from .model import SimPhase
 
-# Default distance of clamped arrivals from the 2C pole, matching the
-# solver's queue-domain guard.
+# Distance kept from the 2C pole: the failover solver's iterates stay this
+# far inside it, and service_delay clamps saturated arrivals to it.
 QUEUE_GUARD = 1e-6
 
 
@@ -47,17 +47,13 @@ def service_delay(
     delays,
     capacity: float,
     ms_per_unit: float = 1000.0,
-    saturation: str = "clamp",
 ) -> float:
     """Load-weighted per-vehicle delay of one service across its instances.
 
     ``loads[e]`` vehicles are served at node e whose propagation delay is
     ``delays[e]`` ms; each instance adds its own queue waiting time.  With
-    zero vehicles the delay is defined as 0.
-
-    ``saturation`` controls arrivals at or past the 2C pole: "clamp"
-    evaluates just inside the pole (a huge but finite penalty), "raise"
-    propagates SaturationError.
+    zero vehicles the delay is defined as 0.  Arrivals at or past the 2C
+    pole are evaluated just inside it (a huge but finite penalty).
     """
     loads = np.asarray(loads, dtype=float)
     delays = np.asarray(delays, dtype=float)
@@ -69,7 +65,7 @@ def service_delay(
         if load <= 0:
             continue
         arrival = float(load)
-        if arrival >= 2.0 * capacity and saturation == "clamp":
+        if arrival >= 2.0 * capacity:
             arrival = 2.0 * capacity - QUEUE_GUARD
         acc += load * (d + queue_delay(arrival, capacity, ms_per_unit))
     return acc / total

@@ -43,14 +43,12 @@ class ServiceType:
         delay_threshold: maximum tolerable delay in milliseconds.
         resource_cost: resource units one instance consumes on a node.
         instance_capacity: simultaneous vehicle connections one instance serves.
-        demand_rate: vehicles per time unit requesting this service (may be 0).
     """
 
     id: int
     delay_threshold: float
     resource_cost: float
     instance_capacity: float
-    demand_rate: float = 0.0
 
     def __post_init__(self):
         if self.delay_threshold <= 0:
@@ -59,8 +57,6 @@ class ServiceType:
             raise ValueError(f"service {self.id}: resource_cost must be > 0")
         if self.instance_capacity <= 0:
             raise ValueError(f"service {self.id}: instance_capacity must be > 0")
-        if self.demand_rate < 0:
-            raise ValueError(f"service {self.id}: demand_rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,11 +137,8 @@ class PlacementDecision:
     def num_services(self) -> int:
         return self.x.shape[1]
 
-    def nodes_hosting(self, service: int, include_reserved: bool = False) -> list[int]:
-        m = self.x[:, service] > 0
-        if include_reserved:
-            m = m | (self.reserved[:, service] > 0)
-        return [int(e) for e in np.flatnonzero(m)]
+    def nodes_hosting(self, service: int) -> list[int]:
+        return [int(e) for e in np.flatnonzero(self.x[:, service] > 0)]
 
     def reserved_nodes(self, service: int) -> list[int]:
         return [int(e) for e in np.flatnonzero(self.reserved[:, service] > 0)]
@@ -204,9 +197,6 @@ class PrimaryMapping:
 
     def load_per_node(self) -> np.ndarray:
         return self.gamma.sum(axis=1)
-
-    def demand_per_service(self) -> np.ndarray:
-        return self.gamma.sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,13 @@ from .model import (
     SimPhase,
 )
 from .placement import place_services, recover_placement, reserve_backup
-from .solvers import build_lb_psvm, solve_lb_psvm, solve_primary_mapping, solve_psvm
+from .solvers import (
+    build_lb_psvm,
+    fill_cheapest,
+    solve_lb_psvm,
+    solve_primary_mapping,
+    solve_psvm,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -116,6 +122,8 @@ class Simulation:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
+        # br keeps one idle backup instance per service unless disabled
+        self.uses_reserves = policy == "br" and cfg.br_enabled
         self.services = cfg.services()
         self.capacity = cfg.service_capacity
         self.num_services = len(self.services)
@@ -191,8 +199,8 @@ class Simulation:
         if st.placement is None or not st.placement.services_on(target, include_reserved=True):
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
-        # no split when a recovery in this unit dropped the snapshot or the
-        # target was down at t-1
+        # no split when no non-attack unit ran since the last recovery (a
+        # validated config always has one) or the target was down at t-1
         snap = st.split_inputs
         st.proactive = {}
         if snap is not None and target in snap.healthy:
@@ -208,55 +216,42 @@ class Simulation:
         return True
 
     def recover(self, t: int) -> None:
-        """Re-instantiate the attacked node's instances elsewhere."""
+        """Re-instantiate the attacked node's instances elsewhere.
+
+        With reserves, each lost service first promotes its lowest-delay
+        healthy backup; only the rest is re-instantiated.
+        """
         st = self.state
         target = st.active_attack.target
-        lost = st.placement.services_on(target)
-        reserved_lost = [
-            s for s in range(self.num_services) if st.placement.reserved[target, s]
-        ]
-        if self.policy == "br" and self.cfg.br_enabled:
-            plc = st.placement.without_node(target)
-            srp_needed = []
+        plc = st.placement
+        needed = plc.services_on(target)
+        if self.uses_reserves:
+            touched = plc.services_on(target, include_reserved=True)
+            plc = plc.without_node(target)
+            lost, needed = needed, []
             for s in lost:
-                promoted = self._promote_reserved(plc, s)
-                if promoted is None:
-                    srp_needed.append(s)
+                backups = [e for e in plc.reserved_nodes(s) if st.nodes[e].healthy]
+                if backups:
+                    best = min(backups, key=lambda e: (st.delay.d[e, s], e))
+                    plc = plc.promote_reserved(best, s)
                 else:
-                    plc = promoted
-            if srp_needed:
-                result = recover_placement(
-                    plc, target, srp_needed, self.services, st.nodes, st.delay
-                )
-                plc = result.placement
-                if result.unrecovered:
-                    logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
+                    needed.append(s)
+        result = recover_placement(plc, target, needed, self.services, st.nodes, st.delay)
+        plc = result.placement
+        if result.unrecovered:
+            logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
+        if self.uses_reserves:
             # best effort: keep one idle backup per service for the next failure
-            for s in sorted(set(lost) | set(reserved_lost)):
+            for s in touched:
                 if not any(plc.reserved[e, s] for e in st.healthy_ids()):
                     try:
                         plc = reserve_backup(plc, self.services, st.nodes, only=[s])
                     except InfeasibleError:
                         logger.warning("t=%d: no room to re-reserve service %d", t, s)
-        else:
-            result = recover_placement(
-                st.placement, target, lost, self.services, st.nodes, st.delay
-            )
-            plc = result.placement
-            if result.unrecovered:
-                logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
         st.placement = plc
         st.phase = SimPhase.RECOVERED
         st.recover_at = None
         st.split_inputs = None
-
-    def _promote_reserved(self, plc: PlacementDecision, service: int):
-        candidates = [e for e in plc.reserved_nodes(service) if self.state.nodes[e].healthy]
-        if not candidates:
-            return None
-        d = self.state.delay.d
-        best = min(candidates, key=lambda e: (d[e, service], e))
-        return plc.promote_reserved(best, service)
 
     def heal(self, t: int) -> None:
         """End the quarantine: the node is placeable again."""
@@ -309,7 +304,7 @@ class Simulation:
         plc = place_services(
             self.services, st.nodes, d, self.cfg.placement_instances_per_service
         )
-        if self.policy == "br" and self.cfg.br_enabled:
+        if self.uses_reserves:
             plc = reserve_backup(plc, self.services, st.nodes)
         st.placement = plc
 
@@ -319,7 +314,7 @@ class Simulation:
         st = self.state
         gamma, d, healthy = snap.gamma, snap.delay, snap.healthy
         try:
-            if self.policy == "br" and self.cfg.br_enabled:
+            if self.uses_reserves:
                 reserved = [
                     e for e in st.placement.reserved_nodes(service)
                     if e != target and e in healthy
@@ -334,8 +329,7 @@ class Simulation:
                         beta=np.array([affected]),
                         affected=affected,
                     )
-                return solve_psvm(gamma, st.placement, target, service, d, healthy)
-            if self.policy in ("psvm", "br"):
+            if self.policy != "lb-psvm":
                 # br without reserves (disabled or exhausted) degrades to psvm
                 return solve_psvm(gamma, st.placement, target, service, d, healthy)
             problem = build_lb_psvm(
@@ -372,17 +366,15 @@ class Simulation:
         added = np.zeros_like(loads)
         unserved = np.zeros(self.num_services)
         cand_by_service: dict[int, tuple[int, ...]] = {}
-        healthy_placement = st.placement.without_node(target)
         for s in range(self.num_services):
             if lam[s] <= 0:
                 continue
             prev = st.primary_demand[s] if st.primary_demand is not None else 0.0
             if st.primary is None or prev <= 0:
-                served, left = _fill_cheapest(
-                    healthy_placement, s, float(lam[s]), d, self.capacity
+                hosts = [e for e in st.placement.nodes_hosting(s) if e != target]
+                loads[:, s], unserved[s] = fill_cheapest(
+                    hosts, float(lam[s]), d.d[:, s], self.capacity
                 )
-                loads[:, s] = served
-                unserved[s] = left
                 continue
             ratio = float(lam[s]) / float(prev)
             scaled = st.primary.gamma[:, s] * ratio
@@ -455,15 +447,3 @@ class Simulation:
             failover_active=bool(added.sum() > 0),
         )
 
-
-def _fill_cheapest(placement, service, demand, d, capacity):
-    """Capacity-capped cheapest-first fill; returns (per-node load, leftover)."""
-    served = np.zeros(placement.num_nodes)
-    remaining = demand
-    for e in sorted(placement.nodes_hosting(service), key=lambda e: (d.d[e, service], e)):
-        if remaining <= 0:
-            break
-        take = min(remaining, capacity)
-        served[e] = take
-        remaining -= take
-    return served, max(0.0, remaining)

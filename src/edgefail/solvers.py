@@ -4,7 +4,7 @@ Three pieces:
 
 * ``solve_primary_mapping`` -- min-max (bottleneck) assignment of each
   service's demand onto its instances, ties broken by cheapest total
-  delay (fill instances in ascending delay order).
+  delay (``fill_cheapest``: instances in ascending delay order).
 * ``solve_lb_psvm`` -- the fair failover split.  Minimizes
   ``sum_i [-w_i ln b_i + k1 d_i b_i + k2 q_i(b_i)]`` subject to
   ``sum b_i = affected``, ``b_i >= 0``, where q_i is the M/D/1 overload
@@ -28,12 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NoCandidateError
+from .metrics import QUEUE_GUARD, queue_delay
 from .model import DelayModel, PlacementDecision, PrimaryMapping, SecondaryMapping
 
 logger = logging.getLogger(__name__)
 
-# Distance kept between any iterate and the 2C pole of the queue term.
-QUEUE_GUARD = 1e-6
 # Reported betas are floored here; the shaved mass moves to the largest
 # coordinate so the sum constraint stays exact.
 BETA_FLOOR = 1e-9
@@ -64,22 +63,32 @@ def solve_primary_mapping(
     gamma = np.zeros((E, S))
     for s in range(S):
         lam = float(demand[s])
-        if lam <= 0:
-            continue
         hosts = placement.nodes_hosting(s)
         if capacity * len(hosts) + 1e-9 < lam:
             raise InfeasibleError(
                 f"service {s}: demand {lam:.6g} exceeds capacity "
                 f"{capacity * len(hosts):.6g} across {len(hosts)} instance(s)"
             )
-        remaining = lam
-        for e in sorted(hosts, key=lambda e: (delay.d[e, s], e)):
-            take = min(remaining, capacity)
-            gamma[e, s] = take
-            remaining -= take
-            if remaining <= 0:
-                break
+        gamma[:, s] = fill_cheapest(hosts, lam, delay.d[:, s], capacity)[0]
     return PrimaryMapping(gamma=gamma)
+
+
+def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndarray, float]:
+    """Fill ``hosts`` up to ``capacity`` each in ascending delay ``d_col``
+    (ties to the lower node index).
+
+    Returns the per-node loads, of the length of ``d_col``, and the demand
+    (>= 0) left over once every host is full.
+    """
+    loads = np.zeros(len(d_col))
+    remaining = demand
+    for e in sorted(hosts, key=lambda e: (d_col[e], e)):
+        if remaining <= 0:
+            break
+        take = min(remaining, capacity)
+        loads[e] = take
+        remaining -= take
+    return loads, remaining
 
 
 def bottleneck_delay(gamma: PrimaryMapping, delay: DelayModel) -> np.ndarray:
@@ -237,14 +246,6 @@ def build_lb_psvm(
     )
 
 
-def queue_term(load: float, extra: float, capacity: float) -> float:
-    """Raw M/D/1 waiting time at one instance serving load + extra."""
-    u = load + extra - capacity
-    if u <= 0:
-        return 0.0
-    return u / (2.0 * capacity * (capacity - u))
-
-
 def queue_term_slope(load: float, extra: float, capacity: float) -> float:
     """Right-derivative of the queue term w.r.t. the added load."""
     u = load + extra - capacity
@@ -263,7 +264,7 @@ def lb_objective(problem: LbPsvmProblem, beta) -> float:
         if b <= 0:
             return math.inf
         total += -problem.weights[i] * math.log(b) + problem.k1 * problem.delay[i] * b
-        total += problem.k2 * queue_term(problem.prior_load[i], b, problem.capacity)
+        total += problem.k2 * queue_delay(problem.prior_load[i] + b, problem.capacity)
     return total
 
 
@@ -273,7 +274,7 @@ def _attained_delay(problem: LbPsvmProblem, beta) -> float:
     for i in range(problem.n):
         b = float(beta[i])
         total += problem.delay[i] * b
-        total += queue_term(problem.prior_load[i], b, problem.capacity)
+        total += queue_delay(problem.prior_load[i] + b, problem.capacity)
     return total
 
 
@@ -324,9 +325,7 @@ def _coord_solve(mu, w, d, g, C, k1, k2, bmax):
 def solve_lb_psvm(
     problem: LbPsvmProblem,
     max_iters: int = 200,
-    guard: float = QUEUE_GUARD,
     kkt_tol: float = 1e-8,
-    initial_bracket: tuple[float, float] | None = None,
 ) -> LbPsvmSolution:
     """Minimize the fair failover objective under the sum constraint.
 
@@ -363,7 +362,7 @@ def solve_lb_psvm(
             problem=problem,
         )
 
-    bmax = [2.0 * C - gi - guard for gi in g]
+    bmax = [2.0 * C - gi - QUEUE_GUARD for gi in g]
     if sum(bmax) <= B:
         raise InfeasibleError(
             f"affected load {B:.6g} leaves no strict interior "
@@ -380,11 +379,7 @@ def solve_lb_psvm(
         return betas, branches
 
     # bracket the multiplier: responses() shrinks as mu grows
-    if initial_bracket is not None:
-        mu_lo, mu_hi = initial_bracket
-    else:
-        mu0 = sum(w) / B
-        mu_lo = mu_hi = mu0
+    mu_lo = mu_hi = sum(w) / B
     step = max(1.0, abs(mu_lo))
     while sum(responses(mu_hi)[0]) > B:
         mu_hi += step

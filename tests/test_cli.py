@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -62,6 +63,26 @@ class TestConfig:
         unknown.write_text("horizont = 20\n")
         with pytest.raises(ConfigError, match="unknown.conf:1"):
             parse_config_file(unknown)
+
+    def test_every_key_round_trips(self, tmp_path):
+        # each field is a key, its first "_" written as "."
+        assert len(DEFAULTS) == len(fields(ExperimentConfig))
+        path = tmp_path / "all.conf"
+        path.write_text("".join(
+            f"{key} = {'' if value is None else value}\n" for key, value in DEFAULTS.items()
+        ))
+        values = parse_config_file(path)
+        cfg = ExperimentConfig.from_sources(file=path)
+        for f in fields(ExperimentConfig):
+            key = f.name.replace("_", ".", 1)
+            for got in (values[key], getattr(cfg, f.name)):
+                assert got == f.default and type(got) is type(f.default), key
+        stale = tmp_path / "stale.conf"
+        stale.write_text("horizon = 20\nplacement.strategy = greedy\n")
+        with pytest.raises(ConfigError, match=r"stale.conf:2: unknown key 'placement.strategy'"):
+            parse_config_file(stale)
+        with pytest.raises(ConfigError, match="unknown"):
+            ExperimentConfig.from_sources(overrides={"placement.strategy": "greedy"})
 
     def test_precedence_cli_over_file_over_defaults(self, tmp_path):
         path = tmp_path / "exp.conf"

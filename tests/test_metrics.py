@@ -65,12 +65,8 @@ class TestServiceDelay:
         assert doubled == pytest.approx(2 * base)
 
     def test_clamp_mode_survives_saturation(self):
-        v = service_delay([70.0], [5.0], 30.0, saturation="clamp")
+        v = service_delay([70.0], [5.0], 30.0)
         assert np.isfinite(v) and v > 1e5
-
-    def test_raise_mode_propagates(self):
-        with pytest.raises(SaturationError):
-            service_delay([70.0], [5.0], 30.0, saturation="raise")
 
 
 class TestEdgeLoadFactor:

@@ -30,11 +30,6 @@ class TestServiceType:
         with pytest.raises(ValueError):
             ServiceType(id=0, delay_threshold=0, resource_cost=10, instance_capacity=30)
 
-    def test_rejects_negative_demand(self):
-        with pytest.raises(ValueError):
-            ServiceType(id=0, delay_threshold=50, resource_cost=10,
-                        instance_capacity=30, demand_rate=-1)
-
 
 class TestPlacementDecision:
     def test_arrays_are_read_only(self):

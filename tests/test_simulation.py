@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from edgefail.config import ExperimentConfig
-from edgefail.errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
+from edgefail.errors import (
+    ConcurrentAttackError,
+    ConfigError,
+    InfeasibleError,
+    NoCandidateError,
+)
 from edgefail.experiment import build_requests, simulate_policy
 from edgefail.metrics import MetricsRecord
 from edgefail.model import NodeStatus, SimPhase
@@ -313,23 +318,32 @@ class TestServingInvariants:
         assert sim.inject_attack(target, 3)
         assert sim.state.proactive == {}
 
-    def test_no_split_when_recovery_shares_the_onset_unit(self):
-        # recovery drops the t-1 snapshot; an attack in the same unit has
-        # no stored split and its affected vehicles go unserved
-        cfg = small_cfg(**{"recovery.delay": 10, "attack.quarantine": 10})
-        sim = Simulation(cfg, "lb-psvm")
-        stored = {}
-        inject = sim.inject_attack
+    def test_recovery_precedes_the_next_onset(self):
+        # recovery drops the t-1 snapshot; one in the unit of the next onset
+        # would leave that attack without splits, so validation rejects it
+        with pytest.raises(ConfigError, match="attack.quarantine"):
+            small_cfg(**{"recovery.delay": 10, "attack.quarantine": 10, "horizon": 100})
+        cfg = small_cfg(**{"recovery.delay": 9, "attack.quarantine": 10, "horizon": 100})
+        requests = build_requests(cfg)
+        for policy in ("lb-psvm", "psvm", "br"):
+            sim = Simulation(cfg, policy)
+            stored = {}
+            inject = sim.inject_attack
 
-        def spy(target, t):
-            ok = inject(target, t)
-            stored[t] = dict(sim.state.proactive)
-            return ok
+            def spy(target, t):
+                ok = inject(target, t)
+                stored[t] = dict(sim.state.proactive)
+                return ok
 
-        sim.inject_attack = spy
-        records = sim.run(build_requests(cfg))
-        assert stored[10] and not stored[20] and not stored[30]
-        assert float(records[19].unserved_per_service.sum()) > 0
+            sim.inject_attack = spy
+            records = sim.run(requests)
+            assert sorted(stored) == list(range(10, 101, 10)), policy
+            for t, splits in stored.items():
+                assert splits and None not in splits.values(), (policy, t)
+            for r in records:
+                assert float(r.unserved_per_service.sum()) == 0.0, (policy, r.time)
+                np.testing.assert_allclose(r.served_per_service, r.demand_per_service,
+                                           rtol=0, atol=1e-9)
 
     def test_attack_with_zero_affected_vehicles(self):
         # a hosting node carrying no load fails: nothing to re-home, the

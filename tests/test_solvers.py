@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from edgefail.errors import InfeasibleError, NoCandidateError
 from edgefail.model import DelayModel, PlacementDecision, PrimaryMapping
@@ -10,6 +11,7 @@ from edgefail.solvers import (
     LbPsvmProblem,
     bottleneck_delay,
     build_lb_psvm,
+    fill_cheapest,
     lb_objective,
     oracle_lb_psvm,
     solve_lb_psvm,
@@ -106,6 +108,37 @@ class TestPrimaryMapping:
         p, d = single_service([5.0, 7.0, 10.0])
         g = solve_primary_mapping(p, [50.0], d, CAP)
         assert g.gamma[:, 0].tolist() == [30.0, 20.0, 0.0]
+
+
+class TestFillCheapest:
+    @given(
+        nodes=st.lists(
+            st.tuples(st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0)),
+                      st.booleans()),
+            min_size=1, max_size=6,
+        ),
+        demand=st.floats(0.0, 200.0),
+        capacity=st.floats(1.0, 40.0),
+    )
+    def test_fills_cheapest_hosts_first(self, nodes, demand, capacity):
+        d_col = np.array([delay for delay, _ in nodes])
+        hosts = [e for e, (_, hosting) in enumerate(nodes) if hosting]
+        loads, leftover = fill_cheapest(hosts, demand, d_col, capacity)
+        tol = 1e-9 * max(1.0, demand)
+        assert float(loads.sum()) + leftover == pytest.approx(demand, abs=tol)
+        assert leftover == pytest.approx(max(0.0, demand - capacity * len(hosts)), abs=tol)
+        assert loads.shape == d_col.shape and (loads >= 0).all() and (loads <= capacity).all()
+        assert not loads[[e for e in range(len(nodes)) if e not in hosts]].any()
+        order = sorted(hosts, key=lambda e: (d_col[e], e))
+        for i, e in enumerate(order):
+            if loads[e] > 0:
+                assert all(loads[c] == capacity for c in order[:i])
+        if demand <= capacity * len(hosts):
+            x = np.zeros((len(nodes), 1), dtype=int)
+            x[hosts, 0] = 1
+            g = solve_primary_mapping(PlacementDecision(x=x), [demand],
+                                      DelayModel(d=d_col.reshape(-1, 1)), capacity)
+            np.testing.assert_array_equal(g.gamma[:, 0], loads)
 
 
 class TestBuildProblem:
@@ -216,14 +249,6 @@ class TestSolveLbPsvm:
                 checked += 1
                 assert max(vals) - min(vals) <= 1e-6
         assert checked > 100
-
-    def test_two_brackets_same_optimum(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            prob = random_problem(rng, n=3)
-            a = solve_lb_psvm(prob, initial_bracket=(-10.0, 10.0))
-            b = solve_lb_psvm(prob, initial_bracket=(-123.0, 0.5))
-            assert np.abs(a.beta - b.beta).max() <= 1e-6
 
     def test_weight_scaling_invariance(self):
         rng = np.random.default_rng(37)
