@@ -46,6 +46,7 @@ from .model import (
     NodeStatus,
     PlacementDecision,
     PrimaryMapping,
+    RequestBatch,
     SecondaryMapping,
     ServiceRequest,
     ServiceType,
@@ -90,6 +91,7 @@ __all__ = [
     "PrimaryMapping",
     "QualityMonitor",
     "RecoveryResult",
+    "RequestBatch",
     "RunArtifacts",
     "SaturationError",
     "SecondaryMapping",

@@ -23,10 +23,10 @@ POLICIES = ("lb-psvm", "psvm", "br")
 
 
 def _coerce(key: str, value, where: str = "") -> object:
-    if value is None:
-        return None
-    if isinstance(value, str) and value.strip().lower() in ("none", "null", ""):
-        return None
+    if value is None or (isinstance(value, str) and value.strip().lower() in ("none", "null", "")):
+        if key in _OPTIONAL:
+            return None
+        raise ConfigError(f"{where}{key}: a value is required")
     kind = _KINDS[key]
     try:
         if kind == "int":
@@ -260,7 +260,7 @@ class ExperimentConfig:
             dotted = k if k in DEFAULTS else FIELD_MAP.get(k)
             if dotted is None:
                 raise ConfigError(f"unknown config key {k!r}")
-            merged[dotted] = v
+            merged[dotted] = _coerce(dotted, v)
         cfg = ExperimentConfig(**{KEY_MAP[k]: v for k, v in merged.items()})
         cfg.validate()
         return cfg
@@ -269,5 +269,8 @@ class ExperimentConfig:
 FIELD_MAP = {f.name: f.name.replace("_", ".", 1) for f in fields(ExperimentConfig)}
 KEY_MAP = {k: f for f, k in FIELD_MAP.items()}
 DEFAULTS: dict[str, object] = {FIELD_MAP[f.name]: f.default for f in fields(ExperimentConfig)}
-# a key's type is the first alternative of its field's annotation
-_KINDS = {FIELD_MAP[f.name]: f.type.split("|")[0].strip() for f in fields(ExperimentConfig)}
+# a key's type is the first alternative of its field's annotation; only a
+# key whose annotation admits None may be left empty or set to none
+_TYPES = {FIELD_MAP[f.name]: f.type.replace(" ", "").split("|") for f in fields(ExperimentConfig)}
+_KINDS = {k: t[0] for k, t in _TYPES.items()}
+_OPTIONAL = {k for k, t in _TYPES.items() if "None" in t}

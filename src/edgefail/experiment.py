@@ -23,6 +23,7 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .metrics import MetricsRecord
+from .model import RequestBatch
 from .mobility import generate_synthetic, ingest_trace
 from .simulation import Simulation
 
@@ -69,9 +70,9 @@ def build_requests(cfg: ExperimentConfig):
         carry_gap=cfg.trace_carry_gap,
     )
     units = result.requests_by_unit[: cfg.horizon]
-    while len(units) < cfg.horizon:
-        units.append([])
-    return units
+    no_rows = np.empty(0, dtype=np.int64)
+    pad = [RequestBatch(t, no_rows, no_rows, no_rows, ()) for t in range(len(units), cfg.horizon)]
+    return units + pad
 
 
 def simulate_policy(cfg: ExperimentConfig, policy: str, requests=None) -> list[MetricsRecord]:

@@ -5,8 +5,10 @@ coverage cells (default 3x3 cells of 5 km over a 15x15 km^2 area, one
 edge node per cell center).  Trace files are converted into the same
 frame by linearly projecting their bounding box onto the grid area.
 
-Time units are 0-based here: a horizon of H yields request sets for
-units 0..H-1.  The simulation loop consumes them with its own clock.
+Both producers return one ``RequestBatch`` of columns per 0-based time
+unit: a horizon of H yields batches for units 0..H-1, which the simulation
+loop consumes with its own clock.  Demand is a ``bincount`` of a batch's
+service column, the delay matrix one distance pass grouped by service.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IngestError
-from .model import DelayModel, EdgeNode, ServiceRequest
+from .model import DelayModel, EdgeNode, RequestBatch
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class MobilityModel:
 
 @dataclass(frozen=True)
 class IngestResult:
-    requests_by_unit: list
+    requests_by_unit: list[RequestBatch]
     dropped: int  # rows outside the bounding box
     malformed: int  # rows skipped as unparsable
 
@@ -144,10 +146,10 @@ def generate_synthetic(
     horizon: int,
     model: MobilityModel | None = None,
     num_services: int = 8,
-) -> list[list[ServiceRequest]]:
+) -> list[RequestBatch]:
     """Deterministic random-waypoint request stream.
 
-    Returns one list of requests per time unit 0..horizon-1.  Vehicles
+    Returns one ``RequestBatch`` per time unit 0..horizon-1.  Vehicles
     never leave the grid area; identical (seed, parameters) reproduce the
     stream bit for bit.
     """
@@ -167,23 +169,14 @@ def generate_synthetic(
     step_km = rng.uniform(model.speed_min_kmh, model.speed_max_kmh, vehicles) * (
         model.time_unit_s / 3600.0
     )
-    ids = [f"v{i:04d}" for i in range(vehicles)]
+    ids = tuple(f"v{i:04d}" for i in range(vehicles))
 
-    units: list[list[ServiceRequest]] = []
+    units: list[RequestBatch] = []
     for t in range(horizon):
         requesting = rng.random(vehicles) < model.p_request
         services = rng.integers(0, num_services, vehicles)
-        batch = [
-            ServiceRequest(
-                vehicle=ids[i],
-                location=(float(pos[i, 0]), float(pos[i, 1])),
-                time=t,
-                service=int(services[i]),
-            )
-            for i in range(vehicles)
-            if requesting[i]
-        ]
-        units.append(batch)
+        idx = np.flatnonzero(requesting)
+        units.append(RequestBatch(t, pos[idx], services[idx], idx, ids))
 
         # advance toward waypoints; arrivals pick a new one
         delta = waypoint - pos
@@ -261,37 +254,35 @@ def ingest_trace(
             seen[unit] = (ts, xy)
 
     rng = np.random.default_rng(seed)
-    units: list[list[ServiceRequest]] = []
-    last_pos: dict[str, tuple[float, tuple[float, float]]] = {}  # vid -> (unit, xy)
+    vids = tuple(sorted(last_in_unit))
+    units: list[RequestBatch] = []
+    last_pos: dict[str, tuple[int, tuple[float, float]]] = {}  # vid -> (unit, xy)
     for t in range(horizon):
-        present: list[tuple[str, tuple[float, float]]] = []
-        for vid in sorted(last_in_unit):
+        present: list[int] = []
+        xys: list[tuple[float, float]] = []
+        for k, vid in enumerate(vids):
             if t in last_in_unit[vid]:
-                xy = last_in_unit[vid][t][1]
-                last_pos[vid] = (t, xy)
-                present.append((vid, xy))
-            elif vid in last_pos and t - last_pos[vid][0] <= carry_gap:
-                present.append((vid, last_pos[vid][1]))
+                last_pos[vid] = (t, last_in_unit[vid][t][1])
+            elif vid not in last_pos or t - last_pos[vid][0] > carry_gap:
+                continue
+            present.append(k)
+            xys.append(last_pos[vid][1])
         services = rng.integers(0, num_services, len(present))
-        units.append(
-            [
-                ServiceRequest(vehicle=vid, location=xy, time=t, service=int(services[i]))
-                for i, (vid, xy) in enumerate(present)
-            ]
-        )
+        units.append(RequestBatch(t, xys, services, present, vids))
     return IngestResult(units, dropped=dropped, malformed=malformed)
 
 
-def derive_demand(requests: list[ServiceRequest], num_services: int) -> np.ndarray:
+def derive_demand(requests: RequestBatch | list, num_services: int) -> np.ndarray:
     """Per-service request counts lambda_s for one time unit."""
-    lam = np.zeros(num_services)
-    for r in requests:
-        lam[r.service] += 1.0
+    batch = requests if isinstance(requests, RequestBatch) else RequestBatch.of(requests)
+    lam = np.bincount(batch.service, minlength=num_services).astype(float)
+    if len(lam) > num_services:
+        raise ValueError(f"service {len(lam) - 1} out of range for {num_services} services")
     return lam
 
 
 def derive_delay_matrix(
-    requests: list[ServiceRequest],
+    requests: RequestBatch | list,
     nodes: list[EdgeNode],
     num_services: int,
     alpha_ms_per_km: float = 2.0,
@@ -307,27 +298,19 @@ def derive_delay_matrix(
     """
     if alpha_ms_per_km < 0 or base_ms < 0:
         raise ValueError("delay model parameters must be >= 0")
+    batch = requests if isinstance(requests, RequestBatch) else RequestBatch.of(requests)
     node_xy = np.array([n.location for n in nodes])
-    d = np.empty((len(nodes), num_services))
-    if requests:
-        pts = np.array([r.location for r in requests])
-        svc = np.array([r.service for r in requests])
-        centroid = pts.mean(axis=0)
-    else:
-        if fallback_point is None:
-            raise ValueError("fallback_point required when there are no requests")
-        pts = np.empty((0, 2))
-        svc = np.empty(0, dtype=int)
-        centroid = np.asarray(fallback_point, dtype=float)
+    if not len(batch) and fallback_point is None:
+        raise ValueError("fallback_point required when there are no requests")
+    centroid = batch.xy.mean(axis=0) if len(batch) else np.asarray(fallback_point, dtype=float)
     centroid_dist = np.hypot(node_xy[:, 0] - centroid[0], node_xy[:, 1] - centroid[1])
-    for s in range(num_services):
-        mask = svc == s
-        if mask.any():
-            p = pts[mask]
-            dist = np.hypot(
-                node_xy[:, 0][:, None] - p[:, 0], node_xy[:, 1][:, None] - p[:, 1]
-            ).mean(axis=1)
-        else:
-            dist = centroid_dist
-        d[:, s] = alpha_ms_per_km * dist + base_ms
-    return DelayModel(d=d)
+    # one distance pass over the requests grouped by service, one column slice each
+    pts = batch.xy[np.argsort(batch.service, kind="stable")]
+    dist = np.hypot(node_xy[:, 0][:, None] - pts[:, 0], node_xy[:, 1][:, None] - pts[:, 1])
+    counts = np.bincount(batch.service, minlength=num_services)
+    mean = np.empty((len(nodes), num_services))
+    start = 0
+    for s, n in enumerate(counts.tolist()):
+        mean[:, s] = np.add.reduce(dist[:, start:start + n], axis=1) / n if n else centroid_dist
+        start += n
+    return DelayModel(d=alpha_ms_per_km * mean + base_ms)

@@ -96,6 +96,57 @@ class ServiceRequest:
             raise ValueError("request time must be >= 0")
 
 
+@dataclass(frozen=True, eq=False)
+class RequestBatch:
+    """One time unit's requests as columns: vehicle ``vehicles[vehicle[i]]``
+    at ``xy[i]`` asks for ``service[i]``.  A stream shares one ``vehicles``
+    tuple; indexing or iterating yields ``ServiceRequest`` objects."""
+
+    time: int
+    xy: np.ndarray
+    service: np.ndarray
+    vehicle: np.ndarray
+    vehicles: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.time < 0:
+            raise ValueError("request time must be >= 0")
+        xy = np.ascontiguousarray(self.xy, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "xy", _freeze(xy))
+        object.__setattr__(self, "service", _freeze(np.asarray(self.service, dtype=np.int64)))
+        object.__setattr__(self, "vehicle", _freeze(np.asarray(self.vehicle, dtype=np.int64)))
+        if not len(self.xy) == len(self.service) == len(self.vehicle):
+            raise StructuralError("xy, service and vehicle must have one row per request")
+
+    @classmethod
+    def of(cls, requests) -> "RequestBatch":
+        """Columns of a list of requests, which share the first one's time."""
+        names = tuple(dict.fromkeys(r.vehicle for r in requests))
+        index = {v: i for i, v in enumerate(names)}
+        return cls(requests[0].time if requests else 0, [r.location for r in requests],
+                   [r.service for r in requests], [index[r.vehicle] for r in requests], names)
+
+    def __len__(self) -> int:
+        return len(self.service)
+
+    def __getitem__(self, i: int) -> ServiceRequest:
+        vehicle, xy = self.vehicles[self.vehicle[i]], tuple(self.xy[i].tolist())
+        return ServiceRequest(vehicle, xy, self.time, int(self.service[i]))
+
+    def _names(self) -> list[str]:
+        return [self.vehicles[v] for v in self.vehicle.tolist()]
+
+    def __eq__(self, other):
+        if not isinstance(other, RequestBatch):
+            return NotImplemented
+        return (self.time == other.time and np.array_equal(self.xy, other.xy)
+                and np.array_equal(self.service, other.service) and self._names() == other._names())
+
+    def __reduce__(self):
+        # through the constructor, so the columns come back read-only
+        return (RequestBatch, (self.time, self.xy, self.service, self.vehicle, self.vehicles))
+
+
 @dataclass(frozen=True)
 class PlacementDecision:
     """Which nodes host which service instances.

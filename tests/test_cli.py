@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import fields
 
 import pytest
@@ -83,6 +84,35 @@ class TestConfig:
             parse_config_file(stale)
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_sources(overrides={"placement.strategy": "greedy"})
+
+    OPTIONAL = {"out", "trace.bbox", "lbpsvm.k1", "lbpsvm.k2", "attack.schedule",
+                "attack.quarantine"}
+
+    @pytest.mark.parametrize("value", ["", "none"])
+    def test_only_optional_keys_may_be_empty(self, tmp_path, capsys, value):
+        path = tmp_path / "one.conf"
+        for key in DEFAULTS:
+            path.write_text(f"{key} = {value}\n")
+            if key in self.OPTIONAL:
+                assert parse_config_file(path) == {key: None}
+                cfg = ExperimentConfig.from_sources(file=path, overrides={key: value})
+                assert getattr(cfg, key.replace(".", "_", 1)) is None
+                continue
+            with pytest.raises(ConfigError, match=rf"one.conf:1: {re.escape(key)}: "):
+                parse_config_file(path)
+            for override in (value, None):
+                with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                    ExperimentConfig.from_sources(overrides={key: override})
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_replace_coerces_like_overrides(self):
+        cfg = ExperimentConfig.from_sources()
+        assert cfg.replace(horizon="5", lbpsvm_k1="none").horizon == 5
+        for key in ("horizon", "dataset", "mobility.p_request"):
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+                cfg.replace(**{key: None})
 
     def test_precedence_cli_over_file_over_defaults(self, tmp_path):
         path = tmp_path / "exp.conf"

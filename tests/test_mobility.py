@@ -1,7 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from edgefail.errors import IngestError
+from edgefail.errors import IngestError, StructuralError
 from edgefail.mobility import (
     BoundingBox,
     GridMap,
@@ -11,7 +14,7 @@ from edgefail.mobility import (
     generate_synthetic,
     ingest_trace,
 )
-from edgefail.model import EdgeNode, ServiceRequest
+from edgefail.model import EdgeNode, RequestBatch, ServiceRequest
 
 GRID = GridMap()  # 3x3 cells of 5 km
 
@@ -21,6 +24,41 @@ def nodes_for(grid):
         EdgeNode(id=i, location=loc, capacity=100.0)
         for i, loc in enumerate(grid.node_locations())
     ]
+
+
+def reference_demand(requests, num_services):
+    """Per-request count that derive_demand must match bit for bit."""
+    lam = np.zeros(num_services)
+    for r in requests:
+        lam[r.service] += 1.0
+    return lam
+
+
+def reference_delay_matrix(requests, nodes, num_services, alpha_ms_per_km=2.0, base_ms=1.0,
+                           fallback_point=None):
+    """Per-service mask and mean that derive_delay_matrix must match bit for bit."""
+    node_xy = np.array([n.location for n in nodes])
+    d = np.empty((len(nodes), num_services))
+    if requests:
+        pts = np.array([r.location for r in requests])
+        svc = np.array([r.service for r in requests])
+        centroid = pts.mean(axis=0)
+    else:
+        pts = np.empty((0, 2))
+        svc = np.empty(0, dtype=int)
+        centroid = np.asarray(fallback_point, dtype=float)
+    centroid_dist = np.hypot(node_xy[:, 0] - centroid[0], node_xy[:, 1] - centroid[1])
+    for s in range(num_services):
+        mask = svc == s
+        if mask.any():
+            p = pts[mask]
+            dist = np.hypot(
+                node_xy[:, 0][:, None] - p[:, 0], node_xy[:, 1][:, None] - p[:, 1]
+            ).mean(axis=1)
+        else:
+            dist = centroid_dist
+        d[:, s] = alpha_ms_per_km * dist + base_ms
+    return d
 
 
 class TestGridMap:
@@ -76,6 +114,52 @@ class TestGenerateSynthetic:
                 dist = ((r.location[0] - x0) ** 2 + (r.location[1] - y0) ** 2) ** 0.5
                 assert dist <= max_step + 1e-9
                 pos[r.vehicle] = r.location
+
+
+class TestRequestBatch:
+    def test_rows_read_as_requests(self):
+        batch = RequestBatch(3, [(1.0, 2.0), (4.0, 5.0)], [2, 0], [1, 0], ("a", "b"))
+        assert len(batch) == 2
+        assert list(batch) == [ServiceRequest("b", (1.0, 2.0), 3, 2),
+                               ServiceRequest("a", (4.0, 5.0), 3, 0)]
+        assert batch[-1] == ServiceRequest("a", (4.0, 5.0), 3, 0)
+        assert not (batch.xy.flags.writeable or batch.service.flags.writeable
+                    or batch.vehicle.flags.writeable)
+        assert RequestBatch.of(list(batch)) == batch
+        assert RequestBatch.of([]) == RequestBatch(0, [], [], [], ())
+
+    def test_rejects_bad_rows(self):
+        with pytest.raises(ValueError, match="time"):
+            RequestBatch(-1, [], [], [], ())
+        with pytest.raises(StructuralError, match="one row per request"):
+            RequestBatch(0, [(1.0, 2.0)], [0, 1], [0, 0], ("a",))
+
+    def test_equality_compares_columns(self):
+        batch = RequestBatch(0, [(1.0, 2.0)], [1], [0], ("a",))
+        assert batch == RequestBatch(0, [(1.0, 2.0)], [1], [1], ("z", "a"))
+        assert batch != RequestBatch(1, [(1.0, 2.0)], [1], [0], ("a",))
+        assert batch != RequestBatch(0, [(1.0, 2.5)], [1], [0], ("a",))
+        assert batch != RequestBatch(0, [(1.0, 2.0)], [0], [0], ("a",))
+        assert batch != RequestBatch(0, [(1.0, 2.0)], [1], [0], ("b",))
+
+    def test_producers_make_no_request_objects(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a ServiceRequest was built")
+
+        path = tmp_path / "trace.csv"
+        path.write_text("vehicle_id,timestamp,lat,lon\ncab1,0,37.5,-122.5\ncab2,70,37.6,-122.4\n")
+        monkeypatch.setattr(ServiceRequest, "__post_init__", refuse)
+        assert sum(map(len, generate_synthetic(seed=1, vehicles=20, grid=GRID, horizon=5))) == 100
+        result = ingest_trace(path, TestIngestTrace.BBOX, GRID)
+        assert [len(b) for b in result.requests_by_unit] == [1, 2]
+
+    def test_synthetic_stream_pickles(self):
+        units = generate_synthetic(seed=4, vehicles=80, grid=GRID, horizon=30,
+                                   model=MobilityModel(p_request=0.5))
+        again = pickle.loads(pickle.dumps(units))
+        assert again == units
+        assert not again[0].xy.flags.writeable
+        assert again[0].vehicles is again[-1].vehicles
 
 
 class TestIngestTrace:
@@ -146,6 +230,14 @@ class TestIngestTrace:
         for t, batch in enumerate(result.requests_by_unit):
             assert len(batch) == len(per_unit.get(t, set()))
 
+    def test_trace_stream_pickles(self, tmp_path):
+        rows = [f"cab{v},{60 * t + v},{37.1 + 0.01 * v},{-122.9 + 0.02 * t}"
+                for v in range(12) for t in range(0, 20, 1 + v % 3)]
+        result = ingest_trace(self.write(tmp_path, rows), self.BBOX, GRID, carry_gap=1)
+        units = result.requests_by_unit
+        assert pickle.loads(pickle.dumps(units)) == units
+        assert sorted({r.vehicle for b in units for r in b}) == sorted(units[0].vehicles)
+
 
 class TestDeriveDemand:
     def test_single_service(self):
@@ -172,6 +264,10 @@ class TestDeriveDemand:
             tally[r.service] += 1
         assert lam.tolist() == [float(c) for c in tally]
         assert lam.sum() == 300
+
+    def test_service_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="service 3 out of range"):
+            derive_demand([ServiceRequest("v0", (1.0, 1.0), 0, 3)], 3)
 
 
 class TestDeriveDelayMatrix:
@@ -216,6 +312,33 @@ class TestDeriveDelayMatrix:
             derive_delay_matrix([], self.nodes, 2)
         d = derive_delay_matrix([], self.nodes, 2, fallback_point=GRID.center())
         assert np.isfinite(d.d).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 4), cols=st.integers(1, 4), num_services=st.integers(1, 12),
+        n=st.integers(0, 400), seed=st.integers(0, 2**32 - 1), data=st.data(),
+    )
+    def test_same_bits_as_per_request_reference(self, rows, cols, num_services, n, seed, data):
+        grid = GridMap(rows=rows, cols=cols)
+        used = data.draw(st.sets(st.integers(0, num_services - 1), min_size=1))
+        rng = np.random.default_rng(seed)
+        names = tuple(f"v{i}" for i in range(max(n, 1)))
+        batch = RequestBatch(
+            data.draw(st.integers(0, 1000)) if n else 0,
+            rng.random((n, 2)) * [grid.width_km, grid.height_km],
+            rng.choice(sorted(used), n),
+            rng.permutation(len(names))[:n],
+            names,
+        )
+        requests = list(batch)
+        assert RequestBatch.of(requests) == batch
+        nodes = nodes_for(grid)
+        want_lam = reference_demand(requests, num_services)
+        want_d = reference_delay_matrix(requests, nodes, num_services, 2.0, 1.0, grid.center())
+        for given_as in (batch, requests):
+            assert np.array_equal(derive_demand(given_as, num_services), want_lam)
+            got = derive_delay_matrix(given_as, nodes, num_services, fallback_point=grid.center())
+            assert np.array_equal(got.d, want_d)
 
     def test_determinism_bit_identical(self):
         units = generate_synthetic(seed=21, vehicles=30, grid=GRID, horizon=5)
