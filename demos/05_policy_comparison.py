@@ -2,8 +2,8 @@
 
 A contention-heavy synthetic scenario (400 vehicles, 75% request
 probability) is simulated for 60 units with an attack on the most
-loaded node every 20th unit.  The same request stream feeds all three
-policies:
+loaded node every 20th unit.  The same request stream, derived once
+into each unit's demand and delay matrix, feeds all three policies:
 
 * lb-psvm -- the fair split across all surviving candidates,
 * psvm    -- everything onto the single lowest-delay candidate,
@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from edgefail import ExperimentConfig, SimPhase
+from edgefail import ExperimentConfig, SimPhase, derive_inputs
 from edgefail.experiment import build_requests, run, simulate_policy
 
 cfg = ExperimentConfig.from_sources(overrides={
@@ -24,12 +24,12 @@ cfg = ExperimentConfig.from_sources(overrides={
     "mobility.p_request": 0.75,
     "seed": 11,
 })
-requests = build_requests(cfg)
+inputs = derive_inputs(cfg, build_requests(cfg))
 
 print(f"{'policy':>8} {'avg delay':>10} {'delay@attack':>13} {'ELF@attack':>11} "
       f"{'fairness':>9}")
 for policy in cfg.policy_list():
-    records = simulate_policy(cfg, policy, requests)
+    records = simulate_policy(cfg, policy, inputs=inputs)
     attack_units = [r for r in records if r.state is SimPhase.ATTACK]
     failover = [r for r in records if r.failover_active]
     print(f"{policy:>8} "

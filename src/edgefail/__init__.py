@@ -33,7 +33,6 @@ from .mobility import (
     BoundingBox,
     GridMap,
     MobilityModel,
-    TracePoint,
     derive_delay_matrix,
     derive_demand,
     generate_synthetic,
@@ -51,15 +50,13 @@ from .model import (
     ServiceRequest,
     ServiceType,
     SimPhase,
-    round_preserving_sum,
     validate_placement,
 )
 from .placement import RecoveryResult, place_services, recover_placement, reserve_backup
-from .simulation import QualityMonitor, Simulation, evaluate_quality
+from .simulation import QualityMonitor, Simulation, UnitInputs, derive_inputs, evaluate_quality
 from .solvers import (
     LbPsvmProblem,
     LbPsvmSolution,
-    bottleneck_delay,
     build_lb_psvm,
     lb_objective,
     oracle_lb_psvm,
@@ -100,13 +97,13 @@ __all__ = [
     "SimPhase",
     "Simulation",
     "StructuralError",
-    "TracePoint",
+    "UnitInputs",
     "average_elf",
-    "bottleneck_delay",
     "build_lb_psvm",
     "compare",
     "derive_delay_matrix",
     "derive_demand",
+    "derive_inputs",
     "edge_load_factor",
     "evaluate_quality",
     "generate_synthetic",
@@ -118,7 +115,6 @@ __all__ = [
     "queue_delay",
     "recover_placement",
     "reserve_backup",
-    "round_preserving_sum",
     "run",
     "service_delay",
     "simulate_policy",

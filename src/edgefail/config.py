@@ -15,9 +15,10 @@ import hashlib
 import json
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .mobility import BoundingBox, GridMap, MobilityModel
 from .model import EdgeNode, ServiceType
+from .placement import check_budget
 
 POLICIES = ("lb-psvm", "psvm", "br")
 
@@ -177,6 +178,17 @@ class ExperimentConfig:
                 self.schedule_list()
             except ValueError as exc:
                 problems.append(f"attack.schedule: {exc}")
+        if not problems:
+            # what no placement can meet, caught here rather than at t=1
+            I, E = self.placement_instances_per_service, self.grid_rows * self.grid_cols
+            if I > E:
+                problems.append(f"placement.instances_per_service: {I} instances need "
+                                f"distinct nodes, the grid has {E}")
+            else:
+                try:
+                    check_budget(self.services(), self.nodes(), [I] * self.services_count)
+                except InfeasibleError as exc:
+                    problems.append(f"node.capacity: {exc}")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -1,7 +1,9 @@
 """Batch experiment runner: policy sweeps, CSV metrics, summaries, manifests.
 
-One invocation simulates every requested policy over the same request
-stream and writes three artifacts into the output directory:
+One invocation builds the request stream once, derives each unit's
+demand and delay matrix once (``simulation.derive_inputs``), simulates
+every requested policy over those shared inputs and writes three
+artifacts into the output directory:
 
 * ``metrics.csv``  -- one row per (policy, time unit)
 * ``summary.csv``  -- per-policy averages in the comparison-table shape
@@ -25,7 +27,7 @@ from .errors import ConfigError
 from .metrics import MetricsRecord
 from .model import RequestBatch
 from .mobility import generate_synthetic, ingest_trace
-from .simulation import Simulation
+from .simulation import Simulation, UnitInputs, derive_inputs
 
 METRICS_STATIC_COLUMNS = ["t", "state", "policy", "avg_delay_ms"]
 METRICS_TAIL_COLUMNS = ["avg_elf_pct", "fairness", "q_value"]
@@ -75,17 +77,23 @@ def build_requests(cfg: ExperimentConfig):
     return units + pad
 
 
-def simulate_policy(cfg: ExperimentConfig, policy: str, requests=None) -> list[MetricsRecord]:
-    """Run one policy over the configured (or provided) request stream."""
-    if requests is None:
-        requests = build_requests(cfg)
-    return Simulation(cfg, policy).run(requests)
+def simulate_policy(
+    cfg: ExperimentConfig,
+    policy: str,
+    requests=None,
+    inputs: list[UnitInputs] | None = None,
+) -> list[MetricsRecord]:
+    """Run one policy over derived ``inputs``; without them, derive them
+    from ``requests``, or from the configured stream when that is None."""
+    if inputs is None:
+        inputs = derive_inputs(cfg, build_requests(cfg) if requests is None else requests)
+    return Simulation(cfg, policy).run(inputs)
 
 
 def _worker(args):
-    cfg_dict, policy, requests = args
+    cfg_dict, policy, inputs = args
     cfg = ExperimentConfig.from_sources(overrides=cfg_dict)
-    return policy, simulate_policy(cfg, policy, requests)
+    return policy, simulate_policy(cfg, policy, inputs=inputs)
 
 
 @dataclass(frozen=True)
@@ -117,23 +125,25 @@ def resolve_out_dir(cfg: ExperimentConfig, out: str | None = None) -> str:
 def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     """Execute the configured sweep and write the artifact set.
 
-    Policies run over one request stream, built once and shared with
-    every worker, so their rows are directly comparable.  ``jobs > 1``
-    runs policies in parallel worker processes; outputs are merged in
-    policy order so the CSV bodies stay byte-identical either way.
+    Policies run over one request stream, built once; each unit's demand
+    and delay matrix are derived once from it and shared with every
+    policy and worker, so their rows are directly comparable.  ``jobs > 1``
+    runs policies in parallel worker processes, which receive the derived
+    inputs rather than the stream; outputs are merged in policy order so
+    the CSV bodies stay byte-identical either way.
     """
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)
     os.makedirs(out_dir, exist_ok=True)
 
-    requests = build_requests(cfg)
+    inputs = derive_inputs(cfg, build_requests(cfg))
     if cfg.jobs > 1 and len(policies) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(policies))) as pool:
-            results = dict(pool.map(_worker, [(cfg.to_dict(), p, requests) for p in policies]))
+            results = dict(pool.map(_worker, [(cfg.to_dict(), p, inputs) for p in policies]))
         records = {p: results[p] for p in policies}
     else:
-        records = {p: simulate_policy(cfg, p, requests) for p in policies}
+        records = {p: simulate_policy(cfg, p, inputs=inputs) for p in policies}
 
     S = cfg.services_count
     header = (

@@ -38,7 +38,11 @@ def queue_delay(arrival: float, capacity: float, ms_per_unit: float = 1.0) -> fl
         )
     if arrival <= capacity:
         return 0.0
-    backlog = arrival - capacity
+    return _backlog_wait(arrival - capacity, capacity, ms_per_unit)
+
+
+def _backlog_wait(backlog, capacity: float, ms_per_unit: float):
+    """The M/D/1 wait of a backlog, for a float or elementwise for an array."""
     return ms_per_unit * backlog / (2.0 * capacity * (capacity - backlog))
 
 
@@ -47,28 +51,32 @@ def service_delay(
     delays,
     capacity: float,
     ms_per_unit: float = 1000.0,
-) -> float:
-    """Load-weighted per-vehicle delay of one service across its instances.
+):
+    """Load-weighted per-vehicle delay of a service across its instances.
 
     ``loads[e]`` vehicles are served at node e whose propagation delay is
     ``delays[e]`` ms; each instance adds its own queue waiting time.  With
     zero vehicles the delay is defined as 0.  Arrivals at or past the 2C
     pole are evaluated just inside it (a huge but finite penalty).
+
+    ``loads`` and ``delays`` of shape (E,) give one service's delay as a
+    float; of shape (E, S) they give every column's delay as an (S,)
+    array.  The terms are summed node by node in order and the loads with
+    numpy's pairwise sum, so both shapes give the same bits per service.
     """
     loads = np.asarray(loads, dtype=float)
     delays = np.asarray(delays, dtype=float)
-    total = float(loads.sum())
-    if total <= 0:
-        return 0.0
-    acc = 0.0
-    for load, d in zip(loads, delays):
-        if load <= 0:
-            continue
-        arrival = float(load)
-        if arrival >= 2.0 * capacity:
-            arrival = 2.0 * capacity - QUEUE_GUARD
-        acc += load * (d + queue_delay(arrival, capacity, ms_per_unit))
-    return acc / total
+    if capacity <= 0:
+        raise ValueError("capacity must be > 0")
+    pole = 2.0 * capacity
+    arrival = np.where(loads >= pole, pole - QUEUE_GUARD, loads)
+    wait = np.where(arrival <= capacity, 0.0,
+                    _backlog_wait(arrival - capacity, capacity, ms_per_unit))
+    terms = np.where(loads > 0, loads * (delays + wait), 0.0)
+    acc = np.cumsum(terms, axis=0)[-1]
+    total = np.ascontiguousarray(loads.T).sum(axis=-1)
+    out = np.where(total > 0, acc / np.where(total > 0, total, 1.0), 0.0)
+    return float(out) if loads.ndim == 1 else out
 
 
 def edge_load_factor(added, available) -> np.ndarray:

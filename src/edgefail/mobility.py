@@ -72,19 +72,6 @@ class GridMap:
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    vehicle_id: str
-    timestamp: float
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)
-                and math.isfinite(self.timestamp)):
-            raise ValueError("trace point fields must be finite")
-
-
-@dataclass(frozen=True)
 class BoundingBox:
     """Geographic box mapped linearly onto the grid area."""
 
@@ -97,10 +84,13 @@ class BoundingBox:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box must be non-degenerate")
 
-    def contains(self, lat: float, lon: float) -> bool:
-        return self.lat_min <= lat <= self.lat_max and self.lon_min <= lon <= self.lon_max
+    def contains(self, lat, lon):
+        """Whether (lat, lon) lies in the box; elementwise for arrays."""
+        return ((self.lat_min <= lat) & (lat <= self.lat_max)
+                & (self.lon_min <= lon) & (lon <= self.lon_max))
 
-    def to_xy(self, lat: float, lon: float, grid: GridMap) -> tuple[float, float]:
+    def to_xy(self, lat, lon, grid: GridMap):
+        """Grid coordinates in km of (lat, lon); elementwise for arrays."""
         fx = (lon - self.lon_min) / (self.lon_max - self.lon_min)
         fy = (lat - self.lat_min) / (self.lat_max - self.lat_min)
         x0, y0 = grid.origin
@@ -214,8 +204,9 @@ def ingest_trace(
     if time_unit_s <= 0:
         raise ValueError("time_unit_s must be > 0")
     malformed = 0
-    dropped = 0
-    rows: list[tuple[str, float, float, float]] = []
+    first_seen: dict[str, int] = {}  # vehicle id -> code in order of appearance
+    codes: list[int] = []
+    values: list[tuple[float, float, float]] = []  # timestamp, lat, lon
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -229,46 +220,62 @@ def ingest_trace(
                 malformed += 1
                 continue
             try:
-                point = TracePoint(raw[0], float(raw[1]), float(raw[2]), float(raw[3]))
+                values.append((float(raw[1]), float(raw[2]), float(raw[3])))
             except ValueError:
                 malformed += 1
                 continue
-            if not bbox.contains(point.lat, point.lon):
-                dropped += 1
-                continue
-            rows.append((point.vehicle_id, point.timestamp, point.lat, point.lon))
-    if not rows:
+            codes.append(first_seen.setdefault(raw[0], len(first_seen)))
+    cols = np.array(values, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(cols).all(axis=1)
+    malformed += int((~finite).sum())
+    ts, lat, lon = cols[finite].T
+    inside = bbox.contains(lat, lon)
+    dropped = int((~inside).sum())
+    if not inside.any():
         raise IngestError(f"{path}: no usable rows (dropped={dropped}, malformed={malformed})")
+    ts, lat, lon = ts[inside], lat[inside], lon[inside]
+    code = np.array(codes, dtype=np.int64)[finite][inside]
 
-    t0 = min(r[1] for r in rows)
-    horizon = int((max(r[1] for r in rows) - t0) // time_unit_s) + 1
+    # vehicles numbered in sorted id order
+    names = list(first_seen)
+    kept = np.unique(code).tolist()
+    vids = tuple(sorted(names[c] for c in kept))
+    rank = np.zeros(len(names), dtype=np.int64)
+    rank[[first_seen[v] for v in vids]] = np.arange(len(vids))
+    vehicle = rank[code]
 
-    # last position per (vehicle, unit); later rows within a unit win,
-    # ties on timestamp resolved by file order
-    last_in_unit: dict[str, dict[int, tuple[float, tuple[float, float]]]] = {}
-    for vid, ts, lat, lon in rows:
-        unit = int((ts - t0) // time_unit_s)
-        xy = bbox.to_xy(lat, lon, grid)
-        seen = last_in_unit.setdefault(vid, {})
-        if unit not in seen or ts >= seen[unit][0]:
-            seen[unit] = (ts, xy)
+    t0 = ts.min()
+    unit = ((ts - t0) // time_unit_s).astype(np.int64)
+    horizon = int((ts.max() - t0) // time_unit_s) + 1
+    xy = np.column_stack(bbox.to_xy(lat, lon, grid))
+
+    # last position per (vehicle, unit): the latest timestamp, ties to the
+    # later row; the winners come out sorted by vehicle, then unit
+    order = np.lexsort((np.arange(len(ts)), ts, unit, vehicle))
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = (vehicle[order[1:]] != vehicle[order[:-1]]) | (unit[order[1:]] != unit[order[:-1]])
+    win = order[last]
+    w_vehicle, w_unit, w_xy = vehicle[win], unit[win], xy[win]
+
+    # a position holds from its unit until the vehicle's next one, for at
+    # most carry_gap units after it
+    stop = np.minimum(w_unit + max(carry_gap, 0) + 1, horizon)
+    same = w_vehicle[1:] == w_vehicle[:-1]
+    stop[:-1] = np.where(same, np.minimum(stop[:-1], w_unit[1:]), stop[:-1])
+    span = stop - w_unit
+    src = np.repeat(np.arange(len(win)), span)
+    at = w_unit[src] + np.arange(len(src)) - np.repeat(np.cumsum(span) - span, span)
+    by_unit = np.lexsort((w_vehicle[src], at))  # each unit's rows in vehicle order
+    src, at = src[by_unit], at[by_unit]
+    row_xy, row_vehicle = w_xy[src], w_vehicle[src]
+    bounds = np.searchsorted(at, np.arange(horizon + 1))
 
     rng = np.random.default_rng(seed)
-    vids = tuple(sorted(last_in_unit))
     units: list[RequestBatch] = []
-    last_pos: dict[str, tuple[int, tuple[float, float]]] = {}  # vid -> (unit, xy)
     for t in range(horizon):
-        present: list[int] = []
-        xys: list[tuple[float, float]] = []
-        for k, vid in enumerate(vids):
-            if t in last_in_unit[vid]:
-                last_pos[vid] = (t, last_in_unit[vid][t][1])
-            elif vid not in last_pos or t - last_pos[vid][0] > carry_gap:
-                continue
-            present.append(k)
-            xys.append(last_pos[vid][1])
-        services = rng.integers(0, num_services, len(present))
-        units.append(RequestBatch(t, xys, services, present, vids))
+        lo, hi = bounds[t], bounds[t + 1]
+        services = rng.integers(0, num_services, hi - lo)
+        units.append(RequestBatch(t, row_xy[lo:hi], services, row_vehicle[lo:hi], vids))
     return IngestResult(units, dropped=dropped, malformed=malformed)
 
 

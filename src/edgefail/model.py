@@ -347,24 +347,3 @@ def validate_placement(
             messages.append(f"service {s}: hosted on {int(counts[s])} node(s), needs >= 2")
     return PlacementReport(resource_ok, redundancy_ok, tuple(messages))
 
-
-def round_preserving_sum(values) -> np.ndarray:
-    """Round a non-negative vector to integers, preserving the rounded sum.
-
-    Largest-remainder rule: floor everything, then hand out the missing
-    units to the largest fractional parts (ties to the lowest index).
-    Used only when reporting vehicle counts; solvers stay real-valued.
-    """
-    v = np.asarray(values, dtype=float)
-    if (v < 0).any():
-        raise ValueError("values must be >= 0")
-    total = int(round(float(v.sum())))
-    floors = np.floor(v).astype(np.int64)
-    missing = total - int(floors.sum())
-    if missing <= 0:
-        return floors
-    remainders = v - floors
-    order = np.lexsort((np.arange(len(v)), -remainders))
-    out = np.array(floors)
-    out[order[:missing]] += 1
-    return out

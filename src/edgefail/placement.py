@@ -20,6 +20,18 @@ from .model import (
 MAX_SEARCH_STATES = 200_000
 
 
+def check_budget(services: list[ServiceType], nodes: list[EdgeNode], counts: list[int]) -> None:
+    """Raise InfeasibleError when ``counts[s]`` instances of every service
+    need more resource units than the healthy nodes have in total."""
+    total_need = sum(counts[s] * services[s].resource_cost for s in range(len(services)))
+    total_have = sum(n.capacity for n in nodes if n.healthy)
+    if total_need > total_have + 1e-9:
+        raise InfeasibleError(
+            f"aggregate demand {total_need:.6g} resource units exceeds "
+            f"healthy capacity {total_have:.6g}"
+        )
+
+
 def place_services(
     services: list[ServiceType],
     nodes: list[EdgeNode],
@@ -48,14 +60,8 @@ def place_services(
     if any(c < 2 for c in counts):
         raise ValueError("each service needs at least 2 instances (redundancy)")
 
+    check_budget(services, nodes, counts)
     healthy = [n.id for n in nodes if n.healthy]
-    total_need = sum(counts[s] * services[s].resource_cost for s in range(S))
-    total_have = sum(nodes[e].capacity for e in healthy)
-    if total_need > total_have + 1e-9:
-        raise InfeasibleError(
-            f"aggregate demand {total_need:.6g} resource units exceeds "
-            f"healthy capacity {total_have:.6g}"
-        )
 
     order = sorted(range(S), key=lambda s: (-services[s].resource_cost, s))
     residual = {e: nodes[e].capacity for e in healthy}

@@ -17,6 +17,12 @@ The loop walks a three-phase state machine per attack cycle:
 A quality monitor stands in for a learned critic: every few units it
 scores recent delays against the per-service caps and, when the score
 drops below a threshold, triggers a placement re-optimization.
+
+The loop consumes derived units, not requests: ``derive_inputs`` turns
+each unit's requests into demand per service and the delay matrix once,
+and every policy's ``Simulation`` steps over the same ``UnitInputs``.
+The delay matrix reads node locations, not node health, so it does not
+depend on the policy or the attack state.
 """
 
 from __future__ import annotations
@@ -84,6 +90,33 @@ def evaluate_quality(monitor: QualityMonitor, records) -> float:
 
 
 @dataclass(frozen=True)
+class UnitInputs:
+    """One unit's requests as every policy sees them."""
+
+    demand: np.ndarray  # lambda_s, requests per service
+    delay: DelayModel
+
+
+def derive_inputs(cfg: ExperimentConfig, requests_by_unit) -> list[UnitInputs]:
+    """Demand and delay matrix of each unit of a request stream."""
+    nodes, S, center = cfg.nodes(), cfg.services_count, cfg.grid().center()
+    return [
+        UnitInputs(
+            derive_demand(requests, S),
+            derive_delay_matrix(
+                requests,
+                nodes,
+                S,
+                alpha_ms_per_km=cfg.delay_alpha_ms_per_km,
+                base_ms=cfg.delay_base_ms,
+                fallback_point=center,
+            ),
+        )
+        for requests in requests_by_unit
+    ]
+
+
+@dataclass(frozen=True)
 class SplitInputs:
     """What a failover split is solved from, besides the placement;
     kept after each non-attack unit for an attack in the next one."""
@@ -128,7 +161,6 @@ class Simulation:
         self.capacity = cfg.service_capacity
         self.num_services = len(self.services)
         self.thresholds = np.array([s.delay_threshold for s in self.services])
-        self.grid_center = cfg.grid().center()
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
         self.schedule = {t: e for t, e in cfg.schedule_list()}
         self.state = SimulationState(
@@ -142,10 +174,10 @@ class Simulation:
 
     # ---- driver ---------------------------------------------------------
 
-    def run(self, requests_by_unit) -> list[MetricsRecord]:
-        """Advance the clock over the request stream; clock is 1-based."""
+    def run(self, units) -> list[MetricsRecord]:
+        """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
-        for t, requests in enumerate(requests_by_unit, start=1):
+        for t, unit in enumerate(units, start=1):
             if st.active_attack is not None and st.recover_at == t:
                 self.recover(t)
             if st.active_attack is not None and st.heal_at == t:
@@ -153,7 +185,7 @@ class Simulation:
             target = self._scheduled_target(t)
             if target is not None:
                 self.inject_attack(target, t)
-            self.step(requests, t)
+            self.step(unit, t)
         return st.history
 
     def _scheduled_target(self, t: int) -> int | None:
@@ -241,13 +273,9 @@ class Simulation:
         if result.unrecovered:
             logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
         if self.uses_reserves:
-            # best effort: keep one idle backup per service for the next failure
-            for s in touched:
-                if not any(plc.reserved[e, s] for e in st.healthy_ids()):
-                    try:
-                        plc = reserve_backup(plc, self.services, st.nodes, only=[s])
-                    except InfeasibleError:
-                        logger.warning("t=%d: no room to re-reserve service %d", t, s)
+            healthy = st.healthy_ids()
+            unreserved = [s for s in touched if not plc.reserved[healthy, s].any()]
+            plc = self._reserve(plc, unreserved, t)
         st.placement = plc
         st.phase = SimPhase.RECOVERED
         st.recover_at = None
@@ -265,20 +293,12 @@ class Simulation:
 
     # ---- per-unit work ----------------------------------------------------
 
-    def step(self, requests, t: int) -> MetricsRecord:
-        """Serve one time unit's requests and append a metrics record."""
+    def step(self, unit: UnitInputs, t: int) -> MetricsRecord:
+        """Serve one time unit's derived demand and append a metrics record."""
         st = self.state
-        lam = derive_demand(requests, self.num_services)
-        d = derive_delay_matrix(
-            requests,
-            st.nodes,
-            self.num_services,
-            alpha_ms_per_km=self.cfg.delay_alpha_ms_per_km,
-            base_ms=self.cfg.delay_base_ms,
-            fallback_point=self.grid_center,
-        )
+        lam, d = unit.demand, unit.delay
         if st.phase is not SimPhase.ATTACK and (st.placement is None or st.pending_reopt):
-            self._place(d)
+            self._place(d, t)
             st.pending_reopt = False
         if st.phase is SimPhase.ATTACK:
             loads, added, unserved, cand_by_service = self._attack_serve(lam, d)
@@ -299,14 +319,27 @@ class Simulation:
         st.history.append(record)
         return record
 
-    def _place(self, d: DelayModel) -> None:
+    def _place(self, d: DelayModel, t: int) -> None:
         st = self.state
         plc = place_services(
             self.services, st.nodes, d, self.cfg.placement_instances_per_service
         )
         if self.uses_reserves:
-            plc = reserve_backup(plc, self.services, st.nodes)
+            # bigger footprints first, as place_services sites them
+            order = sorted(range(self.num_services),
+                           key=lambda s: (-self.services[s].resource_cost, s))
+            plc = self._reserve(plc, order, t)
         st.placement = plc
+
+    def _reserve(self, plc: PlacementDecision, services, t: int) -> PlacementDecision:
+        """One idle backup per service, in the given order, where room is
+        left; a service without room fails over as psvm would."""
+        for s in services:
+            try:
+                plc = reserve_backup(plc, self.services, self.state.nodes, only=[s])
+            except InfeasibleError:
+                logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
+        return plc
 
     def _policy_secondary(
         self, snap: SplitInputs, target: int, service: int
@@ -398,19 +431,19 @@ class Simulation:
     ) -> MetricsRecord:
         st = self.state
         S = self.num_services
-        per_service = np.zeros(S)
-        for s in range(S):
-            arrivals = loads[:, s] + added[:, s]
-            per_service[s] = service_delay(
-                arrivals, d.d[:, s], self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
-            )
+        per_service = service_delay(
+            loads + added, d.d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
+        )
         total_lam = float(lam.sum())
         avg_delay = float((lam * per_service).sum() / total_lam) if total_lam > 0 else 0.0
 
+        failover = bool(added.sum() > 0)
         avail = np.maximum(self.capacity - loads, self.cfg.lbpsvm_epsilon)
-        elf_per_node = edge_load_factor(added, avail)
-        loaded_nodes = added.sum(axis=1) > 0
-        avg_elf = average_elf(elf_per_node, loaded_nodes)
+        if failover:
+            elf_per_node = edge_load_factor(added, avail)
+            avg_elf = average_elf(elf_per_node, added.sum(axis=1) > 0)
+        else:
+            elf_per_node, avg_elf = np.zeros(len(loads)), 0.0
 
         jains = []
         for s, candidates in sorted(cand_by_service.items()):
@@ -444,6 +477,6 @@ class Simulation:
             unserved_per_service=unserved,
             sla_violated=sla,
             degraded_services=degraded,
-            failover_active=bool(added.sum() > 0),
+            failover_active=failover,
         )
 

@@ -57,20 +57,20 @@ def solve_primary_mapping(
             capacity of its instances (names the service).
     """
     demand = np.asarray(demand, dtype=float)
-    E, S = placement.x.shape
+    S = placement.num_services
     if demand.shape != (S,):
         raise InfeasibleError(f"demand vector has length {demand.shape}, expected {S}")
-    gamma = np.zeros((E, S))
-    for s in range(S):
-        lam = float(demand[s])
-        hosts = placement.nodes_hosting(s)
-        if capacity * len(hosts) + 1e-9 < lam:
-            raise InfeasibleError(
-                f"service {s}: demand {lam:.6g} exceeds capacity "
-                f"{capacity * len(hosts):.6g} across {len(hosts)} instance(s)"
-            )
-        gamma[:, s] = fill_cheapest(hosts, lam, delay.d[:, s], capacity)[0]
-    return PrimaryMapping(gamma=gamma)
+    hosts = placement.x > 0
+    counts = hosts.sum(axis=0)
+    short = np.flatnonzero(capacity * counts + 1e-9 < demand)
+    if len(short):
+        s = int(short[0])
+        n = int(counts[s])
+        raise InfeasibleError(
+            f"service {s}: demand {float(demand[s]):.6g} exceeds capacity "
+            f"{capacity * n:.6g} across {n} instance(s)"
+        )
+    return PrimaryMapping(gamma=_fill_columns(hosts, demand, delay.d, capacity)[0])
 
 
 def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndarray, float]:
@@ -80,26 +80,30 @@ def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndar
     Returns the per-node loads, of the length of ``d_col``, and the demand
     (>= 0) left over once every host is full.
     """
-    loads = np.zeros(len(d_col))
-    remaining = demand
-    for e in sorted(hosts, key=lambda e: (d_col[e], e)):
-        if remaining <= 0:
-            break
-        take = min(remaining, capacity)
-        loads[e] = take
-        remaining -= take
+    d_col = np.asarray(d_col, dtype=float)
+    mask = np.zeros((len(d_col), 1), dtype=bool)
+    mask[np.asarray(hosts, dtype=np.intp), 0] = True
+    loads, left = _fill_columns(mask, np.array([demand], dtype=float), d_col[:, None], capacity)
+    return loads[:, 0], float(left[0])
+
+
+def _fill_columns(hosts, demand, d, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+    """``fill_cheapest`` of every column at once: (E, S) host mask and
+    delays, (S,) demand.  Rank r of a column takes min(remaining, C) until
+    nothing remains; non-hosts rank last.  Returns the (E, S) loads and
+    the (S,) leftover."""
+    counts = hosts.sum(axis=0)
+    order = np.argsort(np.where(hosts, d, np.inf), axis=0, kind="stable")
+    rounds = int(counts.max(initial=0))
+    takes = np.zeros((rounds, hosts.shape[1]))
+    remaining = demand.copy()
+    for r in range(rounds):
+        live = (r < counts) & (remaining > 0)
+        takes[r] = np.where(live, np.minimum(remaining, capacity), 0.0)
+        remaining -= takes[r]
+    loads = np.zeros(hosts.shape)
+    loads[order[:rounds], np.arange(hosts.shape[1])] = takes
     return loads, remaining
-
-
-def bottleneck_delay(gamma: PrimaryMapping, delay: DelayModel) -> np.ndarray:
-    """Per-service max propagation delay over instances carrying load."""
-    E, S = gamma.gamma.shape
-    out = np.zeros(S)
-    for s in range(S):
-        used = gamma.gamma[:, s] > 0
-        if used.any():
-            out[s] = float(delay.d[used, s].max())
-    return out
 
 
 def failover_candidates(

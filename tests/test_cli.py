@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from edgefail import experiment
+from edgefail import experiment, simulation
 from edgefail.cli import main
 from edgefail.config import DEFAULTS, ExperimentConfig, parse_config_file
 from edgefail.errors import ConfigError
@@ -50,6 +50,23 @@ class TestConfig:
     def test_horizon_zero_invalid(self):
         with pytest.raises(ConfigError, match="horizon"):
             ExperimentConfig.from_sources(overrides={"horizon": 0})
+
+    def test_more_instances_than_nodes_invalid(self):
+        # a 1x3 grid holds three instances of a service on distinct nodes, not four
+        grid = {"grid.rows": 1, "grid.cols": 3, "services.count": 2}
+        ExperimentConfig.from_sources(overrides={**grid, "placement.instances_per_service": 3})
+        with pytest.raises(ConfigError, match="placement.instances_per_service"):
+            ExperimentConfig.from_sources(
+                overrides={**grid, "placement.instances_per_service": 4})
+
+    def test_instances_beyond_node_capacity_invalid(self):
+        # two instances of services 0 and 1 need 2*10 + 2*12 = 44 units;
+        # two nodes of 22 hold them exactly, two of 21.5 fall one unit short
+        small = {"grid.rows": 2, "grid.cols": 1, "services.count": 2,
+                 "placement.instances_per_service": 2}
+        ExperimentConfig.from_sources(overrides={**small, "node.capacity": 22})
+        with pytest.raises(ConfigError, match="node.capacity: aggregate demand 44"):
+            ExperimentConfig.from_sources(overrides={**small, "node.capacity": 21.5})
 
     def test_file_parsing_with_line_numbers(self, tmp_path):
         path = tmp_path / "exp.conf"
@@ -178,14 +195,16 @@ class TestRun:
         assert read(a.metrics_path) == read(b.metrics_path)
 
     def test_worker_uses_the_parent_stream(self, monkeypatch):
+        # the worker steps over the inputs the parent derived from its stream
         cfg = ExperimentConfig.from_sources(overrides=FAST)
-        requests = experiment.build_requests(cfg)
+        inputs = simulation.derive_inputs(cfg, experiment.build_requests(cfg))
 
-        def rebuild(cfg):
-            raise AssertionError("worker rebuilt the request stream")
+        def rebuild(*args, **kwargs):
+            raise AssertionError("worker rebuilt the request stream or its inputs")
 
         monkeypatch.setattr(experiment, "build_requests", rebuild)
-        policy, records = experiment._worker((cfg.to_dict(), "psvm", requests))
+        monkeypatch.setattr(simulation, "derive_delay_matrix", rebuild)
+        policy, records = experiment._worker((cfg.to_dict(), "psvm", inputs))
         assert policy == "psvm"
         assert len(records) == cfg.horizon
 
@@ -260,6 +279,16 @@ class TestCliEntry:
         code = main(fast_args(tmp_path / "o", extra=["--horizon", "0"]))
         assert code == 2
         assert "horizon" in capsys.readouterr().err
+
+    def test_infeasible_placement_exit_2(self, tmp_path, capsys):
+        # a config no placement can meet fails before set-up, not at t=1
+        cfgfile = tmp_path / "exp.conf"
+        cfgfile.write_text("grid.rows = 2\ngrid.cols = 1\nplacement.instances_per_service = 3\n")
+        assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
+        assert "placement.instances_per_service" in capsys.readouterr().err
+        cfgfile.write_text("node.capacity = 40\n")
+        assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
+        assert "node.capacity" in capsys.readouterr().err
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.conf"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edgefail.errors import SaturationError
 from edgefail.metrics import (
+    QUEUE_GUARD,
     average_elf,
     edge_load_factor,
     jain_fairness,
@@ -44,7 +45,42 @@ class TestQueueDelay:
         assert near >= far
 
 
+def reference_service_delay(loads, delays, capacity, ms_per_unit=1000.0):
+    """The per-node loop service_delay must match bit for bit."""
+    total = float(loads.sum())
+    if total <= 0:
+        return 0.0
+    acc = 0.0
+    for load, d in zip(loads, delays):
+        if load <= 0:
+            continue
+        arrival = float(load)
+        if arrival >= 2.0 * capacity:
+            arrival = 2.0 * capacity - QUEUE_GUARD
+        acc += load * (d + queue_delay(arrival, capacity, ms_per_unit))
+    return acc / total
+
+
 class TestServiceDelay:
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.integers(8, 40), S=st.integers(1, 8), capacity=st.sampled_from([30.7, 30.0, 2.9]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_per_node_loop(self, E, S, capacity, seed):
+        # fractional loads, idle nodes, and arrivals at, just below and past 2C
+        rng = np.random.default_rng(seed)
+        loads = rng.uniform(0.0, 2.4 * capacity, (E, S))
+        loads[rng.random((E, S)) < 0.3] = 0.0
+        loads[rng.random((E, S)) < 0.1] = 2.0 * capacity
+        loads[rng.random((E, S)) < 0.05] = 2.0 * capacity - QUEUE_GUARD / 2
+        loads[:, rng.random(S) < 0.2] = 0.0
+        delays = rng.uniform(1.0, 40.0, (E, S))
+        got = service_delay(loads, delays, capacity)
+        assert got.shape == (S,)
+        for s in range(S):
+            want = reference_service_delay(loads[:, s], delays[:, s], capacity)
+            assert got[s] == want
+            assert service_delay(loads[:, s], delays[:, s], capacity) == want
+
     def test_single_node_no_queue(self):
         assert service_delay([10.0, 0.0], [5.0, 9.0], 30.0) == 5.0
 

@@ -1,4 +1,7 @@
+import csv
+import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -59,6 +62,56 @@ def reference_delay_matrix(requests, nodes, num_services, alpha_ms_per_km=2.0, b
             dist = centroid_dist
         d[:, s] = alpha_ms_per_km * dist + base_ms
     return d
+
+
+def reference_ingest(path, bbox, grid, time_unit_s, num_services, seed, carry_gap):
+    """The per-row ingest that ingest_trace must match bit for bit: returns
+    each unit's (xy, services, vehicle names), the vehicle ids, and the
+    dropped and malformed counts."""
+    malformed = dropped = 0
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for raw in reader:
+            if len(raw) != 4:
+                malformed += 1
+                continue
+            try:
+                ts, lat, lon = float(raw[1]), float(raw[2]), float(raw[3])
+            except ValueError:
+                malformed += 1
+                continue
+            if not (math.isfinite(ts) and math.isfinite(lat) and math.isfinite(lon)):
+                malformed += 1
+                continue
+            if not bbox.contains(lat, lon):
+                dropped += 1
+                continue
+            rows.append((raw[0], ts, lat, lon))
+    t0 = min(r[1] for r in rows)
+    horizon = int((max(r[1] for r in rows) - t0) // time_unit_s) + 1
+    last_in_unit = {}
+    for vid, ts, lat, lon in rows:
+        unit = int((ts - t0) // time_unit_s)
+        seen = last_in_unit.setdefault(vid, {})
+        if unit not in seen or ts >= seen[unit][0]:
+            seen[unit] = (ts, bbox.to_xy(lat, lon, grid))
+    rng = np.random.default_rng(seed)
+    vids = tuple(sorted(last_in_unit))
+    units, last_pos = [], {}
+    for t in range(horizon):
+        present, xys = [], []
+        for vid in vids:
+            if t in last_in_unit[vid]:
+                last_pos[vid] = (t, last_in_unit[vid][t][1])
+            elif vid not in last_pos or t - last_pos[vid][0] > carry_gap:
+                continue
+            present.append(vid)
+            xys.append(last_pos[vid][1])
+        units.append((np.array(xys, dtype=float).reshape(-1, 2),
+                      rng.integers(0, num_services, len(present)), present))
+    return units, vids, dropped, malformed
 
 
 class TestGridMap:
@@ -229,6 +282,40 @@ class TestIngestTrace:
             per_unit.setdefault((int(ts) - t0) // 60, set()).add(vid)
         for t, batch in enumerate(result.requests_by_unit):
             assert len(batch) == len(per_unit.get(t, set()))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_as_per_row_reference(self, tmp_path, seed):
+        # rows out of time order, equal timestamps inside a unit, silences
+        # longer than carry_gap, rows outside the box, short, long,
+        # unparsable and non-finite rows
+        rnd = random.Random(seed)
+        rows = []
+        for _ in range(rnd.randint(1, 300)):
+            vid = f"cab{rnd.randint(0, 15)}"
+            ts = rnd.choice([rnd.uniform(-30.0, 900.0), 60.0 * rnd.randint(0, 15), 120.0, 0.0])
+            lat, lon = rnd.uniform(36.95, 38.02), rnd.uniform(-123.02, -121.98)
+            kind = rnd.random()
+            rows.append(f"{vid},{ts!r},{lat!r}" if kind < 0.03
+                        else f"{vid},{ts!r},{lat!r},{lon!r},x" if kind < 0.05
+                        else f"{vid},t{ts!r},{lat!r},{lon!r}" if kind < 0.07
+                        else f"{vid},{ts!r},nan,{lon!r}" if kind < 0.09
+                        else f"{vid},inf,{lat!r},{lon!r}" if kind < 0.1
+                        else f"{vid},{ts!r},{lat!r},{lon!r}")
+        rows.append("cab99,450.0,37.5,-122.5")  # at least one usable row
+        path = self.write(tmp_path, rows)
+        grid = GridMap(rows=2, cols=3, cell_km=4.0, origin=(1.0, -2.0))
+        for time_unit_s, carry_gap in ((60.0, 5), (37.5, 0), (10.0, 2), (60.0, -1)):
+            got = ingest_trace(path, self.BBOX, grid, time_unit_s=time_unit_s,
+                               num_services=4, seed=seed, carry_gap=carry_gap)
+            want, vids, dropped, malformed = reference_ingest(
+                path, self.BBOX, grid, time_unit_s, 4, seed, carry_gap)
+            assert (got.dropped, got.malformed) == (dropped, malformed)
+            assert len(got.requests_by_unit) == len(want)
+            for t, (batch, (xy, services, names)) in enumerate(zip(got.requests_by_unit, want)):
+                assert batch.time == t and batch.vehicles == vids
+                assert np.array_equal(batch.xy, xy)
+                assert np.array_equal(batch.service, services)
+                assert [vids[v] for v in batch.vehicle.tolist()] == names
 
     def test_trace_stream_pickles(self, tmp_path):
         rows = [f"cab{v},{60 * t + v},{37.1 + 0.01 * v},{-122.9 + 0.02 * t}"

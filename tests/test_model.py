@@ -9,7 +9,6 @@ from edgefail.model import (
     PrimaryMapping,
     SecondaryMapping,
     ServiceType,
-    round_preserving_sum,
     validate_placement,
 )
 
@@ -114,22 +113,3 @@ class TestNodeStatus:
         n = EdgeNode(id=0, location=(0, 0), capacity=10)
         m = n.with_status(NodeStatus.ATTACKED)
         assert n.healthy and not m.healthy
-
-
-class TestRoundPreservingSum:
-    def test_exact_integers_untouched(self):
-        out = round_preserving_sum([10.0, 15.0])
-        assert list(out) == [10, 15]
-
-    def test_largest_remainder(self):
-        out = round_preserving_sum([1.4, 1.4, 1.2])
-        assert out.sum() == 4
-        assert list(out) == [2, 1, 1]  # tie between the 0.4s goes to index 0
-
-    def test_sum_preserved_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            v = rng.uniform(0, 20, rng.integers(1, 8))
-            out = round_preserving_sum(v)
-            assert out.sum() == round(v.sum())
-            assert (out >= 0).all()

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from edgefail.errors import (
     InfeasibleError,
     NoCandidateError,
 )
-from edgefail.experiment import build_requests, simulate_policy
+from edgefail import simulation
+from edgefail.experiment import build_requests, run, simulate_policy
 from edgefail.metrics import MetricsRecord
 from edgefail.model import NodeStatus, SimPhase
-from edgefail.simulation import QualityMonitor, Simulation, evaluate_quality
+from edgefail.placement import place_services, reserve_backup
+from edgefail.simulation import QualityMonitor, Simulation, derive_inputs, evaluate_quality
 from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
 
 
@@ -30,9 +34,14 @@ def small_cfg(**over):
     return ExperimentConfig.from_sources(overrides=base)
 
 
+def derived(cfg):
+    """The config's request stream as the derived units a simulation steps over."""
+    return derive_inputs(cfg, build_requests(cfg))
+
+
 def run_sim(cfg, policy="lb-psvm"):
     sim = Simulation(cfg, policy)
-    records = sim.run(build_requests(cfg))
+    records = sim.run(derived(cfg))
     return sim, records
 
 
@@ -71,8 +80,8 @@ def check_onsets_against_previous_unit(cfg, policy):
     counts = {"onsets": 0, "splits": 0, "recoveries": 0, "onsets_after_heal": 0}
     step, inject, recover, heal = sim.step, sim.inject_attack, sim.recover, sim.heal
 
-    def spy_step(requests, t):
-        record = step(requests, t)
+    def spy_step(unit, t):
+        record = step(unit, t)
         st = sim.state
         seen.update(placement=st.placement, gamma=st.primary, d=st.delay,
                     healthy=st.healthy_ids(), recovered=False, healed=False,
@@ -117,7 +126,7 @@ def check_onsets_against_previous_unit(cfg, policy):
 
     sim.step, sim.inject_attack = spy_step, spy_inject
     sim.recover, sim.heal = spy_recover, spy_heal
-    sim.run(build_requests(cfg))
+    sim.run(derived(cfg))
     return counts
 
 
@@ -181,7 +190,7 @@ class TestStateMachine:
         cfg = small_cfg(**{"grid.rows": 4, "placement.instances_per_service": 2,
                            "services.count": 2})
         sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim.step(reqs[0], 1)
         empty = [e for e in range(12) if not sim.state.placement.services_on(e, True)]
         assert empty, "scenario needs an empty node"
@@ -224,7 +233,7 @@ class TestServingInvariants:
     def test_identical_requests_identical_mapping(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim.step(reqs[0], 1)
         g1 = np.array(sim.state.primary.gamma)
         sim.step(reqs[0], 2)
@@ -234,9 +243,9 @@ class TestServingInvariants:
     def test_zero_demand_unit(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim.step(reqs[0], 1)
-        record = sim.step([], 2)
+        record = sim.step(derive_inputs(cfg, [[]])[0], 2)
         assert record.avg_delay == 0.0
         assert record.fairness == 1.0
         assert float(record.demand_per_service.sum()) == 0.0
@@ -260,7 +269,7 @@ class TestServingInvariants:
         # attacking any hosting node stores one split per service it
         # hosts, each re-homing exactly the node's primary load at t-1
         cfg = small_cfg()
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         for policy in ("lb-psvm", "psvm", "br"):
             sim = Simulation(cfg, policy)
             for t in range(1, 4):
@@ -284,7 +293,7 @@ class TestServingInvariants:
         # a node that goes down after step t-1 stays a candidate of the
         # splits solved at t, as it was healthy in the data of t-1
         cfg = small_cfg()
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim = Simulation(cfg, policy)
         for t in range(1, 10):
             sim.step(reqs[t - 1], t)
@@ -307,7 +316,7 @@ class TestServingInvariants:
 
     def test_no_split_for_target_down_at_previous_unit(self):
         cfg = small_cfg()
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim = Simulation(cfg, "lb-psvm")
         sim.step(reqs[0], 1)
         target = sim._pick_target()
@@ -324,7 +333,7 @@ class TestServingInvariants:
         with pytest.raises(ConfigError, match="attack.quarantine"):
             small_cfg(**{"recovery.delay": 10, "attack.quarantine": 10, "horizon": 100})
         cfg = small_cfg(**{"recovery.delay": 9, "attack.quarantine": 10, "horizon": 100})
-        requests = build_requests(cfg)
+        requests = derived(cfg)
         for policy in ("lb-psvm", "psvm", "br"):
             sim = Simulation(cfg, policy)
             stored = {}
@@ -350,7 +359,7 @@ class TestServingInvariants:
         # record looks like a normal unit apart from the phase flag
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         sim.step(reqs[0], 1)
         plc = sim.state.placement
         loads = sim.state.primary.load_per_node()
@@ -367,7 +376,7 @@ class TestServingInvariants:
     def test_attack_unit_uses_scaled_proportions(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         for t in range(1, 10):
             sim.step(reqs[t - 1], t)
         gamma_prev = np.array(sim.state.primary.gamma)
@@ -413,7 +422,7 @@ class TestQualityMonitor:
     def test_low_quality_triggers_replacement(self):
         cfg = small_cfg(**{"monitor.threshold": 1.0, "attack.every": 1000})
         sim = Simulation(cfg, "lb-psvm")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         for t in range(1, 6):
             sim.step(reqs[t - 1], t)
         # threshold 1.0 cannot be met, so the 5th unit flags a re-placement
@@ -424,7 +433,7 @@ class TestBrPolicy:
     def test_failover_goes_to_reserved_instance(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "br")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         for t in range(1, 10):
             sim.step(reqs[t - 1], t)
         plc = sim.state.placement
@@ -443,7 +452,7 @@ class TestBrPolicy:
     def test_reserved_promoted_on_recovery(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "br")
-        reqs = build_requests(cfg)
+        reqs = derived(cfg)
         for t in range(1, 12):
             if t == 10:
                 sim.inject_attack(sim._pick_target(), t)
@@ -458,6 +467,79 @@ class TestBrPolicy:
         _, ps_records = run_sim(cfg, "psvm")
         for a, b in zip(br_records, ps_records):
             assert a.avg_delay == b.avg_delay
+
+
+    def test_no_room_for_any_backup_degrades_to_psvm(self, caplog):
+        # node capacity 46 holds the three instances of every service (408
+        # of 414 units) but no backup: br reserves none, logs every service
+        # and serves exactly as psvm does
+        cfg = small_cfg(**{"node.capacity": 46})
+        with caplog.at_level(logging.WARNING, logger="edgefail.simulation"):
+            _, br = run_sim(cfg, "br")
+        _, ps = run_sim(cfg, "psvm")
+        assert len(br) == cfg.horizon
+        assert [same_record(a, b) for a, b in zip(br, ps)] == [True] * cfg.horizon
+        skipped = [m for m in caplog.messages if m.startswith("t=1: no room to reserve")]
+        assert skipped == [f"t=1: no room to reserve a backup of service {s}"
+                           for s in (7, 6, 5, 4, 3, 2, 1, 0)]
+
+    def test_backups_where_room_is_left(self):
+        # at capacity 55 a strict reservation fails; br reserves each
+        # service it can in footprint order and the run goes to the end
+        cfg = small_cfg(**{"node.capacity": 55})
+        units = derived(cfg)
+        sim = Simulation(cfg, "br")
+        sim.step(units[0], 1)
+        plc = place_services(sim.services, sim.state.nodes, units[0].delay,
+                             cfg.placement_instances_per_service)
+        with pytest.raises(InfeasibleError):
+            reserve_backup(plc, sim.services, sim.state.nodes)
+        for s in sorted(range(8), key=lambda s: (-sim.services[s].resource_cost, s)):
+            try:
+                plc = reserve_backup(plc, sim.services, sim.state.nodes, only=[s])
+            except InfeasibleError:
+                pass
+        assert np.array_equal(sim.state.placement.reserved, plc.reserved)
+        assert 0 < plc.reserved.sum() < 8
+        for t in range(2, cfg.horizon + 1):
+            sim.step(units[t - 1], t)
+        assert len(sim.state.history) == cfg.horizon
+
+
+def same_record(a, b):
+    """Whether two metrics records agree in every field, bit for bit."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
+
+
+class TestSharedInputs:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_records_equal_standalone_runs(self, tmp_path, jobs):
+        # run() derives each unit once for every policy; each policy's
+        # records equal those of a run that derives its own inputs
+        cfg = small_cfg(**{"jobs": jobs, "horizon": 24})
+        art = run(cfg, out=str(tmp_path / "o"))
+        for policy in cfg.policy_list():
+            alone = simulate_policy(cfg, policy)
+            assert len(art.records[policy]) == len(alone) == cfg.horizon
+            assert all(same_record(a, b) for a, b in zip(art.records[policy], alone)), policy
+
+    def test_delay_matrix_derived_once_per_unit(self, tmp_path, monkeypatch):
+        calls = []
+        derive = simulation.derive_delay_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "derive_delay_matrix", counted)
+        cfg = small_cfg()
+        assert len(cfg.policy_list()) == 3
+        run(cfg, out=str(tmp_path / "o"))
+        assert len(calls) == cfg.horizon
 
 
 class TestSingleCandidateCollapse:

@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edgefail.errors import InfeasibleError, NoCandidateError
 from edgefail.model import DelayModel, PlacementDecision, PrimaryMapping
 from edgefail.solvers import (
     LbPsvmProblem,
-    bottleneck_delay,
     build_lb_psvm,
     fill_cheapest,
     lb_objective,
@@ -37,6 +36,41 @@ def fig_example():
     return p, d, gamma
 
 
+def bottleneck(gamma, delay):
+    """Largest delay of service 0 over the nodes that carry its load."""
+    used = gamma.gamma[:, 0] > 0
+    return float(delay.d[used, 0].max())
+
+
+def reference_fill(hosts, demand, d_col, capacity):
+    """The per-host loop fill_cheapest must match bit for bit."""
+    loads = np.zeros(len(d_col))
+    remaining = demand
+    for e in sorted(hosts, key=lambda e: (d_col[e], e)):
+        if remaining <= 0:
+            break
+        take = min(remaining, capacity)
+        loads[e] = take
+        remaining -= take
+    return loads, remaining
+
+
+def reference_primary(placement, demand, delay, capacity):
+    """The per-service loop solve_primary_mapping must match bit for bit."""
+    E, S = placement.x.shape
+    gamma = np.zeros((E, S))
+    for s in range(S):
+        lam = float(demand[s])
+        hosts = placement.nodes_hosting(s)
+        if capacity * len(hosts) + 1e-9 < lam:
+            raise InfeasibleError(
+                f"service {s}: demand {lam:.6g} exceeds capacity "
+                f"{capacity * len(hosts):.6g} across {len(hosts)} instance(s)"
+            )
+        gamma[:, s] = reference_fill(hosts, lam, delay.d[:, s], capacity)[0]
+    return gamma
+
+
 def brute_force_bottleneck(delays, lam, cap, step=1):
     """Minimal feasible bottleneck over integer-granularity assignments."""
     E = len(delays)
@@ -57,13 +91,13 @@ class TestPrimaryMapping:
         p, d = single_service([5.0, 10.0])
         g = solve_primary_mapping(p, [20.0], d, CAP)
         assert g.gamma[:, 0].tolist() == [20.0, 0.0]
-        assert bottleneck_delay(g, d)[0] == 5.0
+        assert bottleneck(g, d) == 5.0
 
     def test_forced_overflow(self):
         p, d = single_service([5.0, 10.0])
         g = solve_primary_mapping(p, [40.0], d, CAP)
         assert g.gamma[:, 0].tolist() == [30.0, 10.0]
-        assert bottleneck_delay(g, d)[0] == 10.0
+        assert bottleneck(g, d) == 10.0
 
     def test_infeasible_names_service(self):
         p, d = single_service([5.0, 10.0])
@@ -99,7 +133,7 @@ class TestPrimaryMapping:
             lam = int(rng.integers(1, min(60, 30 * E) + 1))
             p, d = single_service(delays)
             g = solve_primary_mapping(p, [float(lam)], d, CAP)
-            got = bottleneck_delay(g, d)[0]
+            got = bottleneck(g, d)
             want = brute_force_bottleneck(delays, lam, CAP)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -108,6 +142,37 @@ class TestPrimaryMapping:
         p, d = single_service([5.0, 7.0, 10.0])
         g = solve_primary_mapping(p, [50.0], d, CAP)
         assert g.gamma[:, 0].tolist() == [30.0, 20.0, 0.0]
+
+
+class TestSameBitsAsLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(E=st.integers(8, 14), S=st.integers(1, 6), capacity=st.sampled_from([30.7, 30.0, 7.3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_primary_mapping(self, E, S, capacity, seed):
+        # fractional demand and capacity, delays drawn from few values so
+        # that hosts tie, some services loaded past their instances
+        rng = np.random.default_rng(seed)
+        x = (rng.random((E, S)) < rng.uniform(0.2, 1.0)).astype(int)
+        d = DelayModel(d=rng.choice([3.0, 4.5, 4.5, 7.25, 9.0], size=(E, S))
+                       + rng.choice([0.0, 0.1], size=(E, S)))
+        room = capacity * x.sum(axis=0)
+        demand = np.round(rng.uniform(0.0, 1.0, S) * room * 1.05, 3)
+        try:
+            want = reference_primary(PlacementDecision(x=x), demand, d, capacity)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as got:
+                solve_primary_mapping(PlacementDecision(x=x), demand, d, capacity)
+            assert str(got.value) == str(exc)
+            demand = np.minimum(demand, room)
+            want = reference_primary(PlacementDecision(x=x), demand, d, capacity)
+        got = solve_primary_mapping(PlacementDecision(x=x), demand, d, capacity)
+        assert np.array_equal(got.gamma, want)
+        for s in range(S):
+            hosts = [int(e) for e in np.flatnonzero(x[:, s])]
+            for lam in (float(demand[s]), float(demand[s]) * 1.5 + 1.0, 0.0):
+                loads, left = fill_cheapest(hosts, lam, d.d[:, s], capacity)
+                ref_loads, ref_left = reference_fill(hosts, lam, d.d[:, s], capacity)
+                assert np.array_equal(loads, ref_loads) and left == ref_left
 
 
 class TestFillCheapest:
