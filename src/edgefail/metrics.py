@@ -60,23 +60,28 @@ def service_delay(
     pole are evaluated just inside it (a huge but finite penalty).
 
     ``loads`` and ``delays`` of shape (E,) give one service's delay as a
-    float; of shape (E, S) they give every column's delay as an (S,)
-    array.  The terms are summed node by node in order and the loads with
-    numpy's pairwise sum, so both shapes give the same bits per service.
+    float; of shape (..., E, S) they give every column's delay as an
+    (..., S) array, so a leading unit axis serves T units in one call.
+    The terms are summed node by node in order and the loads with numpy's
+    pairwise sum over contiguous node rows, so every shape gives the same
+    bits per service.
     """
     loads = np.asarray(loads, dtype=float)
     delays = np.asarray(delays, dtype=float)
     if capacity <= 0:
         raise ValueError("capacity must be > 0")
+    column = loads.ndim == 1
+    if column:
+        loads, delays = loads[:, None], delays[:, None]
     pole = 2.0 * capacity
     arrival = np.where(loads >= pole, pole - QUEUE_GUARD, loads)
     wait = np.where(arrival <= capacity, 0.0,
                     _backlog_wait(arrival - capacity, capacity, ms_per_unit))
     terms = np.where(loads > 0, loads * (delays + wait), 0.0)
-    acc = np.cumsum(terms, axis=0)[-1]
-    total = np.ascontiguousarray(loads.T).sum(axis=-1)
+    acc = np.cumsum(terms, axis=-2)[..., -1, :]
+    total = np.ascontiguousarray(np.swapaxes(loads, -1, -2)).sum(axis=-1)
     out = np.where(total > 0, acc / np.where(total > 0, total, 1.0), 0.0)
-    return float(out) if loads.ndim == 1 else out
+    return float(out[0]) if column else out
 
 
 def edge_load_factor(added, available) -> np.ndarray:

@@ -23,10 +23,25 @@ each unit's requests into demand per service and the delay matrix once,
 and every policy's ``Simulation`` steps over the same ``UnitInputs``.
 The delay matrix reads node locations, not node health, so it does not
 depend on the policy or the attack state.
+
+A non-attack unit's primary mapping and delays depend only on the
+placement and on that unit's inputs, so they are served from a
+lookahead: one batched pass over the next T units, with a leading unit
+axis through ``solve_primary_mapping`` and ``service_delay``, whose row
+t ``step`` then reads.  A lookahead belongs to one placement object; a
+re-placement or a recovery makes a new one and discards it.  It ends
+before the next unit at which ``run`` may start an attack, before the
+first unit whose demand its instances cannot serve (that unit's step
+raises), and at the end of the units.  The first lookahead under a
+placement ends at the next monitor evaluation, so a re-placement cannot
+cut it; each later one is at most twice the previous one and at most
+``MAX_LOOKAHEAD`` units, so at most about twice the rows used are
+computed.  A ``step`` outside ``run`` is a one-unit lookahead.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,12 +66,16 @@ from .placement import place_services, recover_placement, reserve_backup
 from .solvers import (
     build_lb_psvm,
     fill_cheapest,
+    over_capacity,
     solve_lb_psvm,
     solve_primary_mapping,
     solve_psvm,
 )
 
 logger = logging.getLogger(__name__)
+
+# rows of one lookahead at most, which bounds its memory on long runs
+MAX_LOOKAHEAD = 256
 
 
 @dataclass
@@ -126,6 +145,27 @@ class SplitInputs:
     healthy: frozenset[int]
 
 
+@dataclass(frozen=True)
+class Lookahead:
+    """Primary serving of ``units``, the units from ``t0`` on, under
+    ``placement``: one row per unit."""
+
+    placement: PlacementDecision
+    t0: int
+    units: list  # UnitInputs
+    gamma: np.ndarray  # (T, E, S) primary loads
+    delay: np.ndarray  # (T, S) per-service delay, ms
+    avg_delay: np.ndarray  # (T,) demand-weighted delay, ms
+    served: np.ndarray  # (T, S)
+
+    def row(self, unit: UnitInputs, t: int, placement) -> int | None:
+        """Row of ``unit`` at time t, or None when this lookahead has none."""
+        i = t - self.t0
+        if placement is self.placement and 0 <= i < len(self.units) and self.units[i] is unit:
+            return i
+        return None
+
+
 @dataclass
 class SimulationState:
     nodes: list
@@ -142,9 +182,17 @@ class SimulationState:
     recover_at: int | None = None
     heal_at: int | None = None
     pending_reopt: bool = False
+    healthy: frozenset[int] = field(init=False)  # ids of the healthy nodes
+
+    def __post_init__(self):
+        self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
+
+    def set_status(self, node: int, status: NodeStatus) -> None:
+        self.nodes[node] = self.nodes[node].with_status(status)
+        self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
 
     def healthy_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.healthy]
+        return sorted(self.healthy)
 
 
 class Simulation:
@@ -163,6 +211,7 @@ class Simulation:
         self.thresholds = np.array([s.delay_threshold for s in self.services])
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
         self.schedule = {t: e for t, e in cfg.schedule_list()}
+        self.onsets = sorted(self.schedule)
         self.state = SimulationState(
             nodes=cfg.nodes(),
             monitor=QualityMonitor(
@@ -171,22 +220,36 @@ class Simulation:
                 period=cfg.monitor_period,
             ),
         )
+        self.stream: list | None = None  # the units of the current run
+        self.lookahead: Lookahead | None = None
 
     # ---- driver ---------------------------------------------------------
 
     def run(self, units) -> list[MetricsRecord]:
         """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
-        for t, unit in enumerate(units, start=1):
-            if st.active_attack is not None and st.recover_at == t:
-                self.recover(t)
-            if st.active_attack is not None and st.heal_at == t:
-                self.heal(t)
-            target = self._scheduled_target(t)
-            if target is not None:
-                self.inject_attack(target, t)
-            self.step(unit, t)
+        self.stream = list(units)
+        try:
+            for t, unit in enumerate(self.stream, start=1):
+                if st.active_attack is not None and st.recover_at == t:
+                    self.recover(t)
+                if st.active_attack is not None and st.heal_at == t:
+                    self.heal(t)
+                target = self._scheduled_target(t)
+                if target is not None:
+                    self.inject_attack(target, t)
+                self.step(unit, t)
+        finally:
+            self.stream = None
         return st.history
+
+    def _next_onset(self, t: int) -> int:
+        """The first unit after t at which ``run`` may start an attack, or
+        a unit past any lookahead when the schedule has none left."""
+        if self.schedule:
+            i = bisect.bisect_right(self.onsets, t)
+            return self.onsets[i] if i < len(self.onsets) else t + MAX_LOOKAHEAD
+        return (t // self.cfg.attack_every + 1) * self.cfg.attack_every
 
     def _scheduled_target(self, t: int) -> int | None:
         if self.state.active_attack is not None:
@@ -240,7 +303,7 @@ class Simulation:
                 (target, s): self._policy_secondary(snap, target, s)
                 for s in st.placement.services_on(target)
             }
-        st.nodes[target] = st.nodes[target].with_status(NodeStatus.ATTACKED)
+        st.set_status(target, NodeStatus.ATTACKED)
         st.active_attack = AttackEvent(time=t, target=target)
         st.phase = SimPhase.ATTACK
         st.recover_at = t + self.cfg.recovery_delay
@@ -285,7 +348,7 @@ class Simulation:
         """End the quarantine: the node is placeable again."""
         st = self.state
         target = st.active_attack.target
-        st.nodes[target] = st.nodes[target].with_status(NodeStatus.HEALTHY)
+        st.set_status(target, NodeStatus.HEALTHY)
         st.active_attack = None
         st.heal_at = None
         if st.phase is SimPhase.RECOVERED:
@@ -301,29 +364,71 @@ class Simulation:
             self._place(d, t)
             st.pending_reopt = False
         if st.phase is SimPhase.ATTACK:
-            loads, added, unserved, cand_by_service = self._attack_serve(lam, d)
+            record = self._attack_record(t, lam, d, *self._attack_serve(lam, d))
         else:
-            try:
-                gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
-            except InfeasibleError as exc:
-                raise InfeasibleError(f"t={t}: {exc}") from exc
+            look = self.lookahead
+            i = None if look is None else look.row(unit, t, st.placement)
+            if i is None:
+                look, i = self._look_ahead(unit, t), 0
+            gamma = PrimaryMapping(gamma=look.gamma[i])
             st.primary = gamma
             st.primary_demand = lam
-            loads = np.array(gamma.gamma)
-            added = np.zeros_like(loads)
-            unserved = np.zeros(self.num_services)
-            cand_by_service = {}
-            st.split_inputs = SplitInputs(gamma, d, frozenset(st.healthy_ids()))
+            st.split_inputs = SplitInputs(gamma, d, st.healthy)
+            record = self._record(t, lam, look.delay[i], look.avg_delay[i], look.served[i])
         st.delay = d
-        record = self._build_record(t, lam, d, loads, added, unserved, cand_by_service)
         st.history.append(record)
         return record
 
-    def _place(self, d: DelayModel, t: int) -> None:
+    def _look_ahead(self, unit: UnitInputs, t: int) -> Lookahead:
+        """Serve unit t and the units after it that share its placement
+        by the primary mapping, in one batched pass."""
         st = self.state
-        plc = place_services(
-            self.services, st.nodes, d, self.cfg.placement_instances_per_service
+        prev = self.lookahead
+        stream = self.stream
+        if stream is None or t > len(stream) or stream[t - 1] is not unit:
+            units = [unit]
+        else:
+            if prev is not None and prev.placement is st.placement:
+                stop = t + 2 * len(prev.units)
+            else:  # through the next monitor evaluation
+                stop = t + (-t) % st.monitor.period + 1
+            stop = min(stop, t + MAX_LOOKAHEAD, self._next_onset(t), len(stream) + 1)
+            units = stream[t - 1 : stop - 1]
+        lam = np.stack([u.demand for u in units])
+        over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
+        if len(over):
+            # ends before the first overloaded unit; that unit's own solve raises
+            units, lam = units[: max(int(over[0]), 1)], lam[: max(int(over[0]), 1)]
+        d = np.stack([u.delay.d for u in units])
+        try:
+            gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"t={t}: {exc}") from exc
+        delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
+        self.lookahead = Lookahead(
+            placement=st.placement,
+            t0=t,
+            units=units,
+            gamma=gamma,
+            delay=delay,
+            avg_delay=_mean_delay(lam, delay),
+            served=gamma.sum(axis=-2) + 0.0,  # the zero failover load, as in _attack_record
         )
+        return self.lookahead
+
+    def _place(self, d: DelayModel, t: int) -> None:
+        """Place every service; a failed re-placement keeps the current one."""
+        st = self.state
+        try:
+            plc = place_services(
+                self.services, st.nodes, d, self.cfg.placement_instances_per_service
+            )
+        except InfeasibleError as exc:
+            if st.placement is None:
+                raise
+            logger.warning("t=%d: re-placement failed, keeping the current placement: %s",
+                           t, exc)
+            return
         if self.uses_reserves:
             # bigger footprints first, as place_services sites them
             order = sorted(range(self.num_services),
@@ -426,17 +531,12 @@ class Simulation:
             cand_by_service[s] = mapping.candidates
         return loads, added, unserved, cand_by_service
 
-    def _build_record(
+    def _attack_record(
         self, t, lam, d, loads, added, unserved, cand_by_service
     ) -> MetricsRecord:
-        st = self.state
-        S = self.num_services
         per_service = service_delay(
             loads + added, d.d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
         )
-        total_lam = float(lam.sum())
-        avg_delay = float((lam * per_service).sum() / total_lam) if total_lam > 0 else 0.0
-
         failover = bool(added.sum() > 0)
         avail = np.maximum(self.capacity - loads, self.cfg.lbpsvm_epsilon)
         if failover:
@@ -452,7 +552,21 @@ class Simulation:
             shares = [added[e, s] / avail[e, s] for e in candidates]
             jains.append(jain_fairness(shares))
         fairness = float(np.mean(jains)) if jains else 1.0
+        return self._record(
+            t, lam, per_service, _mean_delay(lam, per_service),
+            loads.sum(axis=-2) + added.sum(axis=-2),
+            elf_per_node=elf_per_node,
+            avg_elf=avg_elf,
+            fairness=fairness,
+            unserved_per_service=unserved,
+            failover_active=failover,
+        )
 
+    def _record(self, t, lam, per_service, avg_delay, served, **failover) -> MetricsRecord:
+        """Score the unit for the monitor and build its record; ``failover``
+        holds the load factor, fairness and unserved fields of an attack
+        unit, which a unit served by the primary mapping leaves at zero."""
+        st = self.state
         st.monitor.window.append(np.array(per_service))
         if t % st.monitor.period == 0:
             q = evaluate_quality(st.monitor, list(st.monitor.window))
@@ -460,23 +574,37 @@ class Simulation:
             if q < st.monitor.threshold and st.phase is not SimPhase.ATTACK:
                 st.pending_reopt = True
 
-        counts = st.placement.instance_counts() if st.placement is not None else np.ones(S)
-        degraded = tuple(int(s) for s in range(S) if counts[s] == 0)
-        sla = tuple(int(s) for s in range(S) if per_service[s] > self.thresholds[s])
+        if not failover:
+            failover = dict(
+                elf_per_node=np.zeros(len(st.nodes)),
+                avg_elf=0.0,
+                fairness=1.0,
+                unserved_per_service=np.zeros(self.num_services),
+                failover_active=False,
+            )
+        counts = (st.placement.instance_counts() if st.placement is not None
+                  else np.ones(self.num_services))
         return MetricsRecord(
             time=t,
             state=st.phase,
             per_service_delay=per_service,
-            avg_delay=avg_delay,
-            elf_per_node=elf_per_node,
-            avg_elf=avg_elf,
-            fairness=fairness,
+            avg_delay=float(avg_delay),
             q_value=st.monitor.q_value,
             demand_per_service=lam,
-            served_per_service=loads.sum(axis=0) + added.sum(axis=0),
-            unserved_per_service=unserved,
-            sla_violated=sla,
-            degraded_services=degraded,
-            failover_active=failover,
+            served_per_service=served,
+            sla_violated=_ids(per_service > self.thresholds),
+            degraded_services=_ids(counts == 0),
+            **failover,
         )
 
+
+def _mean_delay(lam, per_service):
+    """Demand-weighted mean of the per-service delays over the last axis;
+    0 without demand."""
+    total = lam.sum(axis=-1)
+    weighted = (lam * per_service).sum(axis=-1)
+    return np.where(total > 0, weighted / np.where(total > 0, total, 1.0), 0.0)
+
+
+def _ids(mask) -> tuple[int, ...]:
+    return tuple(i for i, hit in enumerate(mask.tolist()) if hit)

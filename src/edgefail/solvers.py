@@ -43,7 +43,7 @@ def solve_primary_mapping(
     demand,
     delay: DelayModel,
     capacity: float,
-) -> PrimaryMapping:
+) -> PrimaryMapping | np.ndarray:
     """Assign each service's demand to its instances, minimizing the
     bottleneck delay.
 
@@ -52,25 +52,36 @@ def solve_primary_mapping(
     and cheapest-first filling also minimizes the total delay mass among
     assignments within that bottleneck.
 
+    A (T, S) ``demand`` with a (T, E, S) array of delays in place of the
+    ``DelayModel`` solves T units in one pass and returns their (T, E, S)
+    loads, bit for bit the gammas of T separate calls.
+
     Raises:
         InfeasibleError: when some service's demand exceeds the combined
-            capacity of its instances (names the service).
+            capacity of its instances (names the service, of the first
+            such unit in a batch).
     """
     demand = np.asarray(demand, dtype=float)
     S = placement.num_services
-    if demand.shape != (S,):
+    if demand.ndim not in (1, 2) or demand.shape[-1] != S:
         raise InfeasibleError(f"demand vector has length {demand.shape}, expected {S}")
-    hosts = placement.x > 0
-    counts = hosts.sum(axis=0)
-    short = np.flatnonzero(capacity * counts + 1e-9 < demand)
+    short = np.argwhere(over_capacity(placement, demand, capacity))
     if len(short):
-        s = int(short[0])
-        n = int(counts[s])
+        s = int(short[0][-1])
+        n = int(placement.instance_counts()[s])
         raise InfeasibleError(
-            f"service {s}: demand {float(demand[s]):.6g} exceeds capacity "
+            f"service {s}: demand {float(demand[tuple(short[0])]):.6g} exceeds capacity "
             f"{capacity * n:.6g} across {n} instance(s)"
         )
-    return PrimaryMapping(gamma=_fill_columns(hosts, demand, delay.d, capacity)[0])
+    d = delay.d if isinstance(delay, DelayModel) else np.asarray(delay, dtype=float)
+    loads = _fill_columns(placement.x > 0, demand, d, capacity)[0]
+    return PrimaryMapping(gamma=loads) if demand.ndim == 1 else loads
+
+
+def over_capacity(placement: PlacementDecision, demand, capacity: float) -> np.ndarray:
+    """Mask, of the shape of ``demand`` ((S,) or (T, S)), of the services
+    whose demand exceeds the combined capacity of their instances."""
+    return capacity * placement.instance_counts() + 1e-9 < demand
 
 
 def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndarray, float]:
@@ -88,21 +99,26 @@ def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndar
 
 
 def _fill_columns(hosts, demand, d, capacity: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fill_cheapest`` of every column at once: (E, S) host mask and
-    delays, (S,) demand.  Rank r of a column takes min(remaining, C) until
-    nothing remains; non-hosts rank last.  Returns the (E, S) loads and
-    the (S,) leftover."""
+    """``fill_cheapest`` of every column at once: (E, S) host mask,
+    (E, S) delays and (S,) demand, or (T, E, S) delays and (T, S) demand
+    to fill T units under one placement.  Rank r of a column takes
+    min(remaining, C) until nothing remains; non-hosts rank last.  Returns
+    the loads, shaped as the delays, and the leftover, as the demand."""
     counts = hosts.sum(axis=0)
-    order = np.argsort(np.where(hosts, d, np.inf), axis=0, kind="stable")
+    order = np.argsort(np.where(hosts, d, np.inf), axis=-2, kind="stable")
     rounds = int(counts.max(initial=0))
-    takes = np.zeros((rounds, hosts.shape[1]))
+    takes = np.zeros((rounds,) + demand.shape)
     remaining = demand.copy()
     for r in range(rounds):
         live = (r < counts) & (remaining > 0)
         takes[r] = np.where(live, np.minimum(remaining, capacity), 0.0)
         remaining -= takes[r]
-    loads = np.zeros(hosts.shape)
-    loads[order[:rounds], np.arange(hosts.shape[1])] = takes
+    loads = np.zeros(order.shape)
+    if order.ndim == 2:
+        loads[order[:rounds], np.arange(hosts.shape[1])] = takes
+    else:
+        units = np.arange(len(order))[:, None, None]
+        loads[units, order[:, :rounds], np.arange(hosts.shape[1])] = takes.swapaxes(0, 1)
     return loads, remaining
 
 

@@ -63,23 +63,28 @@ def reference_service_delay(loads, delays, capacity, ms_per_unit=1000.0):
 
 class TestServiceDelay:
     @settings(max_examples=200, deadline=None)
-    @given(E=st.integers(8, 40), S=st.integers(1, 8), capacity=st.sampled_from([30.7, 30.0, 2.9]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_same_bits_as_per_node_loop(self, E, S, capacity, seed):
-        # fractional loads, idle nodes, and arrivals at, just below and past 2C
+    @given(E=st.integers(8, 40), S=st.integers(1, 8), T=st.integers(1, 4),
+           capacity=st.sampled_from([30.7, 30.0, 2.9]), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_per_node_loop(self, E, S, T, capacity, seed):
+        # fractional loads, idle nodes, and arrivals at, just below and past
+        # 2C; a (T, E, S) call equals T (E, S) calls and every column's loop
         rng = np.random.default_rng(seed)
-        loads = rng.uniform(0.0, 2.4 * capacity, (E, S))
-        loads[rng.random((E, S)) < 0.3] = 0.0
-        loads[rng.random((E, S)) < 0.1] = 2.0 * capacity
-        loads[rng.random((E, S)) < 0.05] = 2.0 * capacity - QUEUE_GUARD / 2
-        loads[:, rng.random(S) < 0.2] = 0.0
-        delays = rng.uniform(1.0, 40.0, (E, S))
-        got = service_delay(loads, delays, capacity)
-        assert got.shape == (S,)
-        for s in range(S):
-            want = reference_service_delay(loads[:, s], delays[:, s], capacity)
-            assert got[s] == want
-            assert service_delay(loads[:, s], delays[:, s], capacity) == want
+        loads = rng.uniform(0.0, 2.4 * capacity, (T, E, S))
+        loads[rng.random((T, E, S)) < 0.3] = 0.0
+        loads[rng.random((T, E, S)) < 0.1] = 2.0 * capacity
+        loads[rng.random((T, E, S)) < 0.05] = 2.0 * capacity - QUEUE_GUARD / 2
+        loads[:, :, rng.random(S) < 0.2] = 0.0
+        delays = rng.uniform(1.0, 40.0, (T, E, S))
+        batch = service_delay(loads, delays, capacity)
+        assert batch.shape == (T, S)
+        for t in range(T):
+            got = service_delay(loads[t], delays[t], capacity)
+            assert got.shape == (S,)
+            assert np.array_equal(batch[t], got)
+            for s in range(S):
+                want = reference_service_delay(loads[t, :, s], delays[t, :, s], capacity)
+                assert got[s] == want
+                assert service_delay(loads[t, :, s], delays[t, :, s], capacity) == want
 
     def test_single_node_no_queue(self):
         assert service_delay([10.0, 0.0], [5.0, 9.0], 30.0) == 5.0

@@ -320,10 +320,9 @@ class TestServingInvariants:
         sim = Simulation(cfg, "lb-psvm")
         sim.step(reqs[0], 1)
         target = sim._pick_target()
-        node = sim.state.nodes[target]
-        sim.state.nodes[target] = node.with_status(NodeStatus.ATTACKED)
+        sim.state.set_status(target, NodeStatus.ATTACKED)
         sim.step(reqs[1], 2)
-        sim.state.nodes[target] = node
+        sim.state.set_status(target, NodeStatus.HEALTHY)
         assert sim.inject_attack(target, 3)
         assert sim.state.proactive == {}
 
@@ -540,6 +539,140 @@ class TestSharedInputs:
         assert len(cfg.policy_list()) == 3
         run(cfg, out=str(tmp_path / "o"))
         assert len(calls) == cfg.horizon
+
+
+def stepped(cfg, policy, units):
+    """The records of ``run``, from bare ``step`` calls: run's loop, unit by
+    unit.  Checks each served vector against a sum over one unit's loads."""
+    sim = Simulation(cfg, policy)
+    st = sim.state
+    for t, unit in enumerate(units, start=1):
+        if st.active_attack is not None and st.recover_at == t:
+            sim.recover(t)
+        if st.active_attack is not None and st.heal_at == t:
+            sim.heal(t)
+        target = sim._scheduled_target(t)
+        if target is not None:
+            sim.inject_attack(target, t)
+        record = sim.step(unit, t)
+        if record.state is not SimPhase.ATTACK:
+            assert np.array_equal(record.served_per_service, st.primary.gamma.sum(axis=0)), t
+    return st.history
+
+
+# a monitor re-placement at t=16, while node 1 is quarantined, finds the
+# healthy nodes too small for every instance
+SATURATED_REPLACEMENT = {
+    "grid.rows": 2, "grid.cols": 2, "services.count": 4, "node.capacity": 50,
+    "placement.instances_per_service": 3, "horizon": 40, "attack.every": 10,
+    "mobility.vehicles": 120, "mobility.p_request": 0.2, "monitor.threshold": 0.9,
+    "seed": 0,
+}
+
+
+# the default fleet, whose quality crosses this threshold now and then:
+# some placements outlive several monitor evaluations, then get replaced
+# inside a later lookahead
+INTERMITTENT_REPLACEMENT = {
+    "horizon": 300, "attack.every": 300, "monitor.threshold": 0.855,
+    "mobility.vehicles": 500, "mobility.p_request": 0.2, "seed": 1,
+}
+
+
+def lookaheads(monkeypatch):
+    """Record (placement, first unit, rows) of every lookahead a
+    simulation computes."""
+    seen = []
+    look_ahead = Simulation._look_ahead
+
+    def counted(self, unit, t):
+        look = look_ahead(self, unit, t)
+        seen.append((look.placement, look.t0, len(look.units)))
+        return look
+
+    monkeypatch.setattr(Simulation, "_look_ahead", counted)
+    return seen
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("over", [
+        {"monitor.threshold": 0.97},
+        {"monitor.threshold": 0.99, "monitor.period": 3},
+        {"attack.target": "random", "attack.every": 7, "recovery.delay": 3},
+        {"attack.schedule": "10:4,30:0,55:8"},
+        {"br.enabled": False, "mobility.vehicles": 650},
+        {"service.capacity": 30.7},
+        {"grid.rows": 4, "grid.cols": 4, "services.count": 12, "mobility.vehicles": 900},
+        SATURATED_REPLACEMENT,
+        INTERMITTENT_REPLACEMENT,
+        {"services.count": 1, "mobility.vehicles": 120, "service.capacity": 30.7},
+    ], ids=["q097", "q099-period3", "random7-recovery3", "schedule", "br-off-650",
+            "capacity30.7", "grid4x4", "saturated-replacement", "intermittent-replacement",
+            "one-service"])
+    def test_run_equals_bare_steps(self, over):
+        # a lookahead's rows are the bits a one-unit step computes
+        cfg = small_cfg(**{"horizon": 80, **over})
+        units = derived(cfg)
+        for policy in cfg.policy_list():
+            got = Simulation(cfg, policy).run(units)
+            want = stepped(cfg, policy, units)
+            assert len(got) == len(want) == cfg.horizon
+            for a, b in zip(got, want):
+                assert same_record(a, b), (policy, a.time)
+
+    @pytest.mark.parametrize("over, replacements", [
+        ({"horizon": 2000, "attack.every": 2000, "monitor.threshold": 0.99}, 100),
+        (INTERMITTENT_REPLACEMENT, 10),
+        ({"horizon": 400, "attack.every": 150}, 0),
+    ], ids=["replacement-storm", "intermittent-replacement", "calm"])
+    def test_rows_computed_within_twice_rows_used(self, monkeypatch, over, replacements):
+        seen = lookaheads(monkeypatch)
+        cfg = small_cfg(**over)
+        period = cfg.monitor_period
+        records = Simulation(cfg, "psvm").run(derived(cfg))
+        served = sum(r.state is not SimPhase.ATTACK for r in records)
+        placements = len({id(plc) for plc, _, _ in seen})
+        rows = sum(n for _, _, n in seen)
+        assert len(seen) < served / 4
+        assert served <= rows <= 2 * served + period * placements
+        assert placements > replacements
+        last = {}  # placement -> rows of its latest lookahead
+        for plc, t0, n in seen:
+            if id(plc) in last:
+                assert n <= 2 * last[id(plc)], t0
+            else:  # through the next monitor evaluation at most
+                assert t0 + n - 1 <= t0 + (-t0) % period, t0
+            last[id(plc)] = n
+
+    @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
+    def test_overload_raises_at_its_unit(self, policy):
+        cfg = small_cfg()
+        units = derived(cfg)
+        demand = np.array(units[6].demand)
+        demand[0] = 1000.0
+        units[6] = simulation.UnitInputs(demand=demand, delay=units[6].delay)
+        sim = Simulation(cfg, policy)
+        with pytest.raises(InfeasibleError) as exc:
+            sim.run(units)
+        assert str(exc.value) == "t=7: service 0: demand 1000 exceeds capacity 90 across 3 instance(s)"
+        assert [r.time for r in sim.state.history] == list(range(1, 7))
+
+    @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
+    def test_failed_replacement_keeps_placement(self, policy, caplog):
+        cfg = small_cfg(**SATURATED_REPLACEMENT)
+        with caplog.at_level(logging.WARNING, logger="edgefail.simulation"):
+            records = Simulation(cfg, policy).run(derived(cfg))
+        assert [r.time for r in records] == list(range(1, cfg.horizon + 1))
+        assert "t=16: re-placement failed, keeping the current placement" in caplog.text
+
+    def test_failed_first_placement_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InfeasibleError("no room")
+
+        monkeypatch.setattr(simulation, "place_services", fail)
+        cfg = small_cfg()
+        with pytest.raises(InfeasibleError, match="no room"):
+            Simulation(cfg, "psvm").step(derived(cfg)[0], 1)
 
 
 class TestSingleCandidateCollapse:

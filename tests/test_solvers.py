@@ -146,33 +146,50 @@ class TestPrimaryMapping:
 
 class TestSameBitsAsLoops:
     @settings(max_examples=200, deadline=None)
-    @given(E=st.integers(8, 14), S=st.integers(1, 6), capacity=st.sampled_from([30.7, 30.0, 7.3]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_primary_mapping(self, E, S, capacity, seed):
+    @given(E=st.integers(8, 14), S=st.integers(1, 6), T=st.integers(1, 5),
+           capacity=st.sampled_from([30.7, 30.0, 7.3]), seed=st.integers(0, 2**32 - 1))
+    def test_primary_mapping(self, E, S, T, capacity, seed):
         # fractional demand and capacity, delays drawn from few values so
-        # that hosts tie, some services loaded past their instances
+        # that hosts tie, some services loaded past their instances; T units
+        # under one placement solved in one call equal T separate calls
         rng = np.random.default_rng(seed)
         x = (rng.random((E, S)) < rng.uniform(0.2, 1.0)).astype(int)
-        d = DelayModel(d=rng.choice([3.0, 4.5, 4.5, 7.25, 9.0], size=(E, S))
-                       + rng.choice([0.0, 0.1], size=(E, S)))
+        plc = PlacementDecision(x=x)
         room = capacity * x.sum(axis=0)
-        demand = np.round(rng.uniform(0.0, 1.0, S) * room * 1.05, 3)
-        try:
-            want = reference_primary(PlacementDecision(x=x), demand, d, capacity)
-        except InfeasibleError as exc:
+        delays, demands, fits, wants, first_error = [], [], [], [], None
+        for _ in range(T):
+            d = DelayModel(d=rng.choice([3.0, 4.5, 4.5, 7.25, 9.0], size=(E, S))
+                           + rng.choice([0.0, 0.1], size=(E, S)))
+            demand = np.round(rng.uniform(0.0, 1.0, S) * room * 1.05, 3)
+            delays.append(d.d)
+            demands.append(demand)
+            try:
+                want = reference_primary(plc, demand, d, capacity)
+            except InfeasibleError as exc:
+                with pytest.raises(InfeasibleError) as got:
+                    solve_primary_mapping(plc, demand, d, capacity)
+                assert str(got.value) == str(exc)
+                first_error = first_error or str(exc)
+                demand = np.minimum(demand, room)
+                want = reference_primary(plc, demand, d, capacity)
+            fits.append(demand)
+            wants.append(want)
+            got = solve_primary_mapping(plc, demand, d, capacity)
+            assert np.array_equal(got.gamma, want)
+            for s in range(S):
+                hosts = [int(e) for e in np.flatnonzero(x[:, s])]
+                for lam in (float(demand[s]), float(demand[s]) * 1.5 + 1.0, 0.0):
+                    loads, left = fill_cheapest(hosts, lam, d.d[:, s], capacity)
+                    ref_loads, ref_left = reference_fill(hosts, lam, d.d[:, s], capacity)
+                    assert np.array_equal(loads, ref_loads) and left == ref_left
+        batch = solve_primary_mapping(plc, np.array(fits), np.array(delays), capacity)
+        assert batch.shape == (T, E, S)
+        assert np.array_equal(batch, np.array(wants))
+        if first_error is not None:
+            # a batch names the first overloaded unit's service, as its own call does
             with pytest.raises(InfeasibleError) as got:
-                solve_primary_mapping(PlacementDecision(x=x), demand, d, capacity)
-            assert str(got.value) == str(exc)
-            demand = np.minimum(demand, room)
-            want = reference_primary(PlacementDecision(x=x), demand, d, capacity)
-        got = solve_primary_mapping(PlacementDecision(x=x), demand, d, capacity)
-        assert np.array_equal(got.gamma, want)
-        for s in range(S):
-            hosts = [int(e) for e in np.flatnonzero(x[:, s])]
-            for lam in (float(demand[s]), float(demand[s]) * 1.5 + 1.0, 0.0):
-                loads, left = fill_cheapest(hosts, lam, d.d[:, s], capacity)
-                ref_loads, ref_left = reference_fill(hosts, lam, d.d[:, s], capacity)
-                assert np.array_equal(loads, ref_loads) and left == ref_left
+                solve_primary_mapping(plc, np.array(demands), np.array(delays), capacity)
+            assert str(got.value) == first_error
 
 
 class TestFillCheapest:
