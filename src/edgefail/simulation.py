@@ -34,15 +34,16 @@ before the next unit at which ``run`` may start an attack, before the
 first unit whose demand its instances cannot serve (that unit's step
 raises), and at the end of the units.  The first lookahead under a
 placement ends at the next monitor evaluation, so a re-placement cannot
-cut it; each later one is at most twice the previous one and at most
-``MAX_LOOKAHEAD`` units, so at most about twice the rows used are
-computed.  A ``step`` outside ``run`` is a one-unit lookahead.
+cut it; each later one is at most twice the previous one, so at most
+about twice the rows used are computed.  A ``step`` outside ``run`` is
+a one-unit lookahead.
 """
 
 from __future__ import annotations
 
 import bisect
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -73,9 +74,6 @@ from .solvers import (
 )
 
 logger = logging.getLogger(__name__)
-
-# rows of one lookahead at most, which bounds its memory on long runs
-MAX_LOOKAHEAD = 256
 
 
 @dataclass
@@ -168,7 +166,7 @@ class Lookahead:
 
 @dataclass
 class SimulationState:
-    nodes: list
+    nodes: tuple  # EdgeNode by id; only set_status replaces it
     monitor: QualityMonitor
     placement: PlacementDecision | None = None
     primary: PrimaryMapping | None = None
@@ -185,10 +183,14 @@ class SimulationState:
     healthy: frozenset[int] = field(init=False)  # ids of the healthy nodes
 
     def __post_init__(self):
+        self.nodes = tuple(self.nodes)
         self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
 
     def set_status(self, node: int, status: NodeStatus) -> None:
-        self.nodes[node] = self.nodes[node].with_status(status)
+        """The one writer of ``nodes``, which keeps ``healthy`` in step."""
+        nodes = list(self.nodes)
+        nodes[node] = nodes[node].with_status(status)
+        self.nodes = tuple(nodes)
         self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
 
     def healthy_ids(self) -> list[int]:
@@ -243,22 +245,18 @@ class Simulation:
             self.stream = None
         return st.history
 
-    def _next_onset(self, t: int) -> int:
-        """The first unit after t at which ``run`` may start an attack, or
-        a unit past any lookahead when the schedule has none left."""
+    def _next_onset(self, t: int) -> int | float:
+        """The first unit after t at which ``run`` may start an attack;
+        inf when the schedule has none left."""
         if self.schedule:
             i = bisect.bisect_right(self.onsets, t)
-            return self.onsets[i] if i < len(self.onsets) else t + MAX_LOOKAHEAD
+            return self.onsets[i] if i < len(self.onsets) else math.inf
         return (t // self.cfg.attack_every + 1) * self.cfg.attack_every
 
     def _scheduled_target(self, t: int) -> int | None:
-        if self.state.active_attack is not None:
+        if self.state.active_attack is not None or self._next_onset(t - 1) != t:
             return None
-        if self.schedule:
-            return self.schedule.get(t)
-        if t % self.cfg.attack_every != 0:
-            return None
-        return self._pick_target()
+        return self.schedule[t] if self.schedule else self._pick_target()
 
     def _pick_target(self) -> int | None:
         st = self.state
@@ -392,18 +390,19 @@ class Simulation:
                 stop = t + 2 * len(prev.units)
             else:  # through the next monitor evaluation
                 stop = t + (-t) % st.monitor.period + 1
-            stop = min(stop, t + MAX_LOOKAHEAD, self._next_onset(t), len(stream) + 1)
+            stop = min(stop, self._next_onset(t), len(stream) + 1)
             units = stream[t - 1 : stop - 1]
         lam = np.stack([u.demand for u in units])
         over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
-        if len(over):
-            # ends before the first overloaded unit; that unit's own solve raises
-            units, lam = units[: max(int(over[0]), 1)], lam[: max(int(over[0]), 1)]
+        if len(over) and over[0] == 0:
+            try:  # this unit's demand overloads its instances: its solve raises
+                solve_primary_mapping(st.placement, unit.demand, unit.delay, self.capacity)
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"t={t}: {exc}") from exc
+        if len(over):  # ends before the first overloaded unit
+            units, lam = units[: over[0]], lam[: over[0]]
         d = np.stack([u.delay.d for u in units])
-        try:
-            gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"t={t}: {exc}") from exc
+        gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
         delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
         self.lookahead = Lookahead(
             placement=st.placement,

@@ -73,9 +73,10 @@ def solve_primary_mapping(
             f"service {s}: demand {float(demand[tuple(short[0])]):.6g} exceeds capacity "
             f"{capacity * n:.6g} across {n} instance(s)"
         )
-    d = delay.d if isinstance(delay, DelayModel) else np.asarray(delay, dtype=float)
-    loads = _fill_columns(placement.x > 0, demand, d, capacity)[0]
-    return PrimaryMapping(gamma=loads) if demand.ndim == 1 else loads
+    single = demand.ndim == 1
+    d = delay.d[None] if single else np.asarray(delay, dtype=float)
+    loads = _fill_columns(placement.x > 0, np.atleast_2d(demand), d, capacity)[0]
+    return PrimaryMapping(gamma=loads[0]) if single else loads
 
 
 def over_capacity(placement: PlacementDecision, demand, capacity: float) -> np.ndarray:
@@ -94,31 +95,29 @@ def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndar
     d_col = np.asarray(d_col, dtype=float)
     mask = np.zeros((len(d_col), 1), dtype=bool)
     mask[np.asarray(hosts, dtype=np.intp), 0] = True
-    loads, left = _fill_columns(mask, np.array([demand], dtype=float), d_col[:, None], capacity)
-    return loads[:, 0], float(left[0])
+    loads, left = _fill_columns(
+        mask, np.array([[demand]], dtype=float), d_col[None, :, None], capacity
+    )
+    return loads[0, :, 0], float(left[0, 0])
 
 
 def _fill_columns(hosts, demand, d, capacity: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fill_cheapest`` of every column at once: (E, S) host mask,
-    (E, S) delays and (S,) demand, or (T, E, S) delays and (T, S) demand
-    to fill T units under one placement.  Rank r of a column takes
-    min(remaining, C) until nothing remains; non-hosts rank last.  Returns
-    the loads, shaped as the delays, and the leftover, as the demand."""
+    """``fill_cheapest`` of every column of T units under one placement:
+    (E, S) host mask, (T, E, S) delays and (T, S) demand.  Rank r of a
+    column takes min(remaining, C) until nothing remains; non-hosts rank
+    last.  Returns the (T, E, S) loads and the (T, S) leftover."""
     counts = hosts.sum(axis=0)
     order = np.argsort(np.where(hosts, d, np.inf), axis=-2, kind="stable")
     rounds = int(counts.max(initial=0))
-    takes = np.zeros((rounds,) + demand.shape)
+    takes = np.zeros((len(demand), rounds, hosts.shape[1]))
     remaining = demand.copy()
     for r in range(rounds):
         live = (r < counts) & (remaining > 0)
-        takes[r] = np.where(live, np.minimum(remaining, capacity), 0.0)
-        remaining -= takes[r]
+        takes[:, r] = np.where(live, np.minimum(remaining, capacity), 0.0)
+        remaining -= takes[:, r]
     loads = np.zeros(order.shape)
-    if order.ndim == 2:
-        loads[order[:rounds], np.arange(hosts.shape[1])] = takes
-    else:
-        units = np.arange(len(order))[:, None, None]
-        loads[units, order[:, :rounds], np.arange(hosts.shape[1])] = takes.swapaxes(0, 1)
+    units = np.arange(len(order))[:, None, None]
+    loads[units, order[:, :rounds], np.arange(hosts.shape[1])] = takes
     return loads, remaining
 
 

@@ -83,6 +83,7 @@ def check_onsets_against_previous_unit(cfg, policy):
     def spy_step(unit, t):
         record = step(unit, t)
         st = sim.state
+        assert st.healthy_ids() == [n.id for n in st.nodes if n.healthy], t
         seen.update(placement=st.placement, gamma=st.primary, d=st.delay,
                     healthy=st.healthy_ids(), recovered=False, healed=False,
                     phase=record.state)
@@ -304,7 +305,7 @@ class TestServingInvariants:
                 for e in m.candidates}
         assert used
         for e in used:
-            sim.state.nodes[e] = sim.state.nodes[e].with_status(NodeStatus.ATTACKED)
+            sim.state.set_status(e, NodeStatus.ATTACKED)
         assert sim.inject_attack(target, 10)
         assert set(sim.state.proactive) == set(reference.state.proactive)
         for key, want in reference.state.proactive.items():
@@ -320,6 +321,8 @@ class TestServingInvariants:
         sim = Simulation(cfg, "lb-psvm")
         sim.step(reqs[0], 1)
         target = sim._pick_target()
+        with pytest.raises(TypeError):  # nodes change only through set_status
+            sim.state.nodes[target] = sim.state.nodes[target].with_status(NodeStatus.ATTACKED)
         sim.state.set_status(target, NodeStatus.ATTACKED)
         sim.step(reqs[1], 2)
         sim.state.set_status(target, NodeStatus.HEALTHY)
