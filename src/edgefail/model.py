@@ -181,10 +181,6 @@ class PlacementDecision:
         object.__setattr__(self, "reserved", _freeze(reserved))
 
     @property
-    def num_nodes(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def num_services(self) -> int:
         return self.x.shape[1]
 
@@ -288,6 +284,14 @@ class DelayModel:
         if (d < 0).any() or not np.isfinite(d).all():
             raise ValueError("delay entries must be finite and >= 0")
         object.__setattr__(self, "d", _freeze(d))
+
+    def ranked(self, nodes, s: int) -> list[int]:
+        """``nodes`` in ascending delay for service s, ties to the lower id."""
+        return sorted(nodes, key=lambda e: (self.d[e, s], e))
+
+    def nearest(self, nodes, s: int) -> int:
+        """The lowest-delay node of ``nodes`` for service s."""
+        return self.ranked(nodes, s)[0]
 
 
 @dataclass(frozen=True)

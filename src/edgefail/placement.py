@@ -32,6 +32,27 @@ def check_budget(services: list[ServiceType], nodes: list[EdgeNode], counts: lis
         )
 
 
+def footprint_order(services: list[ServiceType], ids) -> list[int]:
+    """Service ids ``ids``, bigger footprint first (ties to the lower id),
+    the order in which services are sited, reserved and recovered."""
+    return sorted(ids, key=lambda s: (-services[s].resource_cost, s))
+
+
+def _room(p: PlacementDecision, s: int, services, nodes) -> dict[int, float]:
+    """Residual capacity of each healthy node that hosts no instance of
+    service s, active or reserved, and has room left for one."""
+    cost = services[s].resource_cost
+    usage = p.resource_usage(services)
+    return {
+        n.id: n.capacity - usage[n.id]
+        for n in nodes
+        if n.healthy
+        and p.x[n.id, s] == 0
+        and p.reserved[n.id, s] == 0
+        and n.capacity - usage[n.id] >= cost - 1e-9
+    }
+
+
 def place_services(
     services: list[ServiceType],
     nodes: list[EdgeNode],
@@ -63,13 +84,10 @@ def place_services(
     check_budget(services, nodes, counts)
     healthy = [n.id for n in nodes if n.healthy]
 
-    order = sorted(range(S), key=lambda s: (-services[s].resource_cost, s))
+    order = footprint_order(services, range(S))
     residual = {e: nodes[e].capacity for e in healthy}
     chosen: dict[int, list[int]] = {}
     states = 0
-
-    def prefs(s: int) -> list[int]:
-        return sorted(healthy, key=lambda e: (delay.d[e, s], e))
 
     def search(idx: int) -> bool:
         nonlocal states
@@ -77,7 +95,7 @@ def place_services(
             return True
         s = order[idx]
         cost = services[s].resource_cost
-        options = [e for e in prefs(s) if residual[e] >= cost - 1e-9]
+        options = [e for e in delay.ranked(healthy, s) if residual[e] >= cost - 1e-9]
         need = counts[s]
         if len(options) < need:
             return False
@@ -138,21 +156,11 @@ def reserve_backup(
         InfeasibleError: when some service has no node with room left.
     """
     out = p
-    wanted = range(len(services)) if only is None else only
-    for s in sorted(wanted, key=lambda s: (-services[s].resource_cost, s)):
-        cost = services[s].resource_cost
-        usage = out.resource_usage(services)
-        options = [
-            n.id
-            for n in nodes
-            if n.healthy
-            and out.x[n.id, s] == 0
-            and out.reserved[n.id, s] == 0
-            and n.capacity - usage[n.id] >= cost - 1e-9
-        ]
-        if not options:
+    for s in footprint_order(services, range(len(services)) if only is None else only):
+        room = _room(out, s, services, nodes)
+        if not room:
             raise InfeasibleError(f"service {s}: no residual capacity for a backup instance")
-        best = max(options, key=lambda e: (nodes[e].capacity - usage[e], -e))
+        best = max(room, key=lambda e: (room[e], -e))
         out = out.with_instance(best, s, reserved=True)
     return out
 
@@ -175,32 +183,26 @@ def recover_placement(
     nodes: list[EdgeNode],
     delay: DelayModel,
 ) -> RecoveryResult:
-    """Re-instantiate lost instances on healthy nodes.
+    """Restore the instances of ``services_lost`` that the attacked node
+    hosted, bigger footprints first.
 
-    Every lost instance goes to a healthy node that does not currently
-    host that service (neither active nor reserved), choosing minimal
-    propagation delay with ties to the lowest node index; bigger
-    footprints are recovered first.  The attacked node ends up hosting
-    nothing.  Services with no room anywhere are reported back rather
-    than raising.
+    A lost service with a backup on a healthy node promotes the one of
+    lowest propagation delay (ties to the lowest node index).  A service
+    without one gets a new instance on the lowest-delay healthy node that
+    hosts no instance of it, active or reserved, and has room left.  The
+    attacked node ends up hosting nothing.  Services with no room
+    anywhere are reported back rather than raising.
     """
     out = p.without_node(attacked)
     unrecovered: list[int] = []
-    for s in sorted(services_lost, key=lambda s: (-services[s].resource_cost, s)):
-        cost = services[s].resource_cost
-        usage = out.resource_usage(services)
-        options = [
-            n.id
-            for n in nodes
-            if n.healthy
-            and n.id != attacked
-            and out.x[n.id, s] == 0
-            and out.reserved[n.id, s] == 0
-            and n.capacity - usage[n.id] >= cost - 1e-9
-        ]
+    for s in footprint_order(services, services_lost):
+        backups = [e for e in out.reserved_nodes(s) if nodes[e].healthy]
+        if backups:
+            out = out.promote_reserved(delay.nearest(backups, s), s)
+            continue
+        options = [e for e in _room(out, s, services, nodes) if e != attacked]
         if not options:
             unrecovered.append(s)
             continue
-        best = min(options, key=lambda e: (delay.d[e, s], e))
-        out = out.with_instance(best, s)
+        out = out.with_instance(delay.nearest(options, s), s)
     return RecoveryResult(placement=out, unrecovered=tuple(sorted(unrecovered)))

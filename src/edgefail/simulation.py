@@ -9,8 +9,8 @@ The loop walks a three-phase state machine per attack cycle:
   data of t-1 within the same unit (zero-gap failover); the previous
   unit's mapping acts as routing proportions rescaled to the current
   demand so no request is dropped.
-* Recovered -- lost instances are re-instantiated elsewhere after the
-  recovery delay and normal serving resumes on the new topology.  The
+* Recovered -- lost instances are restored elsewhere after the recovery
+  delay and normal serving resumes on the new topology.  The
   attacked node returns to service after a quarantine, by default the
   remainder of the attack cycle.
 
@@ -63,9 +63,10 @@ from .model import (
     SecondaryMapping,
     SimPhase,
 )
-from .placement import place_services, recover_placement, reserve_backup
+from .placement import footprint_order, place_services, recover_placement, reserve_backup
 from .solvers import (
     build_lb_psvm,
+    failover_candidates,
     fill_cheapest,
     over_capacity,
     solve_lb_psvm,
@@ -309,27 +310,14 @@ class Simulation:
         return True
 
     def recover(self, t: int) -> None:
-        """Re-instantiate the attacked node's instances elsewhere.
-
-        With reserves, each lost service first promotes its lowest-delay
-        healthy backup; only the rest is re-instantiated.
-        """
+        """Restore the attacked node's instances (``recover_placement``);
+        with reserves, each service it hosted that has no healthy backup
+        left then reserves a new one."""
         st = self.state
         target = st.active_attack.target
-        plc = st.placement
-        needed = plc.services_on(target)
-        if self.uses_reserves:
-            touched = plc.services_on(target, include_reserved=True)
-            plc = plc.without_node(target)
-            lost, needed = needed, []
-            for s in lost:
-                backups = [e for e in plc.reserved_nodes(s) if st.nodes[e].healthy]
-                if backups:
-                    best = min(backups, key=lambda e: (st.delay.d[e, s], e))
-                    plc = plc.promote_reserved(best, s)
-                else:
-                    needed.append(s)
-        result = recover_placement(plc, target, needed, self.services, st.nodes, st.delay)
+        touched = st.placement.services_on(target, include_reserved=True)
+        result = recover_placement(st.placement, target, st.placement.services_on(target),
+                                   self.services, st.nodes, st.delay)
         plc = result.placement
         if result.unrecovered:
             logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
@@ -394,15 +382,13 @@ class Simulation:
             units = stream[t - 1 : stop - 1]
         lam = np.stack([u.demand for u in units])
         over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
-        if len(over) and over[0] == 0:
-            try:  # this unit's demand overloads its instances: its solve raises
-                solve_primary_mapping(st.placement, unit.demand, unit.delay, self.capacity)
-            except InfeasibleError as exc:
-                raise InfeasibleError(f"t={t}: {exc}") from exc
-        if len(over):  # ends before the first overloaded unit
-            units, lam = units[: over[0]], lam[: over[0]]
+        cut = max(over[0], 1) if len(over) else None  # stop before an overload, or raise at t
+        units, lam = units[:cut], lam[:cut]
         d = np.stack([u.delay.d for u in units])
-        gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
+        try:
+            gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
+        except InfeasibleError as exc:
+            raise InfeasibleError(f"t={t}: {exc}") from exc
         delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
         self.lookahead = Lookahead(
             placement=st.placement,
@@ -429,10 +415,7 @@ class Simulation:
                            t, exc)
             return
         if self.uses_reserves:
-            # bigger footprints first, as place_services sites them
-            order = sorted(range(self.num_services),
-                           key=lambda s: (-self.services[s].resource_cost, s))
-            plc = self._reserve(plc, order, t)
+            plc = self._reserve(plc, footprint_order(self.services, range(self.num_services)), t)
         st.placement = plc
 
     def _reserve(self, plc: PlacementDecision, services, t: int) -> PlacementDecision:
@@ -457,12 +440,11 @@ class Simulation:
                     if e != target and e in healthy
                 ]
                 if reserved:
-                    best = min(reserved, key=lambda e: (d.d[e, service], e))
                     affected = float(gamma.gamma[target, service])
                     return SecondaryMapping(
                         source_node=target,
                         service=service,
-                        candidates=(best,),
+                        candidates=(d.nearest(reserved, service),),
                         beta=np.array([affected]),
                         affected=affected,
                     )
@@ -508,7 +490,7 @@ class Simulation:
                 continue
             prev = st.primary_demand[s] if st.primary_demand is not None else 0.0
             if st.primary is None or prev <= 0:
-                hosts = [e for e in st.placement.nodes_hosting(s) if e != target]
+                hosts = failover_candidates(st.placement, target, s)
                 loads[:, s], unserved[s] = fill_cheapest(
                     hosts, float(lam[s]), d.d[:, s], self.capacity
                 )

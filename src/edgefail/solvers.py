@@ -128,11 +128,10 @@ def failover_candidates(
     healthy=None,
 ) -> list[int]:
     """Healthy nodes (other than the attacked one) hosting the service."""
-    hosts = placement.nodes_hosting(service)
-    if healthy is None:
-        return [e for e in hosts if e != attacked]
-    healthy = set(healthy)
-    return [e for e in hosts if e != attacked and e in healthy]
+    return [
+        e for e in placement.nodes_hosting(service)
+        if e != attacked and (healthy is None or e in healthy)
+    ]
 
 
 @dataclass(frozen=True)
@@ -424,28 +423,6 @@ def solve_lb_psvm(
             break
         mu = nxt
         betas, branches = responses(mu)
-    else:
-        total = sum(betas)
-
-    # Newton polish on the dual keeps a common multiplier while pushing
-    # the sum residual to the constraint tolerance
-    for _ in range(5):
-        total = sum(betas)
-        if abs(total - B) <= sum_tol:
-            break
-        slope = 0.0
-        for i in range(n):
-            if branches[i] != "interior":
-                continue
-            v = 2.0 * C - g[i] - betas[i]
-            slope += 1.0 / (-w[i] / (betas[i] ** 2) - (k2 / (v**3) if betas[i] > C - g[i] else 0.0))
-        if slope == 0.0:
-            break
-        nxt = mu + (B - total) / slope
-        if not (mu_lo <= nxt <= mu_hi):
-            break
-        mu = nxt
-        betas, branches = responses(mu)
 
     beta = np.array(betas)
     # reporting floor; shaved mass moves to the largest coordinate
@@ -499,7 +476,7 @@ def solve_psvm(
         raise NoCandidateError(
             f"service {service}: no healthy candidate besides node {attacked}"
         )
-    target = min(candidates, key=lambda e: (delay.d[e, service], e))
+    target = delay.nearest(candidates, service)
     beta = np.zeros(len(candidates))
     affected = float(gamma.gamma[attacked, service])
     beta[candidates.index(target)] = affected

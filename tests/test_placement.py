@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgefail.errors import InfeasibleError
 from edgefail.mobility import GridMap, derive_delay_matrix, generate_synthetic
@@ -216,3 +217,77 @@ class TestRecoverPlacement:
         d = uniform_delay(4, 1)
         result = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
         assert result.placement.x[:, 0].tolist() == [0, 1, 1, 0]
+
+    def test_promotes_nearest_healthy_backup(self):
+        # node 0 is hit; service 0's backups sit on node 2 (down, nearest),
+        # nodes 3 and 4 (tied); service 1 has no backup and gets a new instance
+        nodes = self.attack(self.attack(make_nodes(5), 2), 0)
+        services = make_services([10.0, 12.0])
+        x = np.array([[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]])
+        reserved = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0]])
+        d = DelayModel(d=np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, 3.0], [2.0, 2.0]]))
+        result = recover_placement(
+            PlacementDecision(x=x, reserved=reserved), 0, [0, 1], services, nodes, d
+        )
+        assert result.complete
+        assert result.placement.x.tolist() == [[0, 0], [1, 1], [0, 0], [1, 0], [0, 1]]
+        assert result.placement.reserved[:, 0].tolist() == [0, 0, 1, 0, 1]
+
+
+def promote_then_recover(p, attacked, services, nodes, delay):
+    """Reference: promote each lost service's nearest healthy backup, then
+    re-instantiate the rest, bigger footprints first."""
+    out, needed = p.without_node(attacked), []
+    for s in p.services_on(attacked):
+        backups = [e for e in out.reserved_nodes(s) if nodes[e].healthy]
+        if backups:
+            out = out.promote_reserved(min(backups, key=lambda e: (delay.d[e, s], e)), s)
+        else:
+            needed.append(s)
+    unrecovered = []
+    for s in sorted(needed, key=lambda s: (-services[s].resource_cost, s)):
+        cost = services[s].resource_cost
+        usage = out.resource_usage(services)
+        options = [
+            n.id for n in nodes
+            if n.healthy and n.id != attacked and out.x[n.id, s] == 0
+            and out.reserved[n.id, s] == 0 and n.capacity - usage[n.id] >= cost - 1e-9
+        ]
+        if options:
+            out = out.with_instance(min(options, key=lambda e: (delay.d[e, s], e)), s)
+        else:
+            unrecovered.append(s)
+    return out, tuple(sorted(unrecovered))
+
+
+@st.composite
+def reserved_placements(draw):
+    E = draw(st.integers(2, 6))
+    S = draw(st.integers(1, 4))
+    cell = st.sampled_from([0, 1, 2])  # 0 none, 1 active, 2 reserved
+    grid = np.array(draw(st.lists(st.lists(cell, min_size=S, max_size=S),
+                                  min_size=E, max_size=E)))
+    costs = draw(st.lists(st.sampled_from([10.0, 12.0, 14.0]), min_size=S, max_size=S))
+    capacity = draw(st.lists(st.sampled_from([20.0, 30.0, 50.0]), min_size=E, max_size=E))
+    delays = draw(st.lists(st.integers(0, 3), min_size=E * S, max_size=E * S))
+    down = draw(st.sets(st.integers(0, E - 1), max_size=E - 1))
+    attacked = draw(st.integers(0, E - 1))
+    nodes = [
+        EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e],
+                 status=NodeStatus.ATTACKED if e in down | {attacked} else NodeStatus.HEALTHY)
+        for e in range(E)
+    ]
+    placement = PlacementDecision(x=(grid == 1).astype(int), reserved=(grid == 2).astype(int))
+    delay = DelayModel(d=np.array(delays, dtype=float).reshape(E, S))
+    return placement, attacked, make_services(costs), nodes, delay
+
+
+@settings(max_examples=300, deadline=None)
+@given(reserved_placements())
+def test_recovery_equals_promote_then_recover(case):
+    p, attacked, services, nodes, delay = case
+    result = recover_placement(p, attacked, p.services_on(attacked), services, nodes, delay)
+    expected, unrecovered = promote_then_recover(p, attacked, services, nodes, delay)
+    assert result.placement.x.tolist() == expected.x.tolist()
+    assert result.placement.reserved.tolist() == expected.reserved.tolist()
+    assert result.unrecovered == unrecovered
