@@ -2,8 +2,8 @@
 
 A numpy-based library plus a small CLI: optimal primary assignment of
 vehicle demand to edge service instances, a load-balanced failover
-split solved as a separable convex program at attack onset from a
-snapshot of the previous unit's data, baseline failover policies, and a
+split solved as a separable convex program at attack onset from the
+previous unit's data, baseline failover policies, and a
 discrete-time failure/recovery simulation with delay, load-factor, and
 fairness metrics.
 """

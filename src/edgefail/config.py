@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, InfeasibleError
@@ -130,7 +131,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ConfigError on any out-of-range or inconsistent setting."""
-        problems = []
+        problems = [
+            f"{key}: must be finite" for key, kind in _KINDS.items()
+            if kind == "float" and not math.isfinite(getattr(self, KEY_MAP[key]) or 0.0)
+        ]
         if self.horizon < 1:
             problems.append("horizon: must be >= 1")
         bad = [p for p in self.policy_list() if p not in POLICIES]
@@ -155,12 +159,21 @@ class ExperimentConfig:
             problems.append("mobility.vehicles: must be >= 1")
         if not (0.0 <= self.mobility_p_request <= 1.0):
             problems.append("mobility.p_request: must be in [0, 1]")
+        if not (0.0 < self.mobility_speed_min_kmh <= self.mobility_speed_max_kmh):
+            problems.append("mobility.speed_min_kmh: must be > 0 and <= mobility.speed_max_kmh")
+        if self.trace_time_unit_s <= 0:
+            problems.append("trace.time_unit_s: must be > 0")
+        for key in ("delay.alpha_ms_per_km", "delay.base_ms", "queue.ms_per_unit",
+                    "lbpsvm.k1", "lbpsvm.k2"):
+            value = getattr(self, KEY_MAP[key])
+            if value is not None and value < 0:
+                problems.append(f"{key}: must be >= 0")
         if self.attack_every < 1:
             problems.append("attack.every: must be >= 1")
         if self.recovery_delay < 1:
             problems.append("recovery.delay: must be >= 1")
-        # recovery drops the t-1 snapshot a split is solved from, so it
-        # must come at least one unit before the next onset can
+        # recovery drops the t-1 node health a split is solved from, so
+        # it must come at least one unit before the next onset can
         if self.quarantine_units() <= self.recovery_delay:
             problems.append("attack.quarantine: must be > recovery.delay")
         if self.monitor_period < 1:
@@ -198,13 +211,24 @@ class ExperimentConfig:
         return [p.strip() for p in self.policies.split(",") if p.strip()]
 
     def schedule_list(self) -> list[tuple[int, int]]:
-        """Explicit attacks as (time, node) pairs from 't:node,t:node'."""
+        """Explicit attacks as (time, node) pairs from 't:node,t:node'.
+
+        Raises:
+            ValueError: on a malformed item, a time below 1, a time given
+                twice, or a node outside the grid.
+        """
         if self.attack_schedule is None:
             return []
         events = []
+        E = self.grid_rows * self.grid_cols
         for item in self.attack_schedule.split(","):
             t, _, node = item.strip().partition(":")
-            events.append((int(t), int(node)))
+            t, node = int(t), int(node)
+            if t < 1 or not 0 <= node < E:
+                raise ValueError(f"{t}:{node}: times must be >= 1 and nodes in [0, {E})")
+            events.append((t, node))
+        if len({t for t, _ in events}) < len(events):
+            raise ValueError("at most one attack per time")
         return sorted(events)
 
     def quarantine_units(self) -> int:

@@ -2,9 +2,10 @@
 
 The loop walks a three-phase state machine per attack cycle:
 
-* PreAttack -- demand is served by the primary mapping; each unit keeps
-  a snapshot of the inputs of a failover split.
-* Attack -- at onset the hit node's splits are solved from the snapshot
+* PreAttack -- demand is served by the primary mapping; the state keeps
+  the unit's mapping, delay matrix and node health, the inputs of a
+  failover split.
+* Attack -- at onset the hit node's splits are solved from these inputs
   of t-1, so an attack at time t activates a mapping computed from the
   data of t-1 within the same unit (zero-gap failover); the previous
   unit's mapping acts as routing proportions rescaled to the current
@@ -41,10 +42,8 @@ a one-unit lookahead.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,18 +81,15 @@ class QualityMonitor:
     """Delay-based stand-in for a learned critic.
 
     Scores sit in [0, 1]: 1 when recent delays are negligible, 0 once
-    they reach the per-service caps.  Evaluated every ``period`` units;
-    scores below ``threshold`` trigger re-optimization.
+    they reach the per-service caps.  Evaluated every ``period`` units
+    over the delays of the last ``period`` units; scores below
+    ``threshold`` trigger re-optimization.
     """
 
     thresholds: np.ndarray
     threshold: float = 0.5
     period: int = 5
     q_value: float = 1.0
-    window: deque = field(default_factory=deque)
-
-    def __post_init__(self):
-        self.window = deque(self.window, maxlen=self.period)
 
 
 def evaluate_quality(monitor: QualityMonitor, records) -> float:
@@ -135,34 +131,16 @@ def derive_inputs(cfg: ExperimentConfig, requests_by_unit) -> list[UnitInputs]:
 
 
 @dataclass(frozen=True)
-class SplitInputs:
-    """What a failover split is solved from, besides the placement;
-    kept after each non-attack unit for an attack in the next one."""
-
-    gamma: PrimaryMapping
-    delay: DelayModel
-    healthy: frozenset[int]
-
-
-@dataclass(frozen=True)
 class Lookahead:
-    """Primary serving of ``units``, the units from ``t0`` on, under
-    ``placement``: one row per unit."""
+    """Primary serving of the T units from ``t0`` on under ``placement``:
+    one row per unit."""
 
     placement: PlacementDecision
     t0: int
-    units: list  # UnitInputs
     gamma: np.ndarray  # (T, E, S) primary loads
     delay: np.ndarray  # (T, S) per-service delay, ms
     avg_delay: np.ndarray  # (T,) demand-weighted delay, ms
     served: np.ndarray  # (T, S)
-
-    def row(self, unit: UnitInputs, t: int, placement) -> int | None:
-        """Row of ``unit`` at time t, or None when this lookahead has none."""
-        i = t - self.t0
-        if placement is self.placement and 0 <= i < len(self.units) and self.units[i] is unit:
-            return i
-        return None
 
 
 @dataclass
@@ -173,7 +151,7 @@ class SimulationState:
     primary: PrimaryMapping | None = None
     primary_demand: np.ndarray | None = None
     delay: DelayModel | None = None
-    split_inputs: SplitInputs | None = None  # snapshot of the last non-attack unit
+    primary_nodes: tuple | None = None  # nodes of the last non-attack unit since recovery
     proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
     active_attack: AttackEvent | None = None
     phase: SimPhase = SimPhase.PRE_ATTACK
@@ -181,21 +159,18 @@ class SimulationState:
     recover_at: int | None = None
     heal_at: int | None = None
     pending_reopt: bool = False
-    healthy: frozenset[int] = field(init=False)  # ids of the healthy nodes
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
-        self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
 
     def set_status(self, node: int, status: NodeStatus) -> None:
-        """The one writer of ``nodes``, which keeps ``healthy`` in step."""
+        """The one writer of ``nodes``: a new tuple, so a kept one stays as it was."""
         nodes = list(self.nodes)
         nodes[node] = nodes[node].with_status(status)
         self.nodes = tuple(nodes)
-        self.healthy = frozenset(n.id for n in self.nodes if n.healthy)
 
     def healthy_ids(self) -> list[int]:
-        return sorted(self.healthy)
+        return [n.id for n in self.nodes if n.healthy]
 
 
 class Simulation:
@@ -213,8 +188,15 @@ class Simulation:
         self.num_services = len(self.services)
         self.thresholds = np.array([s.delay_threshold for s in self.services])
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
-        self.schedule = {t: e for t, e in cfg.schedule_list()}
-        self.onsets = sorted(self.schedule)
+        self.schedule = dict(cfg.schedule_list())
+        # the failover fields of a unit served by the primary mapping
+        self.calm = dict(
+            elf_per_node=np.zeros(len(cfg.nodes())),
+            avg_elf=0.0,
+            fairness=1.0,
+            unserved_per_service=np.zeros(self.num_services),
+            failover_active=False,
+        )
         self.state = SimulationState(
             nodes=cfg.nodes(),
             monitor=QualityMonitor(
@@ -231,7 +213,7 @@ class Simulation:
     def run(self, units) -> list[MetricsRecord]:
         """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
-        self.stream = list(units)
+        self.stream, self.lookahead = list(units), None
         try:
             for t, unit in enumerate(self.stream, start=1):
                 if st.active_attack is not None and st.recover_at == t:
@@ -243,15 +225,14 @@ class Simulation:
                     self.inject_attack(target, t)
                 self.step(unit, t)
         finally:
-            self.stream = None
+            self.stream = self.lookahead = None
         return st.history
 
     def _next_onset(self, t: int) -> int | float:
         """The first unit after t at which ``run`` may start an attack;
         inf when the schedule has none left."""
         if self.schedule:
-            i = bisect.bisect_right(self.onsets, t)
-            return self.onsets[i] if i < len(self.onsets) else math.inf
+            return min((u for u in self.schedule if u > t), default=math.inf)
         return (t // self.cfg.attack_every + 1) * self.cfg.attack_every
 
     def _scheduled_target(self, t: int) -> int | None:
@@ -293,13 +274,14 @@ class Simulation:
         if st.placement is None or not st.placement.services_on(target, include_reserved=True):
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
-        # no split when no non-attack unit ran since the last recovery (a
-        # validated config always has one) or the target was down at t-1
-        snap = st.split_inputs
+        # unit t-1 was served by the primary mapping and left st.primary and
+        # st.delay at its values; no split when no such unit ran since the last
+        # recovery (a validated config has one) or the target was down at t-1
+        healthy = {n.id for n in st.primary_nodes or () if n.healthy}
         st.proactive = {}
-        if snap is not None and target in snap.healthy:
+        if target in healthy:
             st.proactive = {
-                (target, s): self._policy_secondary(snap, target, s)
+                (target, s): self._policy_secondary(healthy, target, s)
                 for s in st.placement.services_on(target)
             }
         st.set_status(target, NodeStatus.ATTACKED)
@@ -328,7 +310,7 @@ class Simulation:
         st.placement = plc
         st.phase = SimPhase.RECOVERED
         st.recover_at = None
-        st.split_inputs = None
+        st.primary_nodes = None
 
     def heal(self, t: int) -> None:
         """End the quarantine: the node is placeable again."""
@@ -352,14 +334,13 @@ class Simulation:
         if st.phase is SimPhase.ATTACK:
             record = self._attack_record(t, lam, d, *self._attack_serve(lam, d))
         else:
-            look = self.lookahead
-            i = None if look is None else look.row(unit, t, st.placement)
-            if i is None:
+            look = self.lookahead if self.stream is not None else None  # bare steps: one unit
+            i = t - look.t0 if look is not None else 0
+            if look is None or look.placement is not st.placement or not 0 <= i < len(look.gamma):
                 look, i = self._look_ahead(unit, t), 0
-            gamma = PrimaryMapping(gamma=look.gamma[i])
-            st.primary = gamma
+            st.primary = PrimaryMapping(gamma=look.gamma[i])
             st.primary_demand = lam
-            st.split_inputs = SplitInputs(gamma, d, st.healthy)
+            st.primary_nodes = st.nodes
             record = self._record(t, lam, look.delay[i], look.avg_delay[i], look.served[i])
         st.delay = d
         st.history.append(record)
@@ -369,13 +350,12 @@ class Simulation:
         """Serve unit t and the units after it that share its placement
         by the primary mapping, in one batched pass."""
         st = self.state
-        prev = self.lookahead
-        stream = self.stream
-        if stream is None or t > len(stream) or stream[t - 1] is not unit:
+        prev, stream = self.lookahead, self.stream
+        if stream is None:
             units = [unit]
         else:
             if prev is not None and prev.placement is st.placement:
-                stop = t + 2 * len(prev.units)
+                stop = t + 2 * len(prev.gamma)
             else:  # through the next monitor evaluation
                 stop = t + (-t) % st.monitor.period + 1
             stop = min(stop, self._next_onset(t), len(stream) + 1)
@@ -393,7 +373,6 @@ class Simulation:
         self.lookahead = Lookahead(
             placement=st.placement,
             t0=t,
-            units=units,
             gamma=gamma,
             delay=delay,
             avg_delay=_mean_delay(lam, delay),
@@ -428,11 +407,10 @@ class Simulation:
                 logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc
 
-    def _policy_secondary(
-        self, snap: SplitInputs, target: int, service: int
-    ) -> SecondaryMapping | None:
+    def _policy_secondary(self, healthy: set, target: int, service: int) -> SecondaryMapping | None:
+        """The split of (target, service) from st.primary, st.delay and ``healthy``."""
         st = self.state
-        gamma, d, healthy = snap.gamma, snap.delay, snap.healthy
+        gamma, d = st.primary, st.delay
         try:
             if self.uses_reserves:
                 reserved = [
@@ -480,16 +458,14 @@ class Simulation:
         """Serve via stored splits; previous proportions scaled to today."""
         st = self.state
         target = st.active_attack.target
-        E = len(st.nodes)
-        loads = np.zeros((E, self.num_services))
+        loads = np.zeros((len(st.nodes), self.num_services))
         added = np.zeros_like(loads)
         unserved = np.zeros(self.num_services)
-        cand_by_service: dict[int, tuple[int, ...]] = {}
         for s in range(self.num_services):
             if lam[s] <= 0:
                 continue
-            prev = st.primary_demand[s] if st.primary_demand is not None else 0.0
-            if st.primary is None or prev <= 0:
+            prev = st.primary_demand[s]
+            if prev <= 0:
                 hosts = failover_candidates(st.placement, target, s)
                 loads[:, s], unserved[s] = fill_cheapest(
                     hosts, float(lam[s]), d.d[:, s], self.capacity
@@ -503,18 +479,15 @@ class Simulation:
             if affected <= 0:
                 continue
             mapping = st.proactive.get((target, s))
-            if mapping is None or mapping.affected <= 0:
+            if mapping is None:
                 unserved[s] = affected
                 continue
             share = affected / mapping.affected
             for i, e in enumerate(mapping.candidates):
                 added[e, s] += mapping.beta[i] * share
-            cand_by_service[s] = mapping.candidates
-        return loads, added, unserved, cand_by_service
+        return loads, added, unserved
 
-    def _attack_record(
-        self, t, lam, d, loads, added, unserved, cand_by_service
-    ) -> MetricsRecord:
+    def _attack_record(self, t, lam, d, loads, added, unserved) -> MetricsRecord:
         per_service = service_delay(
             loads + added, d.d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
         )
@@ -526,12 +499,13 @@ class Simulation:
         else:
             elf_per_node, avg_elf = np.zeros(len(loads)), 0.0
 
-        jains = []
-        for s, candidates in sorted(cand_by_service.items()):
-            if added[:, s].sum() <= 0:
-                continue
-            shares = [added[e, s] / avail[e, s] for e in candidates]
-            jains.append(jain_fairness(shares))
+        # fairness over each split's candidates, for the services it loaded
+        target = self.state.active_attack.target
+        jains = [
+            jain_fairness([added[e, s] / avail[e, s]
+                           for e in self.state.proactive[(target, s)].candidates])
+            for s in range(self.num_services) if added[:, s].sum() > 0
+        ]
         fairness = float(np.mean(jains)) if jains else 1.0
         return self._record(
             t, lam, per_service, _mean_delay(lam, per_service),
@@ -548,21 +522,15 @@ class Simulation:
         holds the load factor, fairness and unserved fields of an attack
         unit, which a unit served by the primary mapping leaves at zero."""
         st = self.state
-        st.monitor.window.append(np.array(per_service))
-        if t % st.monitor.period == 0:
-            q = evaluate_quality(st.monitor, list(st.monitor.window))
+        period = st.monitor.period
+        if t % period == 0:
+            # this unit and the records of the period - 1 before it
+            recent = st.history[max(0, len(st.history) - period + 1):]
+            q = evaluate_quality(st.monitor, recent + [per_service])
             st.monitor.q_value = q
             if q < st.monitor.threshold and st.phase is not SimPhase.ATTACK:
                 st.pending_reopt = True
 
-        if not failover:
-            failover = dict(
-                elf_per_node=np.zeros(len(st.nodes)),
-                avg_elf=0.0,
-                fairness=1.0,
-                unserved_per_service=np.zeros(self.num_services),
-                failover_active=False,
-            )
         counts = (st.placement.instance_counts() if st.placement is not None
                   else np.ones(self.num_services))
         return MetricsRecord(
@@ -573,9 +541,9 @@ class Simulation:
             q_value=st.monitor.q_value,
             demand_per_service=lam,
             served_per_service=served,
-            sla_violated=_ids(per_service > self.thresholds),
-            degraded_services=_ids(counts == 0),
-            **failover,
+            sla_violated=tuple(np.flatnonzero(per_service > self.thresholds).tolist()),
+            degraded_services=tuple(np.flatnonzero(counts == 0).tolist()),
+            **(failover or self.calm),
         )
 
 
@@ -585,7 +553,3 @@ def _mean_delay(lam, per_service):
     total = lam.sum(axis=-1)
     weighted = (lam * per_service).sum(axis=-1)
     return np.where(total > 0, weighted / np.where(total > 0, total, 1.0), 0.0)
-
-
-def _ids(mask) -> tuple[int, ...]:
-    return tuple(i for i, hit in enumerate(mask.tolist()) if hit)

@@ -290,6 +290,32 @@ class TestCliEntry:
         assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
         assert "node.capacity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("delay.alpha_ms_per_km", "-1"),
+        ("delay.base_ms", "-1"),
+        ("mobility.speed_min_kmh", "0"),
+        ("mobility.speed_min_kmh", "70"),  # above speed_max_kmh
+        ("trace.time_unit_s", "0"),
+        ("lbpsvm.k1", "-1"),
+        ("lbpsvm.k2", "-1"),
+        ("attack.schedule", "10:99"),  # no node 99
+        ("attack.schedule", "10:-1"),
+        ("attack.schedule", "10:1,10:2"),  # two attacks at one time
+        ("attack.schedule", "0:3"),  # before the first unit
+        ("queue.ms_per_unit", "-1"),  # negative queue delays
+        ("lbpsvm.k1", "nan"),  # the split solver never returns
+        ("delay.base_ms", "nan"),
+        ("service.capacity", "inf"),
+    ])
+    def test_value_later_layers_reject_exit_2(self, tmp_path, capsys, key, value):
+        # each of these used to pass validate() and crash during the run
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ExperimentConfig.from_sources(overrides={**FAST, key: value})
+        cfgfile = tmp_path / "exp.conf"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
+        assert f"error: {key}" in capsys.readouterr().err
+
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.conf"
         cfgfile.write_text("horizon = banana\n")

@@ -3,8 +3,11 @@ import dataclasses
 import itertools
 import logging
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgefail.config import ExperimentConfig
 from edgefail.errors import (
@@ -131,6 +134,14 @@ def check_onsets_against_previous_unit(cfg, policy):
     return counts
 
 
+# the phase a record may follow each phase with
+LEGAL_NEXT = {
+    SimPhase.PRE_ATTACK: {SimPhase.PRE_ATTACK, SimPhase.ATTACK},
+    SimPhase.ATTACK: {SimPhase.ATTACK, SimPhase.RECOVERED},
+    SimPhase.RECOVERED: {SimPhase.RECOVERED, SimPhase.PRE_ATTACK, SimPhase.ATTACK},
+}
+
+
 def onsets(records):
     out = []
     prev = SimPhase.PRE_ATTACK
@@ -148,13 +159,8 @@ class TestStateMachine:
 
     def test_phase_sequence_legal(self):
         _, records = run_sim(small_cfg())
-        legal = {
-            SimPhase.PRE_ATTACK: {SimPhase.PRE_ATTACK, SimPhase.ATTACK},
-            SimPhase.ATTACK: {SimPhase.ATTACK, SimPhase.RECOVERED},
-            SimPhase.RECOVERED: {SimPhase.RECOVERED, SimPhase.PRE_ATTACK, SimPhase.ATTACK},
-        }
         for a, b in zip(records, records[1:]):
-            assert b.state in legal[a.state], (a.time, a.state, b.state)
+            assert b.state in LEGAL_NEXT[a.state], (a.time, a.state, b.state)
 
     def test_recovery_after_one_unit(self):
         _, records = run_sim(small_cfg())
@@ -414,6 +420,30 @@ class TestQualityMonitor:
         q = evaluate_quality(m, [np.array([0.0]), np.array([50.0])])
         assert q == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("period", [1, 3, 5])
+    def test_score_over_the_last_period_records(self, period):
+        # each evaluation scores the delays of the last ``period`` records,
+        # units under attack included; bare steps from t=2 reach the first
+        # evaluation with fewer records than that
+        cfg = small_cfg(**{"monitor.period": period, "horizon": 40})
+        units = derived(cfg)
+        runs = [Simulation(cfg, policy).run(units) for policy in cfg.policy_list()]
+        sim = Simulation(cfg, "psvm")
+        for t in range(2, cfg.horizon + 1):
+            sim.step(units[t - 1], t)
+        runs.append(sim.state.history)
+        scores = []
+        for records in runs:
+            for i, r in enumerate(records):
+                if r.time % period == 0:
+                    window = [w.per_service_delay for w in records[max(0, i - period + 1):i + 1]]
+                    assert r.q_value == evaluate_quality(sim.state.monitor, window), r.time
+                    scores.append(r.q_value)
+        # three runs from t=1, the bare steps from t=2
+        assert len(scores) == 4 * (cfg.horizon // period) - (period == 1)
+        assert len(set(scores)) > len(scores) // 2
+        assert any(r.state is SimPhase.ATTACK for r in runs[0])
+
     def test_recorded_q_in_range_and_cadence(self):
         _, records = run_sim(small_cfg())
         assert all(0.0 <= r.q_value <= 1.0 for r in records)
@@ -590,7 +620,7 @@ def lookaheads(monkeypatch):
 
     def counted(self, unit, t):
         look = look_ahead(self, unit, t)
-        seen.append((look.placement, look.t0, len(look.units)))
+        seen.append((look.placement, look.t0, len(look.gamma)))
         return look
 
     monkeypatch.setattr(Simulation, "_look_ahead", counted)
@@ -701,3 +731,82 @@ class TestRecordShape:
         assert r.per_service_delay.shape == (8,)
         assert r.elf_per_node.shape == (9,)
         assert (r.per_service_delay >= 0).all()
+
+
+@st.composite
+def small_configs(draw):
+    """Overrides of a small config: any grid up to 3x3, tight to loose
+    capacities, attacks by cadence or by a drawn schedule."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    recovery = draw(st.integers(1, 4))
+    over = {
+        "grid.rows": rows,
+        "grid.cols": cols,
+        "services.count": draw(st.integers(1, 5)),
+        "placement.instances_per_service": draw(st.integers(2, 4)),
+        "node.capacity": draw(st.sampled_from([30.0, 46.0, 60.0, 100.0, 200.0])),
+        "service.capacity": draw(st.sampled_from([5.0, 15.0, 30.0])),
+        "mobility.vehicles": draw(st.integers(10, 150)),
+        "mobility.p_request": draw(st.sampled_from([0.1, 0.3, 0.6])),
+        "br.enabled": draw(st.booleans()),
+        "monitor.period": draw(st.integers(1, 5)),
+        "monitor.threshold": draw(st.sampled_from([0.5, 0.9, 0.99])),
+        "recovery.delay": recovery,
+        "attack.quarantine": draw(st.integers(recovery + 1, recovery + 6)),
+        "attack.target": draw(st.sampled_from(["most-loaded", "random"])),
+        "horizon": draw(st.integers(1, 40)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+    if draw(st.booleans()):
+        over["attack.every"] = draw(st.integers(1, 15))
+    else:
+        times = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+        over["attack.schedule"] = ",".join(
+            f"{t}:{draw(st.integers(0, rows * cols - 1))}" for t in times)
+    return over
+
+
+# the failures ROADMAP item 1 still leaves open: no placement at t=1, and
+# demand beyond the capacity of a service's instances
+OVERLOAD = re.compile(r"t=\d+: service \d+: demand \S+ exceeds capacity")
+
+
+def check_splits_at_onset(sim):
+    """Wrap ``inject_attack`` to check that each stored split re-homes
+    exactly its affected vehicles."""
+    inject = sim.inject_attack
+
+    def checked(target, t):
+        ok = inject(target, t)
+        for mapping in sim.state.proactive.values():
+            if mapping is not None:
+                assert float(np.sum(mapping.beta)) == pytest.approx(mapping.affected, abs=1e-9)
+        return ok
+
+    sim.inject_attack = checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_configs())
+def test_every_valid_config_runs_or_fails_cleanly(over):
+    try:
+        cfg = ExperimentConfig.from_sources(overrides=over)
+    except ConfigError:
+        return
+    units = derived(cfg)
+    for policy in cfg.policy_list():
+        sim = Simulation(cfg, policy)
+        check_splits_at_onset(sim)
+        try:
+            records = sim.run(units)
+        except InfeasibleError as exc:
+            assert not sim.state.history or OVERLOAD.match(str(exc)), str(exc)
+            continue
+        assert [r.time for r in records] == list(range(1, cfg.horizon + 1))
+        assert records[0].state is SimPhase.PRE_ATTACK
+        for r in records:
+            np.testing.assert_allclose(r.served_per_service + r.unserved_per_service,
+                                       r.demand_per_service, rtol=0, atol=1e-9)
+            assert 0.0 <= r.q_value <= 1.0
+        for a, b in zip(records, records[1:]):
+            assert b.state in LEGAL_NEXT[a.state], (a.time, a.state, b.state)
