@@ -23,6 +23,7 @@ from .errors import (
 )
 from .metrics import (
     MetricsRecord,
+    RunTable,
     average_elf,
     edge_load_factor,
     jain_fairness,
@@ -90,6 +91,7 @@ __all__ = [
     "RecoveryResult",
     "RequestBatch",
     "RunArtifacts",
+    "RunTable",
     "SaturationError",
     "SecondaryMapping",
     "ServiceRequest",

@@ -215,7 +215,8 @@ class ExperimentConfig:
 
         Raises:
             ValueError: on a malformed item, a time below 1, a time given
-                twice, or a node outside the grid.
+                twice, a node outside the grid, or a time inside the
+                previous attack's quarantine, where it could never start.
         """
         if self.attack_schedule is None:
             return []
@@ -229,7 +230,13 @@ class ExperimentConfig:
             events.append((t, node))
         if len({t for t, _ in events}) < len(events):
             raise ValueError("at most one attack per time")
-        return sorted(events)
+        events.sort()
+        q = self.quarantine_units()
+        for (t0, e0), (t, e) in zip(events, events[1:]):
+            if t - t0 < q:
+                raise ValueError(f"{t}:{e} comes {t - t0} units after {t0}:{e0}, "
+                                 f"inside its attack.quarantine of {q} units")
+        return events
 
     def quarantine_units(self) -> int:
         return self.attack_quarantine if self.attack_quarantine is not None else self.attack_every

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .metrics import MetricsRecord
+from .metrics import RunTable
 from .model import RequestBatch
 from .mobility import generate_synthetic, ingest_trace
 from .simulation import Simulation, UnitInputs, derive_inputs
@@ -82,7 +82,7 @@ def simulate_policy(
     policy: str,
     requests=None,
     inputs: list[UnitInputs] | None = None,
-) -> list[MetricsRecord]:
+) -> RunTable:
     """Run one policy over derived ``inputs``; without them, derive them
     from ``requests``, or from the configured stream when that is None."""
     if inputs is None:
@@ -102,19 +102,21 @@ class RunArtifacts:
     metrics_path: str
     summary_path: str
     manifest_path: str
-    records: dict  # policy -> list[MetricsRecord]
+    records: dict  # policy -> RunTable
     summary: dict  # policy -> dict of summary metrics
 
 
-def summarize(records: list[MetricsRecord]) -> dict[str, float]:
-    """Per-run averages: delay over all units, ELF and fairness over
+def summarize(records: RunTable) -> dict[str, float]:
+    """Per-run column means: delay over all units, ELF and fairness over
     units with active failover (the attack columns of a comparison table)."""
-    delays = [r.avg_delay for r in records]
-    failover = [r for r in records if r.failover_active]
+    if not len(records):
+        return {"avg_delay_ms": 0.0, "avg_elf_attack_pct": 0.0, "mean_fairness": 1.0}
+    failover = records.column("failover_active")
+    elf, fairness = records.column("avg_elf")[failover], records.column("fairness")[failover]
     return {
-        "avg_delay_ms": float(np.mean(delays)) if delays else 0.0,
-        "avg_elf_attack_pct": float(np.mean([r.avg_elf for r in failover])) if failover else 0.0,
-        "mean_fairness": float(np.mean([r.fairness for r in failover])) if failover else 1.0,
+        "avg_delay_ms": float(np.mean(records.column("avg_delay"))),
+        "avg_elf_attack_pct": float(np.mean(elf)) if len(elf) else 0.0,
+        "mean_fairness": float(np.mean(fairness)) if len(fairness) else 1.0,
     }
 
 
@@ -145,18 +147,17 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     else:
         records = {p: simulate_policy(cfg, p, inputs=inputs) for p in policies}
 
-    S = cfg.services_count
-    header = (
-        METRICS_STATIC_COLUMNS
-        + [f"delay_s{s}_ms" for s in range(S)]
-        + METRICS_TAIL_COLUMNS
-    )
-    lines = [",".join(header)]
+    delay_columns = [f"delay_s{s}_ms" for s in range(cfg.services_count)]
+    lines = [",".join(METRICS_STATIC_COLUMNS + delay_columns + METRICS_TAIL_COLUMNS)]
     for policy in policies:
-        for r in records[policy]:
-            row = [str(r.time), r.state.value, policy, _fmt(r.avg_delay)]
-            row += [_fmt(v) for v in r.per_service_delay]
-            row += [_fmt(r.avg_elf), _fmt(r.fairness), _fmt(r.q_value)]
+        table = records[policy]
+        if not len(table):  # perfbench's wrapper returns [] for a policy that raised
+            continue
+        columns = [table.column(c).tolist() for c in (
+            "time", "state", "avg_delay", "per_service_delay", "avg_elf", "fairness", "q_value")]
+        for t, state, avg_delay, per_service, *tail in zip(*columns):
+            row = [str(t), state.value, policy, _fmt(avg_delay)]
+            row += [_fmt(v) for v in per_service] + [_fmt(v) for v in tail]
             lines.append(",".join(row))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as fh:

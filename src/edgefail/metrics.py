@@ -8,12 +8,12 @@ lam' / (2C(C - lam')) time units, diverging as arrival approaches 2C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SaturationError
-from .model import SimPhase
+from .model import SimPhase, _freeze
 
 # Distance kept from the 2C pole: the failover solver's iterates stay this
 # far inside it, and service_delay clamps saturated arrivals to it.
@@ -130,7 +130,8 @@ def jain_fairness(values) -> float:
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One time unit of simulation output."""
+    """One time unit of simulation output: a row of a ``RunTable``, built
+    when read, with read-only arrays.  The table validates it at write."""
 
     time: int
     state: SimPhase
@@ -140,22 +141,69 @@ class MetricsRecord:
     avg_elf: float  # percent over nodes with failover load
     fairness: float  # Jain index over failover shares
     q_value: float
-    demand_per_service: np.ndarray = field(default=None)  # type: ignore[assignment]
-    served_per_service: np.ndarray = field(default=None)  # type: ignore[assignment]
-    unserved_per_service: np.ndarray = field(default=None)  # type: ignore[assignment]
-    sla_violated: tuple[int, ...] = ()
-    degraded_services: tuple[int, ...] = ()
-    failover_active: bool = False
+    demand_per_service: np.ndarray
+    served_per_service: np.ndarray
+    unserved_per_service: np.ndarray
+    sla_violated: tuple[int, ...]
+    degraded_services: tuple[int, ...]
+    failover_active: bool
 
-    def __post_init__(self):
-        for name in ("per_service_delay", "elf_per_node", "demand_per_service",
-                     "served_per_service", "unserved_per_service"):
-            a = getattr(self, name)
-            if a is not None:
-                a = np.asarray(a, dtype=float)
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
-        if not (0.0 < self.fairness <= 1.0 + 1e-12):
-            raise ValueError(f"fairness {self.fairness} outside (0, 1]")
-        if not (0.0 <= self.q_value <= 1.0):
-            raise ValueError(f"q_value {self.q_value} outside [0, 1]")
+
+class RunTable:
+    """One simulation's output: a column per ``MetricsRecord`` field, save
+    ``sla_violated`` and ``degraded_services``, which are derived on read
+    (the latter from a per-service ``degraded`` mask).  Columns are
+    preallocated and doubled when a write runs past them; a fresh row is
+    a unit without failover (fairness 1, the rest 0).  Rows past ``len``
+    may hold units written ahead of the clock; ``commit`` closes one per
+    step.  As a sequence the table yields ``MetricsRecord`` rows."""
+
+    def __init__(self, rows: int, num_nodes: int, thresholds: np.ndarray):
+        self.thresholds, self.n, S = thresholds, 0, len(thresholds)  # per-service delay caps
+        self.cols = {
+            "time": np.zeros(rows, dtype=np.int64), "state": np.empty(rows, dtype=object),
+            **{k: np.zeros((rows, S)) for k in ("per_service_delay", "demand_per_service",
+                                                "served_per_service", "unserved_per_service")},
+            "elf_per_node": np.zeros((rows, num_nodes)),
+            **{k: np.zeros(rows) for k in ("avg_delay", "avg_elf", "q_value")},
+            "fairness": np.ones(rows), "failover_active": np.zeros(rows, dtype=bool),
+            "degraded": np.zeros((rows, S), dtype=bool),
+        }
+
+    def write(self, rows: slice, **columns) -> None:
+        """Set ``columns`` over ``rows``, growing the table to hold them;
+        a fairness outside (0, 1] raises."""
+        if not 0.0 < columns.get("fairness", 1.0) <= 1.0 + 1e-12:
+            raise ValueError(f"fairness {columns['fairness']} outside (0, 1]")
+        have = len(self.cols["time"])
+        if rows.stop > have:
+            fresh = RunTable(max(rows.stop, 2 * have) - have,
+                             self.cols["elf_per_node"].shape[1], self.thresholds).cols
+            self.cols = {k: np.concatenate([c, fresh[k]]) for k, c in self.cols.items()}
+        for name, values in columns.items():
+            self.cols[name][rows] = values
+
+    def commit(self, state: SimPhase, q_value: float) -> None:
+        """Close the current row with the unit's phase and monitor score."""
+        if not 0.0 <= q_value <= 1.0:
+            raise ValueError(f"q_value {q_value} outside [0, 1]")
+        self.cols["state"][self.n], self.cols["q_value"][self.n] = state, q_value
+        self.n += 1
+
+    def column(self, name: str) -> np.ndarray:
+        """The committed rows of one column."""
+        return self.cols[name][: self.n]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i):
+        rows = range(self.n)[i]
+        return [self.record(j) for j in rows] if isinstance(rows, range) else self.record(rows)
+
+    def record(self, i: int) -> MetricsRecord:
+        """Row i as a record whose arrays are read-only views of the table."""
+        row = {k: c.item(i) if c.ndim == 1 else _freeze(c[i]) for k, c in self.cols.items()}
+        degraded, late = row.pop("degraded"), row["per_service_delay"] > self.thresholds
+        return MetricsRecord(**row, sla_violated=tuple(np.flatnonzero(late).tolist()),
+                             degraded_services=tuple(np.flatnonzero(degraded).tolist()))

@@ -228,6 +228,12 @@ class PlacementDecision:
         return PlacementDecision(x=x, reserved=r)
 
 
+def check_gamma(g: np.ndarray) -> None:
+    """Primary loads, of one unit or a block of units, are finite and >= 0."""
+    if (g < 0).any() or not np.isfinite(g).all():
+        raise ValueError("gamma entries must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class PrimaryMapping:
     """Vehicles served per (node, service) in normal operation: gamma[e, s]."""
@@ -238,8 +244,7 @@ class PrimaryMapping:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2:
             raise StructuralError("gamma must be 2-D (nodes x services)")
-        if (g < 0).any() or not np.isfinite(g).all():
-            raise ValueError("gamma entries must be finite and >= 0")
+        check_gamma(g)
         object.__setattr__(self, "gamma", _freeze(g))
 
     def load_per_node(self) -> np.ndarray:

@@ -3,41 +3,36 @@
 The loop walks a three-phase state machine per attack cycle:
 
 * PreAttack -- demand is served by the primary mapping; the state keeps
-  the unit's mapping, delay matrix and node health, the inputs of a
+  the unit's loads, delay matrix and node health, the inputs of a
   failover split.
 * Attack -- at onset the hit node's splits are solved from these inputs
-  of t-1, so an attack at time t activates a mapping computed from the
-  data of t-1 within the same unit (zero-gap failover); the previous
-  unit's mapping acts as routing proportions rescaled to the current
-  demand so no request is dropped.
+  of t-1, within the same unit (zero-gap failover); the previous unit's
+  mapping acts as routing proportions rescaled to the current demand.
 * Recovered -- lost instances are restored elsewhere after the recovery
-  delay and normal serving resumes on the new topology.  The
-  attacked node returns to service after a quarantine, by default the
+  delay.  The attacked node returns after a quarantine, by default the
   remainder of the attack cycle.
 
-A quality monitor stands in for a learned critic: every few units it
-scores recent delays against the per-service caps and, when the score
-drops below a threshold, triggers a placement re-optimization.
+Every policy steps over the same ``UnitInputs``: ``derive_inputs`` turns
+each unit's requests into demand per service and a delay matrix once;
+the matrix reads node locations, not health.
 
-The loop consumes derived units, not requests: ``derive_inputs`` turns
-each unit's requests into demand per service and the delay matrix once,
-and every policy's ``Simulation`` steps over the same ``UnitInputs``.
-The delay matrix reads node locations, not node health, so it does not
-depend on the policy or the attack state.
+Outputs go to a ``RunTable``: columns preallocated over the horizon.
+``step`` returns nothing; it closes the unit's row, which is checked
+when written.  ``run`` returns the table, whose records are row views
+built on read.  A quality monitor stands in for a learned critic: every
+few units it scores a slice of the delay column against the per-service
+caps and, below a threshold, triggers a placement re-optimization.
 
-A non-attack unit's primary mapping and delays depend only on the
-placement and on that unit's inputs, so they are served from a
-lookahead: one batched pass over the next T units, with a leading unit
-axis through ``solve_primary_mapping`` and ``service_delay``, whose row
-t ``step`` then reads.  A lookahead belongs to one placement object; a
-re-placement or a recovery makes a new one and discards it.  It ends
-before the next unit at which ``run`` may start an attack, before the
-first unit whose demand its instances cannot serve (that unit's step
-raises), and at the end of the units.  The first lookahead under a
-placement ends at the next monitor evaluation, so a re-placement cannot
-cut it; each later one is at most twice the previous one, so at most
-about twice the rows used are computed.  A ``step`` outside ``run`` is
-a one-unit lookahead.
+A non-attack unit depends only on the placement and on its inputs, so
+it is served from a lookahead: one batched pass over the next T units,
+whose rows are written as one block.  A lookahead belongs to one
+placement object, which a re-placement or a recovery replaces (a later
+lookahead rewrites the rows it invalidates).  It ends before the next
+unit at which ``run`` may start an attack, before the first unit whose
+demand its instances cannot serve (that unit's step raises), and at the
+end of the units.  The first lookahead under a placement ends at the
+next monitor evaluation; each later one is at most twice the previous
+one.  A ``step`` outside ``run`` is a one-unit lookahead.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
-from .metrics import MetricsRecord, average_elf, edge_load_factor, jain_fairness, service_delay
+from .metrics import RunTable, average_elf, edge_load_factor, jain_fairness, service_delay
 from .mobility import derive_delay_matrix, derive_demand
 from .model import (
     AttackEvent,
@@ -61,6 +56,7 @@ from .model import (
     PrimaryMapping,
     SecondaryMapping,
     SimPhase,
+    check_gamma,
 )
 from .placement import footprint_order, place_services, recover_placement, reserve_backup
 from .solvers import (
@@ -92,15 +88,13 @@ class QualityMonitor:
     q_value: float = 1.0
 
 
-def evaluate_quality(monitor: QualityMonitor, records) -> float:
-    """Mean over services of clip(1 - mean window delay / cap, 0, 1)."""
-    arrs = [
-        np.asarray(getattr(r, "per_service_delay", r), dtype=float) for r in records
-    ]
-    if not arrs:
-        raise ValueError("need at least one record")
-    mean_delay = np.mean(arrs, axis=0)
-    return float(np.mean(np.clip(1.0 - mean_delay / monitor.thresholds, 0.0, 1.0)))
+def evaluate_quality(monitor: QualityMonitor, delays) -> float:
+    """Mean over services of clip(1 - mean window delay / cap, 0, 1);
+    ``delays`` holds one row of per-service delays per unit of the window."""
+    delays = np.asarray(delays, dtype=float)
+    if len(delays) == 0:
+        raise ValueError("need at least one unit")
+    return float(np.mean(np.clip(1.0 - np.mean(delays, axis=0) / monitor.thresholds, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -132,36 +126,37 @@ def derive_inputs(cfg: ExperimentConfig, requests_by_unit) -> list[UnitInputs]:
 
 @dataclass(frozen=True)
 class Lookahead:
-    """Primary serving of the T units from ``t0`` on under ``placement``:
-    one row per unit."""
+    """Primary loads of the T units from ``t0`` on under ``placement``."""
 
     placement: PlacementDecision
     t0: int
     gamma: np.ndarray  # (T, E, S) primary loads
-    delay: np.ndarray  # (T, S) per-service delay, ms
-    avg_delay: np.ndarray  # (T,) demand-weighted delay, ms
-    served: np.ndarray  # (T, S)
 
 
 @dataclass
 class SimulationState:
     nodes: tuple  # EdgeNode by id; only set_status replaces it
     monitor: QualityMonitor
+    history: RunTable
     placement: PlacementDecision | None = None
-    primary: PrimaryMapping | None = None
+    primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
     primary_demand: np.ndarray | None = None
     delay: DelayModel | None = None
     primary_nodes: tuple | None = None  # nodes of the last non-attack unit since recovery
     proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
     active_attack: AttackEvent | None = None
     phase: SimPhase = SimPhase.PRE_ATTACK
-    history: list = field(default_factory=list)
     recover_at: int | None = None
     heal_at: int | None = None
     pending_reopt: bool = False
 
     def __post_init__(self):
         self.nodes = tuple(self.nodes)
+
+    @property
+    def primary(self) -> PrimaryMapping | None:
+        """The last non-attack unit's mapping, built when read."""
+        return None if self.primary_gamma is None else PrimaryMapping(self.primary_gamma)
 
     def set_status(self, node: int, status: NodeStatus) -> None:
         """The one writer of ``nodes``: a new tuple, so a kept one stays as it was."""
@@ -189,14 +184,6 @@ class Simulation:
         self.thresholds = np.array([s.delay_threshold for s in self.services])
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
         self.schedule = dict(cfg.schedule_list())
-        # the failover fields of a unit served by the primary mapping
-        self.calm = dict(
-            elf_per_node=np.zeros(len(cfg.nodes())),
-            avg_elf=0.0,
-            fairness=1.0,
-            unserved_per_service=np.zeros(self.num_services),
-            failover_active=False,
-        )
         self.state = SimulationState(
             nodes=cfg.nodes(),
             monitor=QualityMonitor(
@@ -204,13 +191,14 @@ class Simulation:
                 threshold=cfg.monitor_threshold,
                 period=cfg.monitor_period,
             ),
+            history=RunTable(cfg.horizon, len(cfg.nodes()), self.thresholds),
         )
         self.stream: list | None = None  # the units of the current run
         self.lookahead: Lookahead | None = None
 
     # ---- driver ---------------------------------------------------------
 
-    def run(self, units) -> list[MetricsRecord]:
+    def run(self, units) -> RunTable:
         """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
         self.stream, self.lookahead = list(units), None
@@ -252,7 +240,7 @@ class Simulation:
             return None
         if self.cfg.attack_target == "random":
             return int(self.target_rng.choice(hosting))
-        loads = st.primary.load_per_node() if st.primary is not None else np.zeros(len(st.nodes))
+        loads = st.primary_gamma.sum(axis=1)
         return max(hosting, key=lambda e: (loads[e], -e))
 
     # ---- state transitions ----------------------------------------------
@@ -280,8 +268,9 @@ class Simulation:
         healthy = {n.id for n in st.primary_nodes or () if n.healthy}
         st.proactive = {}
         if target in healthy:
+            primary = st.primary
             st.proactive = {
-                (target, s): self._policy_secondary(healthy, target, s)
+                (target, s): self._policy_secondary(primary, healthy, target, s)
                 for s in st.placement.services_on(target)
             }
         st.set_status(target, NodeStatus.ATTACKED)
@@ -324,31 +313,37 @@ class Simulation:
 
     # ---- per-unit work ----------------------------------------------------
 
-    def step(self, unit: UnitInputs, t: int) -> MetricsRecord:
-        """Serve one time unit's derived demand and append a metrics record."""
+    def step(self, unit: UnitInputs, t: int) -> None:
+        """Serve one time unit's derived demand and close its row of the run table."""
         st = self.state
         lam, d = unit.demand, unit.delay
         if st.phase is not SimPhase.ATTACK and (st.placement is None or st.pending_reopt):
             self._place(d, t)
             st.pending_reopt = False
         if st.phase is SimPhase.ATTACK:
-            record = self._attack_record(t, lam, d, *self._attack_serve(lam, d))
+            self._attack_record(t, lam, d, *self._attack_serve(lam, d))
         else:
             look = self.lookahead if self.stream is not None else None  # bare steps: one unit
             i = t - look.t0 if look is not None else 0
             if look is None or look.placement is not st.placement or not 0 <= i < len(look.gamma):
                 look, i = self._look_ahead(unit, t), 0
-            st.primary = PrimaryMapping(gamma=look.gamma[i])
+            st.primary_gamma = look.gamma[i]
             st.primary_demand = lam
             st.primary_nodes = st.nodes
-            record = self._record(t, lam, look.delay[i], look.avg_delay[i], look.served[i])
+        table, monitor = st.history, st.monitor
+        if t % monitor.period == 0:
+            # this unit's row and the period - 1 rows before it
+            first = max(0, len(table) - monitor.period + 1)
+            window = table.cols["per_service_delay"][first:len(table) + 1]
+            monitor.q_value = evaluate_quality(monitor, window)
+            if monitor.q_value < monitor.threshold and st.phase is not SimPhase.ATTACK:
+                st.pending_reopt = True
+        table.commit(st.phase, monitor.q_value)
         st.delay = d
-        st.history.append(record)
-        return record
 
     def _look_ahead(self, unit: UnitInputs, t: int) -> Lookahead:
         """Serve unit t and the units after it that share its placement
-        by the primary mapping, in one batched pass."""
+        by the primary mapping, in one batched pass, and write their rows."""
         st = self.state
         prev, stream = self.lookahead, self.stream
         if stream is None:
@@ -369,15 +364,10 @@ class Simulation:
             gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
         except InfeasibleError as exc:
             raise InfeasibleError(f"t={t}: {exc}") from exc
+        check_gamma(gamma)
         delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
-        self.lookahead = Lookahead(
-            placement=st.placement,
-            t0=t,
-            gamma=gamma,
-            delay=delay,
-            avg_delay=_mean_delay(lam, delay),
-            served=gamma.sum(axis=-2) + 0.0,  # the zero failover load, as in _attack_record
-        )
+        self._write_rows(t, lam, delay, gamma.sum(axis=-2))
+        self.lookahead = Lookahead(placement=st.placement, t0=t, gamma=gamma)
         return self.lookahead
 
     def _place(self, d: DelayModel, t: int) -> None:
@@ -407,10 +397,10 @@ class Simulation:
                 logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc
 
-    def _policy_secondary(self, healthy: set, target: int, service: int) -> SecondaryMapping | None:
-        """The split of (target, service) from st.primary, st.delay and ``healthy``."""
-        st = self.state
-        gamma, d = st.primary, st.delay
+    def _policy_secondary(self, gamma: PrimaryMapping, healthy: set, target: int,
+                          service: int) -> SecondaryMapping | None:
+        """The split of (target, service) from ``gamma``, st.delay and ``healthy``."""
+        st, d = self.state, self.state.delay
         try:
             if self.uses_reserves:
                 reserved = [
@@ -472,7 +462,7 @@ class Simulation:
                 )
                 continue
             ratio = float(lam[s]) / float(prev)
-            scaled = st.primary.gamma[:, s] * ratio
+            scaled = st.primary_gamma[:, s] * ratio
             affected = float(scaled[target])
             scaled[target] = 0.0
             loads[:, s] = scaled
@@ -487,17 +477,16 @@ class Simulation:
                 added[e, s] += mapping.beta[i] * share
         return loads, added, unserved
 
-    def _attack_record(self, t, lam, d, loads, added, unserved) -> MetricsRecord:
+    def _attack_record(self, t, lam, d, loads, added, unserved) -> None:
         per_service = service_delay(
             loads + added, d.d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
         )
         failover = bool(added.sum() > 0)
         avail = np.maximum(self.capacity - loads, self.cfg.lbpsvm_epsilon)
+        elf_per_node, avg_elf = np.zeros(len(loads)), 0.0
         if failover:
             elf_per_node = edge_load_factor(added, avail)
             avg_elf = average_elf(elf_per_node, added.sum(axis=1) > 0)
-        else:
-            elf_per_node, avg_elf = np.zeros(len(loads)), 0.0
 
         # fairness over each split's candidates, for the services it loaded
         target = self.state.active_attack.target
@@ -507,44 +496,19 @@ class Simulation:
             for s in range(self.num_services) if added[:, s].sum() > 0
         ]
         fairness = float(np.mean(jains)) if jains else 1.0
-        return self._record(
-            t, lam, per_service, _mean_delay(lam, per_service),
-            loads.sum(axis=-2) + added.sum(axis=-2),
-            elf_per_node=elf_per_node,
-            avg_elf=avg_elf,
-            fairness=fairness,
-            unserved_per_service=unserved,
-            failover_active=failover,
-        )
+        served = loads.sum(axis=-2) + added.sum(axis=-2)
+        self._write_rows(t, lam[None], per_service[None], served[None], elf_per_node=elf_per_node,
+                         avg_elf=avg_elf, fairness=fairness, unserved_per_service=unserved,
+                         failover_active=failover)
 
-    def _record(self, t, lam, per_service, avg_delay, served, **failover) -> MetricsRecord:
-        """Score the unit for the monitor and build its record; ``failover``
-        holds the load factor, fairness and unserved fields of an attack
-        unit, which a unit served by the primary mapping leaves at zero."""
-        st = self.state
-        period = st.monitor.period
-        if t % period == 0:
-            # this unit and the records of the period - 1 before it
-            recent = st.history[max(0, len(st.history) - period + 1):]
-            q = evaluate_quality(st.monitor, recent + [per_service])
-            st.monitor.q_value = q
-            if q < st.monitor.threshold and st.phase is not SimPhase.ATTACK:
-                st.pending_reopt = True
-
-        counts = (st.placement.instance_counts() if st.placement is not None
-                  else np.ones(self.num_services))
-        return MetricsRecord(
-            time=t,
-            state=st.phase,
-            per_service_delay=per_service,
-            avg_delay=float(avg_delay),
-            q_value=st.monitor.q_value,
-            demand_per_service=lam,
-            served_per_service=served,
-            sla_violated=tuple(np.flatnonzero(per_service > self.thresholds).tolist()),
-            degraded_services=tuple(np.flatnonzero(counts == 0).tolist()),
-            **(failover or self.calm),
-        )
+    def _write_rows(self, t, lam, per_service, served, **failover) -> None:
+        """Write the rows of units t, t + 1, ... from their (T, S) demand, delays
+        and served loads; ``failover`` holds an attack unit's failover fields."""
+        table, T = self.state.history, len(lam)
+        table.write(slice(len(table), len(table) + T), time=np.arange(t, t + T),
+                    demand_per_service=lam, per_service_delay=per_service,
+                    served_per_service=served, avg_delay=_mean_delay(lam, per_service),
+                    degraded=self.state.placement.instance_counts() == 0, **failover)
 
 
 def _mean_delay(lam, per_service):

@@ -182,26 +182,43 @@ class LbPsvmProblem:
 
 @dataclass(frozen=True)
 class LbPsvmSolution:
-    """Solver output: split vector plus objective/delay diagnostics."""
+    """Solver output: split vector plus diagnostics; the objective and
+    delay diagnostics are computed from ``problem`` and ``beta`` when read."""
 
     beta: np.ndarray
-    objective: float
-    delay_attained: float  # propagation mass + raw queue terms at the optimum
-    feasible_delay: bool  # whether delay_attained meets the service cap
-    mu: float  # multiplier of the sum constraint
-    residual: float  # spread of the stationarity quantity over interior coords
-    saturated: bool  # some coordinate hit the queue-domain guard
+    problem: LbPsvmProblem
+    mu: float = math.nan  # multiplier of the sum constraint
+    residual: float = math.nan  # spread of the stationarity quantity over interior coords
+    saturated: bool = False  # some coordinate hit the queue-domain guard
     branches: tuple[str, ...] = ()
-    problem: LbPsvmProblem | None = None
 
     def __post_init__(self):
         b = np.asarray(self.beta, dtype=float)
         b.flags.writeable = False
         object.__setattr__(self, "beta", b)
 
+    @property
+    def objective(self) -> float:
+        """``lb_objective`` at beta; 0 when nothing is re-homed."""
+        return lb_objective(self.problem, self.beta) if self.problem.affected else 0.0
+
+    @property
+    def delay_attained(self) -> float:
+        """Propagation mass plus raw queue terms at beta; 0 when nothing is re-homed."""
+        total = 0.0
+        if not self.problem.affected:
+            return total
+        for b, d, g in zip(self.beta.tolist(), self.problem.delay, self.problem.prior_load):
+            total += d * b
+            total += queue_delay(g + b, self.problem.capacity)
+        return total
+
+    @property
+    def feasible_delay(self) -> bool:
+        """Whether ``delay_attained`` meets the service cap."""
+        return bool(self.delay_attained <= self.problem.delay_cap + 1e-12)
+
     def to_secondary(self) -> SecondaryMapping:
-        if self.problem is None:
-            raise ValueError("solution carries no problem context")
         return SecondaryMapping(
             source_node=self.problem.source_node,
             service=self.problem.service,
@@ -286,16 +303,6 @@ def lb_objective(problem: LbPsvmProblem, beta) -> float:
     return total
 
 
-def _attained_delay(problem: LbPsvmProblem, beta) -> float:
-    """Propagation mass plus raw queue terms (the combined delay expression)."""
-    total = 0.0
-    for i in range(problem.n):
-        b = float(beta[i])
-        total += problem.delay[i] * b
-        total += queue_delay(problem.prior_load[i] + b, problem.capacity)
-    return total
-
-
 def _coord_solve(mu, w, d, g, C, k1, k2, bmax):
     """Solve w/b - k1 d - k2 q'(b) = mu for one coordinate.
 
@@ -367,18 +374,7 @@ def solve_lb_psvm(
     k1, k2 = float(problem.k1), float(problem.k2)
 
     if B == 0.0:
-        beta = np.zeros(n)
-        return LbPsvmSolution(
-            beta=beta,
-            objective=0.0,
-            delay_attained=0.0,
-            feasible_delay=True,
-            mu=math.nan,
-            residual=0.0,
-            saturated=False,
-            branches=("zero",) * n,
-            problem=problem,
-        )
+        return LbPsvmSolution(np.zeros(n), problem, residual=0.0, branches=("zero",) * n)
 
     bmax = [2.0 * C - gi - QUEUE_GUARD for gi in g]
     if sum(bmax) <= B:
@@ -447,18 +443,8 @@ def solve_lb_psvm(
             residual, kkt_tol, n, B,
         )
 
-    attained = _attained_delay(problem, beta)
-    return LbPsvmSolution(
-        beta=beta,
-        objective=lb_objective(problem, beta),
-        delay_attained=attained,
-        feasible_delay=bool(attained <= problem.delay_cap + 1e-12),
-        mu=mu,
-        residual=float(residual),
-        saturated=any(br == "clamped" for br in branches),
-        branches=tuple(branches),
-        problem=problem,
-    )
+    return LbPsvmSolution(beta, problem, mu=mu, residual=float(residual),
+                          saturated="clamped" in branches, branches=tuple(branches))
 
 
 def solve_psvm(
@@ -506,10 +492,7 @@ def oracle_lb_psvm(problem: LbPsvmProblem, step: float) -> LbPsvmSolution:
         raise ValueError("step must be > 0")
     B = float(problem.affected)
     if B == 0.0:
-        return LbPsvmSolution(
-            beta=np.zeros(n), objective=0.0, delay_attained=0.0, feasible_delay=True,
-            mu=math.nan, residual=math.nan, saturated=False, problem=problem,
-        )
+        return LbPsvmSolution(np.zeros(n), problem)
     m = max(1, int(round(B / step)))
     if (n == 3 and m > 40_000) or (n == 4 and m > 400):
         raise ValueError(f"grid of {m} steps too large for n={n}")
@@ -563,15 +546,4 @@ def oracle_lb_psvm(problem: LbPsvmProblem, step: float) -> LbPsvmSolution:
                     best = (k0, k1_, k2_, rem - k2_)
     if best is None or not np.isfinite(best_val):
         raise InfeasibleError("no feasible grid point")
-    beta = np.array([vals[k] for k in best])
-    attained = _attained_delay(problem, beta)
-    return LbPsvmSolution(
-        beta=beta,
-        objective=best_val,
-        delay_attained=attained,
-        feasible_delay=bool(attained <= problem.delay_cap + 1e-12),
-        mu=math.nan,
-        residual=math.nan,
-        saturated=False,
-        problem=problem,
-    )
+    return LbPsvmSolution(np.array([vals[k] for k in best]), problem)

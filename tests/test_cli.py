@@ -302,18 +302,23 @@ class TestCliEntry:
         ("attack.schedule", "10:-1"),
         ("attack.schedule", "10:1,10:2"),  # two attacks at one time
         ("attack.schedule", "0:3"),  # before the first unit
+        ("attack.schedule", "10:4,30:0,55:8"),  # 30:0 and 55:8 inside a quarantine
         ("queue.ms_per_unit", "-1"),  # negative queue delays
         ("lbpsvm.k1", "nan"),  # the split solver never returns
         ("delay.base_ms", "nan"),
         ("service.capacity", "inf"),
     ])
     def test_value_later_layers_reject_exit_2(self, tmp_path, capsys, key, value):
-        # each of these used to pass validate() and crash during the run
+        # each of these used to pass validate() and then crash, or drop an
+        # attack, during the run; the schedule case needs the default
+        # attack.every, which sets the quarantine
+        every = DEFAULTS["attack.every"]
         with pytest.raises(ConfigError, match=re.escape(key)):
-            ExperimentConfig.from_sources(overrides={**FAST, key: value})
+            ExperimentConfig.from_sources(overrides={**FAST, "attack.every": every, key: value})
         cfgfile = tmp_path / "exp.conf"
         cfgfile.write_text(f"{key} = {value}\n")
-        assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
+        extra = ["--config", str(cfgfile), "--attack-every", str(every)]
+        assert main(fast_args(tmp_path / "o", extra=extra)) == 2
         assert f"error: {key}" in capsys.readouterr().err
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from edgefail.errors import (
     NoCandidateError,
 )
 from edgefail import simulation
-from edgefail.experiment import build_requests, run, simulate_policy
+from edgefail.experiment import build_requests, run, simulate_policy, summarize
 from edgefail.metrics import MetricsRecord
 from edgefail.model import NodeStatus, SimPhase
 from edgefail.placement import place_services, reserve_backup
@@ -84,13 +84,13 @@ def check_onsets_against_previous_unit(cfg, policy):
     step, inject, recover, heal = sim.step, sim.inject_attack, sim.recover, sim.heal
 
     def spy_step(unit, t):
-        record = step(unit, t)
+        step(unit, t)
         st = sim.state
+        record = st.history[-1]
         assert st.healthy_ids() == [n.id for n in st.nodes if n.healthy], t
         seen.update(placement=st.placement, gamma=st.primary, d=st.delay,
                     healthy=st.healthy_ids(), recovered=False, healed=False,
                     phase=record.state)
-        return record
 
     def spy_recover(t):
         recover(t)
@@ -252,7 +252,8 @@ class TestServingInvariants:
         sim = Simulation(cfg, "lb-psvm")
         reqs = derived(cfg)
         sim.step(reqs[0], 1)
-        record = sim.step(derive_inputs(cfg, [[]])[0], 2)
+        sim.step(derive_inputs(cfg, [[]])[0], 2)
+        record = sim.state.history[-1]
         assert record.avg_delay == 0.0
         assert record.fairness == 1.0
         assert float(record.demand_per_service.sum()) == 0.0
@@ -375,7 +376,8 @@ class TestServingInvariants:
         if not idle:
             pytest.skip("every hosting node carries load in this draw")
         assert sim.inject_attack(idle[0], 2)
-        record = sim.step(reqs[1], 2)
+        sim.step(reqs[1], 2)
+        record = sim.state.history[-1]
         assert record.state is SimPhase.ATTACK
         assert not record.failover_active
         assert record.avg_elf == 0.0
@@ -391,7 +393,8 @@ class TestServingInvariants:
         lam_prev = np.array(sim.state.primary_demand)
         target = sim._pick_target()
         sim.inject_attack(target, 10)
-        record = sim.step(reqs[9], 10)
+        sim.step(reqs[9], 10)
+        record = sim.state.history[-1]
         lam_now = record.demand_per_service
         for s in range(cfg.services_count):
             if lam_prev[s] > 0 and lam_now[s] > 0:
@@ -473,7 +476,8 @@ class TestBrPolicy:
         lost = plc.services_on(target)
         assert lost
         sim.inject_attack(target, 10)
-        record = sim.step(reqs[9], 10)
+        sim.step(reqs[9], 10)
+        record = sim.state.history[-1]
         reserved_nodes = {s: plc.reserved_nodes(s) for s in lost}
         for s in lost:
             mapping = sim.state.proactive.get((target, s))
@@ -587,7 +591,8 @@ def stepped(cfg, policy, units):
         target = sim._scheduled_target(t)
         if target is not None:
             sim.inject_attack(target, t)
-        record = sim.step(unit, t)
+        sim.step(unit, t)
+        record = st.history[-1]
         if record.state is not SimPhase.ATTACK:
             assert np.array_equal(record.served_per_service, st.primary.gamma.sum(axis=0)), t
     return st.history
@@ -731,6 +736,68 @@ class TestRecordShape:
         assert r.per_service_delay.shape == (8,)
         assert r.elf_per_node.shape == (9,)
         assert (r.per_service_delay >= 0).all()
+
+
+class TestRunTable:
+    def test_summarize_same_bits_as_per_record_means(self):
+        # column means are the pairwise sums np.mean takes over lists of the
+        # records' values
+        cfg = small_cfg(**{"mobility.vehicles": 400, "mobility.p_request": 0.8})
+        for policy in cfg.policy_list():
+            _, records = run_sim(cfg, policy)
+            failover = [r for r in records if r.failover_active]
+            assert failover
+            assert summarize(records) == {
+                "avg_delay_ms": float(np.mean([r.avg_delay for r in records])),
+                "avg_elf_attack_pct": float(np.mean([r.avg_elf for r in failover])),
+                "mean_fairness": float(np.mean([r.fairness for r in failover])),
+            }
+
+    def test_bare_steps_past_the_horizon_grow_the_table(self):
+        # the table is preallocated over the horizon of 4 units; bare steps
+        # over 30 units, attacks included, give the rows of a 30-unit run
+        cfg = small_cfg(**{"horizon": 4})
+        assert len(Simulation(cfg, "psvm").state.history.cols["time"]) == cfg.horizon
+        units = derived(small_cfg())
+        for policy in cfg.policy_list():
+            history = stepped(cfg, policy, units)
+            want = Simulation(small_cfg(), policy).run(units)
+            assert len(history) == len(want) == len(units) <= len(history.cols["time"])
+            assert all(same_record(a, b) for a, b in zip(history, want)), policy
+            assert onsets(history) == [10, 20, 30]
+
+    def test_sequence_of_records(self):
+        _, records = run_sim(small_cfg())
+        rows = list(records)
+        assert all(isinstance(r, MetricsRecord) for r in rows)
+        assert same_record(records[-1], rows[-1]) and records[-1].time == 30
+        assert [r.time for r in records[5:8]] == [6, 7, 8]
+        with pytest.raises(IndexError):
+            records[30]
+        with pytest.raises(ValueError):  # the table's arrays are read-only views
+            records[0].per_service_delay[0] = 1.0
+
+    def test_validated_at_write(self):
+        sim = Simulation(small_cfg(), "psvm")
+        table = sim.state.history
+        with pytest.raises(ValueError, match="q_value"):
+            table.commit(SimPhase.PRE_ATTACK, 1.5)
+        with pytest.raises(ValueError, match="fairness"):
+            table.write(slice(0, 1), fairness=0.0)
+        assert len(table) == 0
+
+    @pytest.mark.parametrize("over", [
+        {"attack.schedule": "10:4,30:0,55:3", "attack.quarantine": 15},
+        {"attack.schedule": "10:4,30:0,55:2", "attack.quarantine": 20},  # a gap of 20 fires
+        {"attack.schedule": "3:1,9:2,21:5,40:0", "attack.quarantine": 6, "recovery.delay": 2},
+    ])
+    def test_every_scheduled_onset_appears(self, over):
+        # validate() rejects an attack inside the previous one's quarantine,
+        # so each one on a hosting node starts
+        cfg = small_cfg(**{"horizon": 80, **over})
+        for policy in cfg.policy_list():
+            _, records = run_sim(cfg, policy)
+            assert onsets(records) == [t for t, _ in cfg.schedule_list()], policy
 
 
 @st.composite
