@@ -6,6 +6,7 @@ time unit from whichever vehicles requested a service that unit.
 """
 
 import csv
+import math
 import tempfile
 
 import numpy as np
@@ -38,7 +39,7 @@ print("demand by service at t=0:", lam, "total", int(lam.sum()))
 d = derive_delay_matrix(units[0], nodes, num_services=8)
 print("delay matrix row for the center node (ms):", np.round(d.d[4], 2))
 print("entries stay within [base, base + alpha * grid diagonal] =",
-      (1.0, round(1.0 + 2.0 * grid.diagonal_km(), 1)))
+      (1.0, round(1.0 + 2.0 * math.hypot(grid.width_km, grid.height_km), 1)))
 
 # same seed, same stream: safe to compare policies on identical inputs
 again = generate_synthetic(seed=7, vehicles=200, grid=grid, horizon=10, model=model)

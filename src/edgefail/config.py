@@ -182,6 +182,10 @@ class ExperimentConfig:
             problems.append("monitor.threshold: must be in [0, 1]")
         if self.lbpsvm_epsilon <= 0:
             problems.append("lbpsvm.epsilon: must be > 0")
+        if self.lbpsvm_kkt_tol <= 0:
+            problems.append("lbpsvm.kkt_tol: must be > 0")
+        if self.solver_max_iters < 1:
+            problems.append("solver.max_iters: must be >= 1")
         if self.jobs < 1:
             problems.append("jobs: must be >= 1")
         if self.attack_target not in ("most-loaded", "random") and self.attack_schedule is None:

@@ -14,7 +14,6 @@ service column, the delay matrix one distance pass grouped by service.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,6 @@ class GridMap:
     def height_km(self) -> float:
         return self.rows * self.cell_km
 
-    @property
-    def num_cells(self) -> int:
-        return self.rows * self.cols
-
     def node_locations(self) -> list[tuple[float, float]]:
         """Cell centers in row-major order (node id = row * cols + col)."""
         x0, y0 = self.origin
@@ -66,9 +61,6 @@ class GridMap:
     def contains(self, xy: tuple[float, float]) -> bool:
         x0, y0 = self.origin
         return (x0 <= xy[0] <= x0 + self.width_km) and (y0 <= xy[1] <= y0 + self.height_km)
-
-    def diagonal_km(self) -> float:
-        return math.hypot(self.width_km, self.height_km)
 
 
 @dataclass(frozen=True)

@@ -170,10 +170,6 @@ class RecoveryResult:
     placement: PlacementDecision
     unrecovered: tuple[int, ...]
 
-    @property
-    def complete(self) -> bool:
-        return not self.unrecovered
-
 
 def recover_placement(
     p: PlacementDecision,

@@ -9,9 +9,10 @@ Three pieces:
   ``sum_i [-w_i ln b_i + k1 d_i b_i + k2 q_i(b_i)]`` subject to
   ``sum b_i = affected``, ``b_i >= 0``, where q_i is the M/D/1 overload
   term of node i.  The objective is separable and strictly convex, so we
-  run a dual bisection on the multiplier of the sum constraint with an
-  exact 1-D solve per coordinate (closed form below the queue kink,
-  safeguarded Newton above it).
+  bisect the multiplier of the sum constraint with an exact 1-D solve
+  per coordinate (closed form below the queue kink, safeguarded Newton
+  above it).  A Newton search on 1/sum certifies where the bisection's
+  steps are decided, so only the last few evaluate the responses.
 * ``oracle_lb_psvm`` -- exhaustive simplex grid search used in tests as
   an independent check of the dual solver.
 
@@ -347,6 +348,53 @@ def _coord_solve(mu, w, d, g, C, k1, k2, bmax):
     return x, "interior"
 
 
+def _certify(total, B: float, margin: float, mu: float, max_iters: int) -> tuple[float, float]:
+    """Multipliers ``(ca, cb)`` at which the computed response sum lies
+    above ``B + margin`` and below ``B - margin``; nan when none was
+    found, so that no mu, not even an infinite one, compares past it.
+
+    ``total(mu)`` returns the response sum and its slope in mu.  The
+    search is Newton on ``1/sum``, close to linear while the coordinates
+    stay below their queue kinks.  It stays inside the points known so
+    far: a step is at most ``max(1, |mu|)`` while one side is open, and
+    a bisection once both are known and Newton does not halve the step
+    before last.  When it lands within ``margin`` of ``B`` it probes
+    where the sum should have moved ``2 * margin`` on each side, to pull
+    ``ca`` and ``cb`` in.  At most ``max_iters`` points, plus the probes.
+    """
+    ca, cb = -math.inf, math.inf
+    before = latest = math.inf  # the last two step lengths
+    for _ in range(max_iters):
+        if not math.isfinite(mu):
+            break
+        s, ds = total(mu)
+        if s > B + margin:
+            ca = mu
+        elif s < B - margin:
+            cb = mu
+        else:
+            if ds < 0.0:
+                h = 2.0 * margin / -ds
+                if total(mu - h)[0] > B + margin:
+                    ca = max(ca, mu - h)
+                if total(mu + h)[0] < B - margin:
+                    cb = min(cb, mu + h)
+            break
+        nxt = mu + s * (B - s) / (B * ds) if ds < 0.0 else math.nan
+        if math.isinf(ca) or math.isinf(cb):
+            reach = max(1.0, abs(mu))
+            if not (ca < nxt < cb and abs(nxt - mu) <= reach):
+                nxt = mu + math.copysign(reach, s - B)
+        elif not (ca < nxt < cb and abs(nxt - mu) <= 0.5 * before):
+            # outside, or not halving the step before last: bisect
+            nxt = 0.5 * (ca + cb)
+            if not ca < nxt < cb:
+                break  # no float left between the two
+        before, latest = latest, abs(nxt - mu)
+        mu = nxt
+    return (ca if ca > -math.inf else math.nan), (cb if cb < math.inf else math.nan)
+
+
 def solve_lb_psvm(
     problem: LbPsvmProblem,
     max_iters: int = 200,
@@ -355,11 +403,21 @@ def solve_lb_psvm(
     """Minimize the fair failover objective under the sum constraint.
 
     Dual bisection on the multiplier mu: each candidate's best response
-    beta_i(mu) is solved exactly per coordinate, and mu is adjusted until
-    the responses sum to the affected count (within 1e-10).  The
-    stationarity spread of the result is checked against ``kkt_tol``.
-    The delay cap is not enforced as a hard constraint; ``feasible_delay``
-    reports whether the optimum meets it.
+    beta_i(mu) is solved exactly per coordinate, and mu is bracketed and
+    bisected until the responses sum to the affected count (within
+    ``sum_tol``).  The responses fall as mu grows, so a Newton search on
+    1/sum first certifies multipliers ``ca`` and ``cb`` whose sums lie
+    more than ``2 * sum_tol`` above and below the target; the bracket and
+    bisection then run as before but evaluate the responses only between
+    the two, taking every step outside it without an evaluation.  Each
+    skipped step makes the decision an evaluation would have made, so mu
+    and beta are bit for bit those of the plain bisection, in about 8
+    evaluations instead of about 44.  ``max_iters`` caps the bisection
+    and the Newton search.  The stationarity spread of the result is
+    checked against ``kkt_tol``, and a split that misses the affected
+    count by more than ``sum_tol`` is logged.  The delay cap is not
+    enforced as a hard constraint; ``feasible_delay`` reports whether the
+    optimum meets it.
 
     Raises:
         InfeasibleError: when the candidates cannot absorb the affected
@@ -392,25 +450,50 @@ def solve_lb_psvm(
             branches.append(br)
         return betas, branches
 
+    def total(mu):
+        # response sum and its slope: -b^2/w below the kink, the inverse
+        # of the stationarity slope above it, 0 at the kink or the guard
+        betas, branches = responses(mu)
+        slope = 0.0
+        for b, br, wi, gi in zip(betas, branches, w, g):
+            if br == "interior":
+                v = 2.0 * C - gi - b
+                slope -= b * b / wi if gi + b <= C else 1.0 / (wi / (b * b) + k2 / (v * v * v))
+        return sum(betas), slope
+
+    sum_tol = max(1e-11, 1e-12 * B)
+    # the margin absorbs responses that are monotone in mu only up to
+    # their last bits, so every sum beyond ca or cb is off by > sum_tol
+    ca, cb = _certify(total, B, 2.0 * sum_tol, sum(w) / B, max_iters)
+    last = (math.nan, None)  # the last evaluated mu and its responses
+
+    def gap(mu):
+        # sum(responses(mu)) - B, or its certified sign outside (ca, cb)
+        nonlocal last
+        if mu <= ca:
+            return math.inf
+        if mu >= cb:
+            return -math.inf
+        last = (mu, responses(mu))
+        return sum(last[1][0]) - B
+
     # bracket the multiplier: responses() shrinks as mu grows
     mu_lo = mu_hi = sum(w) / B
     step = max(1.0, abs(mu_lo))
-    while sum(responses(mu_hi)[0]) > B:
+    while gap(mu_hi) > 0:
         mu_hi += step
         step *= 2.0
     step = max(1.0, abs(mu_hi))
-    while sum(responses(mu_lo)[0]) < B:
+    while gap(mu_lo) < 0:
         mu_lo -= step
         step *= 2.0
 
-    sum_tol = max(1e-11, 1e-12 * B)
     mu = 0.5 * (mu_lo + mu_hi)
-    betas, branches = responses(mu)
     for _ in range(max_iters):
-        total = sum(betas)
-        if abs(total - B) <= sum_tol:
+        diff = gap(mu)
+        if abs(diff) <= sum_tol:
             break
-        if total > B:
+        if diff > 0:
             mu_lo = mu
         else:
             mu_hi = mu
@@ -418,7 +501,12 @@ def solve_lb_psvm(
         if nxt == mu_lo or nxt == mu_hi:
             break
         mu = nxt
-        betas, branches = responses(mu)
+    betas, branches = last[1] if last[0] == mu else responses(mu)
+    if abs(sum(betas) - B) > sum_tol:
+        logger.warning(
+            "split sums to %.12g, %.3g from the affected load (n=%d, max_iters=%d)",
+            sum(betas), sum(betas) - B, n, max_iters,
+        )
 
     beta = np.array(betas)
     # reporting floor; shaved mass moves to the largest coordinate

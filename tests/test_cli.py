@@ -307,6 +307,8 @@ class TestCliEntry:
         ("lbpsvm.k1", "nan"),  # the split solver never returns
         ("delay.base_ms", "nan"),
         ("service.capacity", "inf"),
+        ("solver.max_iters", "0"),  # splits that miss the affected count
+        ("lbpsvm.kkt_tol", "-1"),  # a stationarity warning on every split
     ])
     def test_value_later_layers_reject_exit_2(self, tmp_path, capsys, key, value):
         # each of these used to pass validate() and then crash, or drop an

@@ -117,7 +117,7 @@ def reference_ingest(path, bbox, grid, time_unit_s, num_services, seed, carry_ga
 class TestGridMap:
     def test_geometry(self):
         assert GRID.width_km == 15.0 and GRID.height_km == 15.0
-        assert GRID.num_cells == 9
+        assert GRID.rows * GRID.cols == 9
         locs = GRID.node_locations()
         assert locs[0] == (2.5, 2.5)
         assert locs[4] == (7.5, 7.5)  # center cell, row-major
@@ -388,7 +388,7 @@ class TestDeriveDelayMatrix:
 
     def test_bounds_within_grid_diagonal(self):
         units = generate_synthetic(seed=13, vehicles=60, grid=GRID, horizon=20)
-        hi = 1.0 + 2.0 * GRID.diagonal_km()
+        hi = 1.0 + 2.0 * math.hypot(GRID.width_km, GRID.height_km)
         for batch in units:
             d = derive_delay_matrix(batch, self.nodes, 8)
             assert (d.d >= 1.0 - 1e-12).all()

@@ -165,7 +165,7 @@ class TestRecoverPlacement:
         p = PlacementDecision(x=x)
         d = uniform_delay(4, 3)
         result = recover_placement(p, 0, [0, 1, 2], services, self.attack(nodes, 0), d)
-        assert result.complete
+        assert not result.unrecovered
         q = result.placement
         assert q.x[0].sum() == 0
         for s in range(3):
@@ -182,7 +182,7 @@ class TestRecoverPlacement:
         p = PlacementDecision(x=np.array([[1], [1], [0]]))
         d = uniform_delay(3, 1)
         result = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
-        assert result.complete
+        assert not result.unrecovered
         assert result.placement.x[:, 0].tolist() == [0, 1, 1]
 
     def test_no_capacity_reports_unrecovered(self):
@@ -207,7 +207,7 @@ class TestRecoverPlacement:
             assert result.placement.x[target].sum() == 0
             assert result.placement.reserved[target].sum() == 0
             report = validate_placement(result.placement, nodes, services,
-                                        require_redundancy=result.complete)
+                                        require_redundancy=not result.unrecovered)
             assert all(report.resource_ok)
 
     def test_delay_tie_breaks_to_lowest_index(self):
@@ -229,7 +229,7 @@ class TestRecoverPlacement:
         result = recover_placement(
             PlacementDecision(x=x, reserved=reserved), 0, [0, 1], services, nodes, d
         )
-        assert result.complete
+        assert not result.unrecovered
         assert result.placement.x.tolist() == [[0, 0], [1, 1], [0, 0], [1, 0], [0, 1]]
         assert result.placement.reserved[:, 0].tolist() == [0, 0, 1, 0, 1]
 

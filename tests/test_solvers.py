@@ -1,18 +1,24 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgefail import solvers
 from edgefail.errors import InfeasibleError, NoCandidateError
+from edgefail.metrics import QUEUE_GUARD
 from edgefail.model import DelayModel, PlacementDecision, PrimaryMapping
 from edgefail.solvers import (
+    BETA_FLOOR,
     LbPsvmProblem,
+    LbPsvmSolution,
     build_lb_psvm,
     fill_cheapest,
     lb_objective,
     oracle_lb_psvm,
+    queue_term_slope,
     solve_lb_psvm,
     solve_primary_mapping,
     solve_psvm,
@@ -280,6 +286,100 @@ def random_problem(rng, n=None, k_zero=False, budget_hi=40.0):
     )
 
 
+def reference_lb_psvm(problem, max_iters=200):
+    """The plain bracket-and-bisect, evaluating every response, that
+    solve_lb_psvm must match bit for bit."""
+    n = problem.n
+    B = float(problem.affected)
+    w = [float(x) for x in problem.weights]
+    d = [float(x) for x in problem.delay]
+    g = [float(x) for x in problem.prior_load]
+    C = float(problem.capacity)
+    k1, k2 = float(problem.k1), float(problem.k2)
+    if B == 0.0:
+        return LbPsvmSolution(np.zeros(n), problem, residual=0.0, branches=("zero",) * n)
+    bmax = [2.0 * C - gi - QUEUE_GUARD for gi in g]
+    if sum(bmax) <= B:
+        raise InfeasibleError(
+            f"affected load {B:.6g} leaves no strict interior "
+            f"(candidates absorb at most {sum(bmax):.6g})"
+        )
+
+    def responses(mu):
+        out = [solvers._coord_solve(mu, w[i], d[i], g[i], C, k1, k2, bmax[i]) for i in range(n)]
+        return [b for b, _ in out], [br for _, br in out]
+
+    mu_lo = mu_hi = sum(w) / B
+    step = max(1.0, abs(mu_lo))
+    while sum(responses(mu_hi)[0]) > B:
+        mu_hi += step
+        step *= 2.0
+    step = max(1.0, abs(mu_hi))
+    while sum(responses(mu_lo)[0]) < B:
+        mu_lo -= step
+        step *= 2.0
+    sum_tol = max(1e-11, 1e-12 * B)
+    mu = 0.5 * (mu_lo + mu_hi)
+    betas, branches = responses(mu)
+    for _ in range(max_iters):
+        total = sum(betas)
+        if abs(total - B) <= sum_tol:
+            break
+        if total > B:
+            mu_lo = mu
+        else:
+            mu_hi = mu
+        nxt = 0.5 * (mu_lo + mu_hi)
+        if nxt == mu_lo or nxt == mu_hi:
+            break
+        mu = nxt
+        betas, branches = responses(mu)
+
+    beta = np.array(betas)
+    low = beta < BETA_FLOOR
+    if low.any() and B > 10 * n * BETA_FLOOR:
+        deficit = float((BETA_FLOOR - beta[low]).sum())
+        beta[low] = BETA_FLOOR
+        beta[int(np.argmax(beta))] -= deficit
+    interior = [i for i in range(n) if branches[i] == "interior"]
+    residual = 0.0
+    if len(interior) >= 2:
+        vals = [w[i] / beta[i] - k1 * d[i] - k2 * queue_term_slope(g[i], float(beta[i]), C)
+                for i in interior]
+        residual = max(vals) - min(vals)
+    return LbPsvmSolution(beta, problem, mu=mu, residual=float(residual),
+                          saturated="clamped" in branches, branches=tuple(branches))
+
+
+@st.composite
+def split_problems(draw):
+    """Splits in every branch of the coordinate solve: prior loads up to
+    1.9 C (queue region and guard-clamped), integer loads on the kinks,
+    zero delay weights, and affected counts from 0 to past what the
+    candidates absorb."""
+    n = draw(st.integers(1, 4))
+    C = draw(st.sampled_from([45.0, 30.0, 7.3]))
+    load = st.one_of(st.integers(0, int(1.9 * C)).map(float), st.floats(0.0, 1.9 * C))
+    g = np.array(draw(st.lists(load, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    d = np.array(draw(st.lists(st.floats(0.0, 60.0), min_size=n, max_size=n)))
+    k = st.one_of(st.just(0.0), st.floats(0.0, 0.2), st.floats(0.0, 5.0))
+    absorb = float((2.0 * C - g - QUEUE_GUARD).sum())
+    # the queue-region solve stops at an absolute step of 1e-15, so a
+    # candidate at or past capacity never responds much below that: an
+    # affected count under about 1e-15 is never bracketed
+    share = draw(st.one_of(st.just(0.0), st.floats(1e-9, 1.1)))
+    B = share * absorb
+    if draw(st.booleans()):
+        B = float(round(B))
+    return LbPsvmProblem(weights=w, prior_load=g, delay=d, capacity=C, affected=B,
+                         delay_cap=50.0, k1=draw(k), k2=draw(k), epsilon=1e-3)
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
 class TestSolveLbPsvm:
     def test_pure_fairness_closed_form(self):
         p, d, gamma = fig_example()
@@ -404,6 +504,62 @@ class TestSolveLbPsvm:
             epsilon=roomy.epsilon,
         )
         assert solve_lb_psvm(small).feasible_delay
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=split_problems(), max_iters=st.sampled_from([1, 3, 40, 200]))
+    def test_same_bits_as_plain_bisection(self, problem, max_iters):
+        try:
+            want = reference_lb_psvm(problem, max_iters)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as got:
+                solve_lb_psvm(problem, max_iters)
+            assert str(got.value) == str(exc)
+            return
+        got = solve_lb_psvm(problem, max_iters)
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert bits(got.mu) == bits(want.mu)
+        assert bits(got.residual) == bits(want.residual)
+        assert got.branches == want.branches and got.saturated == want.saturated
+
+    def test_few_response_evaluations(self, monkeypatch):
+        # onset splits as the contention sweep meets them: two candidates
+        # near capacity, a node's worth of vehicles to re-home; the plain
+        # bisection evaluates the responses about 45 times per solve
+        rng = np.random.default_rng(53)
+        C = 45.0
+        problems = []
+        for _ in range(150):
+            g = rng.integers(0, 46, 2).astype(float)
+            cap = float(rng.uniform(40.0, 120.0))
+            problems.append(LbPsvmProblem(
+                weights=np.minimum(1.0, 1.0 - (g - 1e-3) / C), prior_load=g,
+                delay=rng.uniform(8.0, 25.0, 2), capacity=C,
+                affected=float(rng.integers(1, 46)), delay_cap=cap,
+                k1=1.0 / cap, k2=1.0 / cap, epsilon=1e-3,
+            ))
+        calls = 0
+        coord_solve = solvers._coord_solve
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return coord_solve(*args)
+
+        monkeypatch.setattr(solvers, "_coord_solve", counted)
+        for problem in problems:
+            solve_lb_psvm(problem)
+        assert calls / (2 * len(problems)) <= 12.0
+
+    def test_missed_sum_is_logged(self, caplog):
+        p, d, gamma = fig_example()
+        prob = build_lb_psvm(gamma, p, 0, 0, d, CAP, 50.0)
+        with caplog.at_level(logging.WARNING, logger="edgefail.solvers"):
+            solve_lb_psvm(prob)
+            assert not caplog.messages
+            short = solve_lb_psvm(prob, max_iters=1)
+        assert abs(short.beta.sum() - prob.affected) > 1e-11
+        assert any(m.startswith("split sums to") for m in caplog.messages)
 
 
 class TestOracle:
