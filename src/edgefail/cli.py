@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="output directory (or $EDGEFAIL_OUT_DIR)")
     p_run.add_argument("--attack-every", type=int, dest="attack_every",
                        help="attack cadence in time units (default 100)")
-    p_run.add_argument("--jobs", type=int, help="parallel policy workers")
 
     p_cmp = sub.add_parser("compare", help="compare summaries of matching runs")
     p_cmp.add_argument("summaries", nargs="+", help="summary.csv paths (>= 2)")
@@ -48,7 +47,6 @@ def _run(args) -> int:
         ("horizon", "horizon"),
         ("seed", "seed"),
         ("attack_every", "attack.every"),
-        ("jobs", "jobs"),
     ):
         value = getattr(args, flag)
         if value is not None:

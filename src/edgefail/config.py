@@ -79,7 +79,6 @@ class ExperimentConfig:
     horizon: int = 600
     seed: int = 0
     out: str | None = None
-    jobs: int = 1
     grid_rows: int = 3
     grid_cols: int = 3
     grid_cell_km: float = 5.0
@@ -186,8 +185,6 @@ class ExperimentConfig:
             problems.append("lbpsvm.kkt_tol: must be > 0")
         if self.solver_max_iters < 1:
             problems.append("solver.max_iters: must be >= 1")
-        if self.jobs < 1:
-            problems.append("jobs: must be >= 1")
         if self.attack_target not in ("most-loaded", "random") and self.attack_schedule is None:
             problems.append("attack.target: 'most-loaded', 'random', or set attack.schedule")
         if self.attack_schedule is not None:
@@ -295,7 +292,7 @@ class ExperimentConfig:
         payload = {
             k: v
             for k, v in sorted(self.to_dict().items())
-            if k not in ("policies", "out", "jobs")
+            if k not in ("policies", "out")
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

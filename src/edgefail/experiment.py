@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +81,15 @@ def simulate_policy(
     policy: str,
     requests=None,
     inputs: list[UnitInputs] | None = None,
+    *,
+    serving: dict | None = None,
 ) -> RunTable:
     """Run one policy over derived ``inputs``; without them, derive them
-    from ``requests``, or from the configured stream when that is None."""
+    from ``requests``, or from the configured stream when that is None.
+    ``serving`` is the lookahead store of the run ``inputs`` belong to."""
     if inputs is None:
         inputs = derive_inputs(cfg, build_requests(cfg) if requests is None else requests)
-    return Simulation(cfg, policy).run(inputs)
-
-
-def _worker(args):
-    cfg_dict, policy, inputs = args
-    cfg = ExperimentConfig.from_sources(overrides=cfg_dict)
-    return policy, simulate_policy(cfg, policy, inputs=inputs)
+    return Simulation(cfg, policy, serving=serving).run(inputs)
 
 
 @dataclass(frozen=True)
@@ -129,23 +125,17 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
 
     Policies run over one request stream, built once; each unit's demand
     and delay matrix are derived once from it and shared with every
-    policy and worker, so their rows are directly comparable.  ``jobs > 1``
-    runs policies in parallel worker processes, which receive the derived
-    inputs rather than the stream; outputs are merged in policy order so
-    the CSV bodies stay byte-identical either way.
-    """
+    policy, so their rows are directly comparable.  They also share one
+    store of primary serving, dropped when the run returns: a calm unit
+    is served once per set of active instances, and a later policy under
+    the same instances reuses what an earlier one computed."""
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)
     os.makedirs(out_dir, exist_ok=True)
 
-    inputs = derive_inputs(cfg, build_requests(cfg))
-    if cfg.jobs > 1 and len(policies) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(policies))) as pool:
-            results = dict(pool.map(_worker, [(cfg.to_dict(), p, inputs) for p in policies]))
-        records = {p: results[p] for p in policies}
-    else:
-        records = {p: simulate_policy(cfg, p, inputs=inputs) for p in policies}
+    inputs, serving = derive_inputs(cfg, build_requests(cfg)), {}
+    records = {p: simulate_policy(cfg, p, inputs=inputs, serving=serving) for p in policies}
 
     delay_columns = [f"delay_s{s}_ms" for s in range(cfg.services_count)]
     lines = [",".join(METRICS_STATIC_COLUMNS + delay_columns + METRICS_TAIL_COLUMNS)]
@@ -187,14 +177,7 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     with open(os.path.join(out_dir, "plots.gp"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"policies = '{' '.join(policies)}'\n" + GNUPLOT_SCRIPT)
 
-    return RunArtifacts(
-        out_dir=out_dir,
-        metrics_path=metrics_path,
-        summary_path=summary_path,
-        manifest_path=manifest_path,
-        records=records,
-        summary=summary,
-    )
+    return RunArtifacts(out_dir, metrics_path, summary_path, manifest_path, records, summary)
 
 
 # ---- cross-run comparison ----------------------------------------------
@@ -255,7 +238,7 @@ def compare(summary_paths: list[str]) -> Comparison:
             diff = [
                 f"{k}: {base['config'].get(k)!r} != {m['config'].get(k)!r}"
                 for k in sorted(set(base["config"]) | set(m["config"]))
-                if k not in ("policies", "out", "jobs")
+                if k not in ("policies", "out")
                 and base["config"].get(k) != m["config"].get(k)
             ]
             raise ConfigError(

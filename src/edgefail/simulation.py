@@ -23,23 +23,27 @@ built on read.  A quality monitor stands in for a learned critic: every
 few units it scores a slice of the delay column against the per-service
 caps and, below a threshold, triggers a placement re-optimization.
 
-A non-attack unit depends only on the placement and on its inputs, so
-it is served from a lookahead: one batched pass over the next T units,
-whose rows are written as one block.  A lookahead belongs to one
-placement object, which a re-placement or a recovery replaces (a later
-lookahead rewrites the rows it invalidates).  It ends before the next
-unit at which ``run`` may start an attack, before the first unit whose
-demand its instances cannot serve (that unit's step raises), and at the
-end of the units.  The first lookahead under a placement ends at the
-next monitor evaluation; each later one is at most twice the previous
-one.  A ``step`` outside ``run`` is a one-unit lookahead.
+A non-attack unit depends only on the active instances (``placement.x``)
+and on its inputs, so it is served from a lookahead: one batched pass
+over the next T units, whose rows are written as one block.  Lookaheads
+are stored by the content of ``x``, their first unit and uncut end; the
+policies of a run share the store, so a later policy under the same
+instances reuses a block instead of serving it again.  A lookahead
+belongs to one placement object, which a re-placement or a recovery
+replaces (a later lookahead rewrites the rows it invalidates).  It ends
+before the next unit at which ``run`` may start an attack, before the
+first unit whose demand its instances cannot serve (that unit's step
+raises), and at the end of the units.  The first lookahead under a
+placement ends at the next monitor evaluation; each later one is at most
+twice the previous one.  A ``step`` outside ``run`` is a one-unit lookahead.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,10 +130,14 @@ def derive_inputs(cfg: ExperimentConfig, requests_by_unit) -> list[UnitInputs]:
 
 @dataclass(frozen=True)
 class Lookahead:
-    """Primary loads of the T units from ``t0`` on under ``placement``."""
+    """Primary serving of the T units from ``t0`` on under ``placement``, cut
+    before the first unit whose demand its instances cannot serve; read-only."""
 
     placement: PlacementDecision
     t0: int
+    units: tuple  # the uncut block, whose unit objects a reuse must share
+    demand: np.ndarray  # (T, S)
+    delay: np.ndarray  # (T, S) per-service delays
     gamma: np.ndarray  # (T, E, S) primary loads
 
 
@@ -150,9 +158,6 @@ class SimulationState:
     heal_at: int | None = None
     pending_reopt: bool = False
 
-    def __post_init__(self):
-        self.nodes = tuple(self.nodes)
-
     @property
     def primary(self) -> PrimaryMapping | None:
         """The last non-attack unit's mapping, built when read."""
@@ -171,7 +176,7 @@ class SimulationState:
 class Simulation:
     """Single-policy simulation owning all mutable state."""
 
-    def __init__(self, cfg: ExperimentConfig, policy: str):
+    def __init__(self, cfg: ExperimentConfig, policy: str, *, serving: dict | None = None):
         if policy not in ("lb-psvm", "psvm", "br"):
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
@@ -185,7 +190,7 @@ class Simulation:
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
         self.schedule = dict(cfg.schedule_list())
         self.state = SimulationState(
-            nodes=cfg.nodes(),
+            nodes=tuple(cfg.nodes()),
             monitor=QualityMonitor(
                 thresholds=self.thresholds,
                 threshold=cfg.monitor_threshold,
@@ -193,6 +198,8 @@ class Simulation:
             ),
             history=RunTable(cfg.horizon, len(cfg.nodes()), self.thresholds),
         )
+        # (x bytes, first unit, uncut end) -> Lookahead; run shares one over policies
+        self.serving = {} if serving is None else serving
         self.stream: list | None = None  # the units of the current run
         self.lookahead: Lookahead | None = None
 
@@ -347,7 +354,7 @@ class Simulation:
         st = self.state
         prev, stream = self.lookahead, self.stream
         if stream is None:
-            units = [unit]
+            units, stop = [unit], t + 1
         else:
             if prev is not None and prev.placement is st.placement:
                 stop = t + 2 * len(prev.gamma)
@@ -355,19 +362,24 @@ class Simulation:
                 stop = t + (-t) % st.monitor.period + 1
             stop = min(stop, self._next_onset(t), len(stream) + 1)
             units = stream[t - 1 : stop - 1]
-        lam = np.stack([u.demand for u in units])
-        over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
-        cut = max(over[0], 1) if len(over) else None  # stop before an overload, or raise at t
-        units, lam = units[:cut], lam[:cut]
-        d = np.stack([u.delay.d for u in units])
-        try:
-            gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
-        except InfeasibleError as exc:
-            raise InfeasibleError(f"t={t}: {exc}") from exc
-        check_gamma(gamma)
-        delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
-        self._write_rows(t, lam, delay, gamma.sum(axis=-2))
-        self.lookahead = Lookahead(placement=st.placement, t0=t, gamma=gamma)
+        key = (st.placement.x.tobytes(), t, stop)
+        look = self.serving.get(key)
+        if look is None or not all(map(operator.is_, look.units, units)):
+            lam = np.stack([u.demand for u in units])
+            over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
+            cut = max(over[0], 1) if len(over) else None  # stop before an overload, or raise at t
+            lam, d = lam[:cut], np.stack([u.delay.d for u in units[:cut]])
+            try:
+                gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
+            except InfeasibleError as exc:
+                raise InfeasibleError(f"t={t}: {exc}") from exc
+            check_gamma(gamma)
+            delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
+            for a in (lam, delay, gamma):
+                a.flags.writeable = False
+            look = self.serving[key] = Lookahead(st.placement, t, tuple(units), lam, delay, gamma)
+        self._write_rows(t, look.demand, look.delay, look.gamma.sum(axis=-2))
+        self.lookahead = replace(look, placement=st.placement)
         return self.lookahead
 
     def _place(self, d: DelayModel, t: int) -> None:

@@ -421,7 +421,8 @@ def solve_lb_psvm(
 
     Raises:
         InfeasibleError: when the candidates cannot absorb the affected
-            load inside the queue-model domain (no strict interior).
+            load inside the queue-model domain (no strict interior), or
+            when no multiplier brings their responses to it.
     """
     n = problem.n
     B = float(problem.affected)
@@ -481,10 +482,14 @@ def solve_lb_psvm(
     mu_lo = mu_hi = sum(w) / B
     step = max(1.0, abs(mu_lo))
     while gap(mu_hi) > 0:
+        if mu_hi == math.inf:
+            raise InfeasibleError(f"no multiplier brings the split down to {B:.6g} affected")
         mu_hi += step
         step *= 2.0
     step = max(1.0, abs(mu_hi))
     while gap(mu_lo) < 0:
+        if mu_lo == -math.inf:
+            raise InfeasibleError(f"no multiplier brings the split up to {B:.6g} affected")
         mu_lo -= step
         step *= 2.0
 

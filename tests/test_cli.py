@@ -5,7 +5,6 @@ from dataclasses import fields
 
 import pytest
 
-from edgefail import experiment, simulation
 from edgefail.cli import main
 from edgefail.config import DEFAULTS, ExperimentConfig, parse_config_file
 from edgefail.errors import ConfigError
@@ -141,7 +140,7 @@ class TestConfig:
 
     def test_hash_ignores_policies_and_output(self):
         a = ExperimentConfig.from_sources(overrides={"policies": "psvm"})
-        b = ExperimentConfig.from_sources(overrides={"policies": "lb-psvm,br", "jobs": 4})
+        b = ExperimentConfig.from_sources(overrides={"policies": "lb-psvm,br"})
         c = ExperimentConfig.from_sources(overrides={"seed": 1})
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
@@ -186,27 +185,6 @@ class TestRun:
         b = run(cfg, out=str(tmp_path / "b"))
         assert read(a.metrics_path) == read(b.metrics_path)
         assert read(a.summary_path) == read(b.summary_path)
-
-    def test_parallel_jobs_same_bytes(self, tmp_path):
-        cfg = ExperimentConfig.from_sources(overrides=FAST)
-        a = run(cfg, out=str(tmp_path / "a"))
-        cfg2 = ExperimentConfig.from_sources(overrides={**FAST, "jobs": 3})
-        b = run(cfg2, out=str(tmp_path / "b"))
-        assert read(a.metrics_path) == read(b.metrics_path)
-
-    def test_worker_uses_the_parent_stream(self, monkeypatch):
-        # the worker steps over the inputs the parent derived from its stream
-        cfg = ExperimentConfig.from_sources(overrides=FAST)
-        inputs = simulation.derive_inputs(cfg, experiment.build_requests(cfg))
-
-        def rebuild(*args, **kwargs):
-            raise AssertionError("worker rebuilt the request stream or its inputs")
-
-        monkeypatch.setattr(experiment, "build_requests", rebuild)
-        monkeypatch.setattr(simulation, "derive_delay_matrix", rebuild)
-        policy, records = experiment._worker((cfg.to_dict(), "psvm", inputs))
-        assert policy == "psvm"
-        assert len(records) == cfg.horizon
 
     def test_trace_dataset_roundtrip(self, tmp_path):
         trace = tmp_path / "trace.csv"

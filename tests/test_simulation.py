@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import itertools
 import logging
-
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from edgefail.errors import (
     InfeasibleError,
     NoCandidateError,
 )
-from edgefail import simulation
+from edgefail import experiment, simulation
 from edgefail.experiment import build_requests, run, simulate_policy, summarize
 from edgefail.metrics import MetricsRecord
 from edgefail.model import NodeStatus, SimPhase
@@ -25,16 +27,17 @@ from edgefail.simulation import QualityMonitor, Simulation, derive_inputs, evalu
 from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
 
 
+SMALL = {
+    "horizon": 30,
+    "attack.every": 10,
+    "mobility.vehicles": 120,
+    "mobility.p_request": 0.6,
+    "seed": 5,
+}
+
+
 def small_cfg(**over):
-    base = {
-        "horizon": 30,
-        "attack.every": 10,
-        "mobility.vehicles": 120,
-        "mobility.p_request": 0.6,
-        "seed": 5,
-    }
-    base.update(over)
-    return ExperimentConfig.from_sources(overrides=base)
+    return ExperimentConfig.from_sources(overrides={**SMALL, **over})
 
 
 def derived(cfg):
@@ -551,17 +554,71 @@ def same_record(a, b):
     return True
 
 
+def primary_rows(monkeypatch):
+    """Units passed to the simulation's primary solve, by the policy that
+    ``experiment.simulate_policy`` is running."""
+    rows, policy = {}, []
+    solve, simulate = simulation.solve_primary_mapping, experiment.simulate_policy
+
+    def counted(placement, demand, *args, **kwargs):
+        rows[policy[-1]] = rows.get(policy[-1], 0) + len(np.atleast_2d(demand))
+        return solve(placement, demand, *args, **kwargs)
+
+    def tagged(cfg, name, *args, **kwargs):
+        policy.append(name)
+        return simulate(cfg, name, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "solve_primary_mapping", counted)
+    monkeypatch.setattr(experiment, "simulate_policy", tagged)
+    return rows
+
+
 class TestSharedInputs:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_run_records_equal_standalone_runs(self, tmp_path, jobs):
-        # run() derives each unit once for every policy; each policy's
-        # records equal those of a run that derives its own inputs
-        cfg = small_cfg(**{"jobs": jobs, "horizon": 24})
+    def test_run_records_equal_standalone_runs(self, tmp_path):
+        # run() derives each unit once for every policy and shares one
+        # primary-serving store; each policy's records equal those of a
+        # run that derives its own inputs and serves its own units
+        cfg = small_cfg(horizon=24)
         art = run(cfg, out=str(tmp_path / "o"))
         for policy in cfg.policy_list():
             alone = simulate_policy(cfg, policy)
             assert len(art.records[policy]) == len(alone) == cfg.horizon
             assert all(same_record(a, b) for a, b in zip(art.records[policy], alone)), policy
+
+    def test_calm_units_served_once_per_active_placement(self, tmp_path, monkeypatch):
+        # psvm keeps lb-psvm's active instances, so every calm block it
+        # needs is one lb-psvm served; lb-psvm serves what it serves alone
+        rows = primary_rows(monkeypatch)
+        cfg = small_cfg(horizon=80)
+        run(cfg, out=str(tmp_path / "o"))
+        shared = dict(rows)
+        rows.clear()
+        for policy in cfg.policy_list():
+            experiment.simulate_policy(cfg, policy)
+        assert shared["lb-psvm"] == rows["lb-psvm"] > 0
+        assert "psvm" not in shared and rows["psvm"] > 0
+        assert shared.get("br", 0) < rows["br"]
+
+    def test_runs_in_one_process_give_standalone_bytes(self, tmp_path, monkeypatch):
+        # a store that outlived its run would serve the second seed's calm
+        # units from the first seed's blocks
+        src = os.path.dirname(os.path.dirname(simulation.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        seeds, want = (5, 6), {}
+        for seed in seeds:
+            conf, out = tmp_path / f"{seed}.conf", tmp_path / f"alone{seed}"
+            conf.write_text("".join(f"{k} = {v}\n" for k, v in {**SMALL, "seed": seed}.items()))
+            subprocess.run([sys.executable, "-m", "edgefail.cli", "run", "--config", str(conf),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            want[seed] = [(out / name).read_bytes() for name in ("metrics.csv", "summary.csv")]
+        rows = primary_rows(monkeypatch)
+        for seed in seeds:
+            run(small_cfg(seed=seed), out=str(tmp_path / f"run{seed}"))
+            got = [(tmp_path / f"run{seed}" / name).read_bytes()
+                   for name in ("metrics.csv", "summary.csv")]
+            assert got == want[seed], seed
+        assert "psvm" not in rows and rows["lb-psvm"] > 0
 
     def test_delay_matrix_derived_once_per_unit(self, tmp_path, monkeypatch):
         calls = []
@@ -694,6 +751,25 @@ class TestLookahead:
             sim.run(units)
         assert str(exc.value) == "t=7: service 0: demand 1000 exceeds capacity 90 across 3 instance(s)"
         assert [r.time for r in sim.state.history] == list(range(1, 7))
+
+    def test_overload_stores_the_block_cut_before_it(self):
+        # the block holding the overloaded unit is stored cut before it, the
+        # unit's own serving raises and stores nothing, and psvm reads the
+        # blocks lb-psvm stored; stored arrays are read-only
+        cfg = small_cfg()
+        units = derived(cfg)
+        demand = np.array(units[6].demand)
+        demand[0] = 1000.0
+        units[6] = simulation.UnitInputs(demand=demand, delay=units[6].delay)
+        serving = {}
+        for policy in ("lb-psvm", "psvm"):
+            with pytest.raises(InfeasibleError, match="^t=7: service 0"):
+                Simulation(cfg, policy, serving=serving).run(units)
+        looks = sorted(serving.values(), key=lambda look: look.t0)
+        assert [(look.t0, len(look.units), len(look.gamma)) for look in looks] == [
+            (1, 5, 5), (6, 4, 1)]
+        assert not any(a.flags.writeable for look in looks
+                       for a in (look.demand, look.delay, look.gamma))
 
     @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
     def test_failed_replacement_keeps_placement(self, policy, caplog):

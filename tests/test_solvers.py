@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -403,6 +404,26 @@ class TestSolveLbPsvm:
         sol = solve_lb_psvm(prob)
         assert sol.beta.tolist() == [0.0, 0.0]
         assert sol.feasible_delay
+
+    def test_unreachable_sum_raises_instead_of_hanging(self):
+        # the candidate at capacity keeps a response near 1e-15 for every
+        # mu, so no multiplier brings the sum down to 5e-16
+        prob = LbPsvmProblem(
+            weights=[0.5, 0.5], prior_load=[30.0, 10.0], delay=[5.0, 6.0], capacity=CAP,
+            affected=5e-16, delay_cap=50.0, k1=0.1, k2=0.1, epsilon=1e-3,
+        )
+
+        def hung(signum, frame):
+            raise AssertionError("solve_lb_psvm still running after 10 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            with pytest.raises(InfeasibleError, match="5e-16 affected"):
+                solve_lb_psvm(prob)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_constraints_exact(self):
         rng = np.random.default_rng(23)
