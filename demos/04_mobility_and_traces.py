@@ -1,8 +1,9 @@
 """Vehicle mobility: synthetic waypoint traffic and trace ingestion.
 
 The coverage area is a 3x3 grid of 5 km cells with one edge node per
-cell center.  Demand and the propagation-delay matrix are derived per
-time unit from whichever vehicles requested a service that unit.
+cell center.  A request stream is one set of columns over all units;
+demand and the propagation-delay matrix are derived for each time unit
+from whichever vehicles requested a service that unit.
 """
 
 import csv
@@ -33,11 +34,11 @@ model = MobilityModel(p_request=0.3, speed_min_kmh=20, speed_max_kmh=60)
 units = generate_synthetic(seed=7, vehicles=200, grid=grid, horizon=10, model=model)
 print("\nsynthetic requests per unit:", [len(u) for u in units])
 
-lam = derive_demand(units[0], num_services=8)
-print("demand by service at t=0:", lam, "total", int(lam.sum()))
+lam = derive_demand(units, num_services=8)  # (units, services)
+print("demand by service at t=0:", lam[0], "total", int(lam[0].sum()))
 
-d = derive_delay_matrix(units[0], nodes, num_services=8)
-print("delay matrix row for the center node (ms):", np.round(d.d[4], 2))
+d = derive_delay_matrix(units, nodes, num_services=8)  # (units, nodes, services)
+print("delay matrix row for the center node at t=0 (ms):", np.round(d[0, 4], 2))
 print("entries stay within [base, base + alpha * grid diagonal] =",
       (1.0, round(1.0 + 2.0 * math.hypot(grid.width_km, grid.height_km), 1)))
 

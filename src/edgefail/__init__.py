@@ -47,6 +47,7 @@ from .model import (
     PlacementDecision,
     PrimaryMapping,
     RequestBatch,
+    RequestStream,
     SecondaryMapping,
     ServiceRequest,
     ServiceType,
@@ -54,7 +55,7 @@ from .model import (
     validate_placement,
 )
 from .placement import RecoveryResult, place_services, recover_placement, reserve_backup
-from .simulation import QualityMonitor, Simulation, UnitInputs, derive_inputs, evaluate_quality
+from .simulation import QualityMonitor, Simulation, StreamInputs, derive_inputs, evaluate_quality
 from .solvers import (
     LbPsvmProblem,
     LbPsvmSolution,
@@ -90,6 +91,7 @@ __all__ = [
     "QualityMonitor",
     "RecoveryResult",
     "RequestBatch",
+    "RequestStream",
     "RunArtifacts",
     "RunTable",
     "SaturationError",
@@ -98,8 +100,8 @@ __all__ = [
     "ServiceType",
     "SimPhase",
     "Simulation",
+    "StreamInputs",
     "StructuralError",
-    "UnitInputs",
     "average_elf",
     "build_lb_psvm",
     "compare",

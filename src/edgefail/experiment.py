@@ -1,9 +1,9 @@
 """Batch experiment runner: policy sweeps, CSV metrics, summaries, manifests.
 
-One invocation builds the request stream once, derives each unit's
-demand and delay matrix once (``simulation.derive_inputs``), simulates
-every requested policy over those shared inputs and writes three
-artifacts into the output directory:
+One invocation builds the request stream once, as one set of columns,
+derives every unit's demand and delay matrix from it once
+(``simulation.derive_inputs``), simulates every requested policy over
+those shared inputs and writes three artifacts into the output directory:
 
 * ``metrics.csv``  -- one row per (policy, time unit)
 * ``summary.csv``  -- per-policy averages in the comparison-table shape
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .metrics import RunTable
-from .model import RequestBatch
+from .model import RequestStream
 from .mobility import generate_synthetic, ingest_trace
-from .simulation import Simulation, UnitInputs, derive_inputs
+from .simulation import Simulation, StreamInputs, derive_inputs
 
 METRICS_STATIC_COLUMNS = ["t", "state", "policy", "avg_delay_ms"]
 METRICS_TAIL_COLUMNS = ["avg_elf_pct", "fairness", "q_value"]
@@ -47,8 +47,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def build_requests(cfg: ExperimentConfig):
-    """Materialize the request stream for the configured dataset."""
+def build_requests(cfg: ExperimentConfig) -> RequestStream:
+    """Materialize the request stream for the configured dataset, over
+    units 0..horizon-1: a trace is cut to the horizon, or padded with
+    empty units."""
     if cfg.dataset == "synthetic":
         return generate_synthetic(
             seed=cfg.seed,
@@ -70,17 +72,16 @@ def build_requests(cfg: ExperimentConfig):
         seed=cfg.seed,
         carry_gap=cfg.trace_carry_gap,
     )
-    units = result.requests_by_unit[: cfg.horizon]
-    no_rows = np.empty(0, dtype=np.int64)
-    pad = [RequestBatch(t, no_rows, no_rows, no_rows, ()) for t in range(len(units), cfg.horizon)]
-    return units + pad
+    stream = result.requests_by_unit[: cfg.horizon]
+    pad = np.full(cfg.horizon - len(stream), stream.offsets[-1])
+    return replace(stream, offsets=np.concatenate([stream.offsets, pad]))
 
 
 def simulate_policy(
     cfg: ExperimentConfig,
     policy: str,
-    requests=None,
-    inputs: list[UnitInputs] | None = None,
+    requests: RequestStream | None = None,
+    inputs: StreamInputs | None = None,
     *,
     serving: dict | None = None,
 ) -> RunTable:
@@ -123,9 +124,10 @@ def resolve_out_dir(cfg: ExperimentConfig, out: str | None = None) -> str:
 def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     """Execute the configured sweep and write the artifact set.
 
-    Policies run over one request stream, built once; each unit's demand
-    and delay matrix are derived once from it and shared with every
-    policy, so their rows are directly comparable.  They also share one
+    Policies run over one request stream, built once; the demand and delay
+    matrix of every unit are derived once from it, in chunks of whole
+    units, and shared with every policy as read-only (T, S) and (T, E, S)
+    arrays, so their rows are directly comparable.  They also share one
     store of primary serving, dropped when the run returns: a calm unit
     is served once per set of active instances, and a later policy under
     the same instances reuses what an earlier one computed."""

@@ -8,6 +8,7 @@ lam' / (2C(C - lam')) time units, diverging as arrival approaches 2C.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .model import SimPhase, _freeze
 # Distance kept from the 2C pole: the failover solver's iterates stay this
 # far inside it, and service_delay clamps saturated arrivals to it.
 QUEUE_GUARD = 1e-6
+_SQRT_TINY = sys.float_info.min ** 0.5  # below it a square is subnormal
 
 
 def queue_delay(arrival: float, capacity: float, ms_per_unit: float = 1.0) -> float:
@@ -121,9 +123,12 @@ def jain_fairness(values) -> float:
         raise ValueError("need at least one value")
     if (x < 0).any():
         raise ValueError("values must be >= 0")
-    sq = float((x * x).sum())
-    if sq == 0.0:
+    peak = float(x.max())
+    if peak == 0.0:
         return 1.0
+    if peak < _SQRT_TINY:  # the squares would be subnormal, short of precision or 0
+        x = x / peak
+    sq = float((x * x).sum())
     s = float(x.sum())
     return s * s / (x.size * sq)
 

@@ -5,21 +5,24 @@ coverage cells (default 3x3 cells of 5 km over a 15x15 km^2 area, one
 edge node per cell center).  Trace files are converted into the same
 frame by linearly projecting their bounding box onto the grid area.
 
-Both producers return one ``RequestBatch`` of columns per 0-based time
-unit: a horizon of H yields batches for units 0..H-1, which the simulation
-loop consumes with its own clock.  Demand is a ``bincount`` of a batch's
-service column, the delay matrix one distance pass grouped by service.
+Both producers return one ``RequestStream``: columns over every request
+of the 0-based time units 0..H-1 with the units' row offsets, which the
+simulation loop consumes with its own clock.  Derivation runs over a
+stream, or a chunk of one: demand is one ``bincount`` of unit and
+service, the delay matrix one distance pass over requests grouped by
+(unit, service) segment.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IngestError
-from .model import DelayModel, EdgeNode, RequestBatch
+from .model import EdgeNode, RequestStream
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,16 @@ class MobilityModel:
 
 @dataclass(frozen=True)
 class IngestResult:
-    requests_by_unit: list[RequestBatch]
+    requests_by_unit: RequestStream
     dropped: int  # rows outside the bounding box
     malformed: int  # rows skipped as unparsable
 
 
 TRACE_HEADER = ["vehicle_id", "timestamp", "lat", "lon"]
+
+# a derivation chunk of whole units has at most this many bytes of (nodes x
+# requests) distances, 32k entries, made one segment length at a time
+CHUNK_BYTES = 1 << 18
 
 
 def generate_synthetic(
@@ -128,12 +135,11 @@ def generate_synthetic(
     horizon: int,
     model: MobilityModel | None = None,
     num_services: int = 8,
-) -> list[RequestBatch]:
-    """Deterministic random-waypoint request stream.
+) -> RequestStream:
+    """Deterministic random-waypoint request stream over units 0..horizon-1.
 
-    Returns one ``RequestBatch`` per time unit 0..horizon-1.  Vehicles
-    never leave the grid area; identical (seed, parameters) reproduce the
-    stream bit for bit.
+    Vehicles never leave the grid area; identical (seed, parameters)
+    reproduce the stream bit for bit.
     """
     if vehicles < 1:
         raise ValueError("vehicles must be >= 1")
@@ -153,23 +159,28 @@ def generate_synthetic(
     )
     ids = tuple(f"v{i:04d}" for i in range(vehicles))
 
-    units: list[RequestBatch] = []
+    # typed columns grow in place, so no unit's rows are held twice
+    xy, service, vehicle = array("d"), array("q"), array("q")
+    offsets = np.zeros(horizon + 1, dtype=np.int64)
     for t in range(horizon):
         requesting = rng.random(vehicles) < model.p_request
         services = rng.integers(0, num_services, vehicles)
         idx = np.flatnonzero(requesting)
-        units.append(RequestBatch(t, pos[idx], services[idx], idx, ids))
+        for column, rows in ((xy, pos[idx]), (service, services[idx]), (vehicle, idx)):
+            column.frombytes(rows.view(np.uint8))
+        offsets[t + 1] = len(vehicle)
 
-        # advance toward waypoints; arrivals pick a new one
+        # advance toward waypoints (step_km > 0, so a vehicle that has not
+        # arrived is at a distance > 0); arrivals pick a new one
         delta = waypoint - pos
         dist = np.hypot(delta[:, 0], delta[:, 1])
         arrived = dist <= step_km
-        moving = ~arrived & (dist > 0)
-        pos[arrived] = waypoint[arrived]
-        pos[moving] += delta[moving] * (step_km[moving] / dist[moving])[:, None]
+        frac = np.divide(step_km, dist, out=np.zeros(vehicles), where=~arrived)
+        pos = np.where(arrived[:, None], waypoint, pos + delta * frac[:, None])
         if arrived.any():
             waypoint[arrived] = rng.random((int(arrived.sum()), 2)) * [w, h] + [x0, y0]
-    return units
+    return RequestStream(*(np.frombuffer(c, dtype=c.typecode) for c in (xy, service, vehicle)),
+                         offsets, ids)
 
 
 def ingest_trace(
@@ -181,24 +192,41 @@ def ingest_trace(
     seed: int = 0,
     carry_gap: int = 5,
 ) -> IngestResult:
-    """Turn a `vehicle_id,timestamp,lat,lon` CSV into per-unit requests.
+    """Turn a `vehicle_id,timestamp,lat,lon` CSV into a request stream.
 
     Rows outside ``bbox`` are dropped (counted), malformed rows skipped
     (counted separately).  Within a unit a vehicle's last known position
     wins; vehicles with no point in a unit are carried forward at their
     last position for up to ``carry_gap`` units, then considered departed.
-    Every present vehicle issues one request per unit; the service type
-    is drawn uniformly (seeded).
+    Every present vehicle issues one request per unit, in vehicle id
+    order; the service type is drawn uniformly (seeded).  Each stage
+    returns only what the next one needs, so its working arrays end with it.
 
     Raises:
         IngestError: on a missing/invalid header or zero usable rows.
     """
     if time_unit_s <= 0:
         raise ValueError("time_unit_s must be > 0")
+    first_seen, rows, dropped, malformed = _usable_rows(path, bbox)
+    vids, (vehicle, unit, xy), horizon = _last_fixes(first_seen, rows, bbox, grid, time_unit_s)
+    del rows
+    src, offsets = _carry_forward(vehicle, unit, horizon, carry_gap)
+    xy, vehicle = xy[src], vehicle[src]
+    rng = np.random.default_rng(seed)
+    service = np.empty(len(vehicle), dtype=np.int64)
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        service[lo:hi] = rng.integers(0, num_services, hi - lo)
+    return IngestResult(RequestStream(xy, service, vehicle, offsets, vids),
+                        dropped=dropped, malformed=malformed)
+
+
+def _usable_rows(path, bbox: BoundingBox):
+    """The vehicle codes (in order of appearance) and the (code, ts, lat,
+    lon) columns of the finite rows inside ``bbox``, parsed into typed
+    arrays; with the counts of rows dropped and malformed."""
     malformed = 0
     first_seen: dict[str, int] = {}  # vehicle id -> code in order of appearance
-    codes: list[int] = []
-    values: list[tuple[float, float, float]] = []  # timestamp, lat, lon
+    code, ts, lat, lon = array("q"), array("d"), array("d"), array("d")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -212,104 +240,141 @@ def ingest_trace(
                 malformed += 1
                 continue
             try:
-                values.append((float(raw[1]), float(raw[2]), float(raw[3])))
+                t, y, x = float(raw[1]), float(raw[2]), float(raw[3])
             except ValueError:
                 malformed += 1
                 continue
-            codes.append(first_seen.setdefault(raw[0], len(first_seen)))
-    cols = np.array(values, dtype=float).reshape(-1, 3)
-    finite = np.isfinite(cols).all(axis=1)
-    malformed += int((~finite).sum())
-    ts, lat, lon = cols[finite].T
-    inside = bbox.contains(lat, lon)
-    dropped = int((~inside).sum())
-    if not inside.any():
+            ts.append(t)
+            lat.append(y)
+            lon.append(x)
+            code.append(first_seen.setdefault(raw[0], len(first_seen)))
+    rows = [np.frombuffer(c, dtype=c.typecode) for c in (code, ts, lat, lon)]
+    finite = np.isfinite(rows[1]) & np.isfinite(rows[2]) & np.isfinite(rows[3])
+    keep = finite & bbox.contains(rows[2], rows[3])
+    malformed += len(finite) - int(finite.sum())
+    dropped = int(finite.sum()) - int(keep.sum())
+    if not keep.any():
         raise IngestError(f"{path}: no usable rows (dropped={dropped}, malformed={malformed})")
-    ts, lat, lon = ts[inside], lat[inside], lon[inside]
-    code = np.array(codes, dtype=np.int64)[finite][inside]
+    return first_seen, [c[keep] for c in rows], dropped, malformed
 
-    # vehicles numbered in sorted id order
+
+def _last_fixes(first_seen: dict, rows, bbox: BoundingBox, grid: GridMap, time_unit_s: float):
+    """The sorted vehicle ids; the (vehicle number, unit, km position) of
+    each (vehicle, unit)'s last fix, sorted by vehicle, then unit: the
+    latest timestamp, ties to the later row; and the units the rows span."""
+    code, ts, lat, lon = rows
     names = list(first_seen)
-    kept = np.unique(code).tolist()
-    vids = tuple(sorted(names[c] for c in kept))
+    vids = tuple(sorted(names[c] for c in np.unique(code).tolist()))
     rank = np.zeros(len(names), dtype=np.int64)
     rank[[first_seen[v] for v in vids]] = np.arange(len(vids))
     vehicle = rank[code]
-
     t0 = ts.min()
     unit = ((ts - t0) // time_unit_s).astype(np.int64)
     horizon = int((ts.max() - t0) // time_unit_s) + 1
-    xy = np.column_stack(bbox.to_xy(lat, lon, grid))
-
-    # last position per (vehicle, unit): the latest timestamp, ties to the
-    # later row; the winners come out sorted by vehicle, then unit
     order = np.lexsort((np.arange(len(ts)), ts, unit, vehicle))
     last = np.ones(len(order), dtype=bool)
     last[:-1] = (vehicle[order[1:]] != vehicle[order[:-1]]) | (unit[order[1:]] != unit[order[:-1]])
     win = order[last]
-    w_vehicle, w_unit, w_xy = vehicle[win], unit[win], xy[win]
-
-    # a position holds from its unit until the vehicle's next one, for at
-    # most carry_gap units after it
-    stop = np.minimum(w_unit + max(carry_gap, 0) + 1, horizon)
-    same = w_vehicle[1:] == w_vehicle[:-1]
-    stop[:-1] = np.where(same, np.minimum(stop[:-1], w_unit[1:]), stop[:-1])
-    span = stop - w_unit
-    src = np.repeat(np.arange(len(win)), span)
-    at = w_unit[src] + np.arange(len(src)) - np.repeat(np.cumsum(span) - span, span)
-    by_unit = np.lexsort((w_vehicle[src], at))  # each unit's rows in vehicle order
-    src, at = src[by_unit], at[by_unit]
-    row_xy, row_vehicle = w_xy[src], w_vehicle[src]
-    bounds = np.searchsorted(at, np.arange(horizon + 1))
-
-    rng = np.random.default_rng(seed)
-    units: list[RequestBatch] = []
-    for t in range(horizon):
-        lo, hi = bounds[t], bounds[t + 1]
-        services = rng.integers(0, num_services, hi - lo)
-        units.append(RequestBatch(t, row_xy[lo:hi], services, row_vehicle[lo:hi], vids))
-    return IngestResult(units, dropped=dropped, malformed=malformed)
+    xy = np.column_stack(bbox.to_xy(lat[win], lon[win], grid))
+    return vids, (vehicle[win], unit[win], xy), horizon
 
 
-def derive_demand(requests: RequestBatch | list, num_services: int) -> np.ndarray:
-    """Per-service request counts lambda_s for one time unit."""
-    batch = requests if isinstance(requests, RequestBatch) else RequestBatch.of(requests)
-    lam = np.bincount(batch.service, minlength=num_services).astype(float)
-    if len(lam) > num_services:
-        raise ValueError(f"service {len(lam) - 1} out of range for {num_services} services")
-    return lam
+def _carry_forward(vehicle, unit, horizon: int, carry_gap: int):
+    """The stream's rows as indices into the fixes, in unit and then vehicle
+    order, and the units' offsets.  A fix holds from its unit until the
+    vehicle's next one, for at most ``carry_gap`` units after it."""
+    stop = np.minimum(unit + max(carry_gap, 0) + 1, horizon)
+    same = vehicle[1:] == vehicle[:-1]
+    stop[:-1] = np.where(same, np.minimum(stop[:-1], unit[1:]), stop[:-1])
+    span = stop - unit
+    # row k of fix i is at unit[i] + k; the fixes come in vehicle order, so
+    # a stable sort by unit leaves each unit's rows in vehicle order
+    at = np.repeat(unit - (np.cumsum(span) - span), span)
+    at += np.arange(len(at))
+    offsets = np.zeros(horizon + 1, dtype=np.int64)
+    np.cumsum(np.bincount(at, minlength=horizon), out=offsets[1:])
+    return np.repeat(np.arange(len(span)), span)[np.argsort(at, kind="stable")], offsets
+
+
+def unit_chunks(stream: RequestStream, num_nodes: int):
+    """``(first, end)`` unit ranges covering ``stream`` whose distance block
+    over ``num_nodes`` stays within ``CHUNK_BYTES``; a unit larger than
+    that is a chunk of its own."""
+    rows = max(CHUNK_BYTES // (8 * num_nodes), 1)
+    off, first = stream.offsets, 0
+    while first < len(stream):
+        end = max(int(np.searchsorted(off, off[first] + rows, side="right")) - 1, first + 1)
+        yield first, end
+        first = end
+
+
+def _units(stream: RequestStream) -> np.ndarray:
+    """The unit of each request."""
+    return np.repeat(np.arange(len(stream)), np.diff(stream.offsets))
+
+
+def derive_demand(stream: RequestStream, num_services: int) -> np.ndarray:
+    """Requests per service of each unit: a (T, S) array of lambda_s."""
+    service = stream.service
+    if len(service) and not 0 <= service.min() <= service.max() < num_services:
+        bad = service.max() if service.max() >= num_services else service.min()
+        raise ValueError(f"service {bad} out of range for {num_services} services")
+    T = len(stream)
+    lam = np.bincount(_units(stream) * num_services + service, minlength=T * num_services)
+    return lam.reshape(T, num_services).astype(float)
 
 
 def derive_delay_matrix(
-    requests: RequestBatch | list,
+    stream: RequestStream,
     nodes: list[EdgeNode],
     num_services: int,
     alpha_ms_per_km: float = 2.0,
     base_ms: float = 1.0,
     fallback_point: tuple[float, float] | None = None,
-) -> DelayModel:
-    """Affine propagation delay d[e, s] = alpha * mean distance + base.
+) -> np.ndarray:
+    """Affine propagation delay d[t, e, s] = alpha * mean distance + base,
+    a (T, E, S) array over the units of ``stream``.
 
-    For a service with requests, the distance is averaged over its
-    requesting vehicles.  Services with no demand fall back to the mean
-    position of all requesting vehicles (or ``fallback_point`` when the
-    unit is empty), so every entry stays finite.
+    For a service with requests in unit t, the distance is averaged over
+    its requesting vehicles.  Services with no demand fall back to the
+    mean position of all of the unit's requesting vehicles (or
+    ``fallback_point`` when the unit is empty), so every entry stays
+    finite.  A segment, one unit's requests for one service, keeps its
+    row order; the segments of one length n form one (E, k, n) distance
+    block, whose sums over the last axis are the pairwise sums a unit's
+    own slice of n distances gets.
     """
     if alpha_ms_per_km < 0 or base_ms < 0:
         raise ValueError("delay model parameters must be >= 0")
-    batch = requests if isinstance(requests, RequestBatch) else RequestBatch.of(requests)
-    node_xy = np.array([n.location for n in nodes])
-    if not len(batch) and fallback_point is None:
+    T, S, E = len(stream), num_services, len(nodes)
+    counts = np.diff(stream.offsets)
+    if fallback_point is None and not counts.all():
         raise ValueError("fallback_point required when there are no requests")
-    centroid = batch.xy.mean(axis=0) if len(batch) else np.asarray(fallback_point, dtype=float)
-    centroid_dist = np.hypot(node_xy[:, 0] - centroid[0], node_xy[:, 1] - centroid[1])
-    # one distance pass over the requests grouped by service, one column slice each
-    pts = batch.xy[np.argsort(batch.service, kind="stable")]
-    dist = np.hypot(node_xy[:, 0][:, None] - pts[:, 0], node_xy[:, 1][:, None] - pts[:, 1])
-    counts = np.bincount(batch.service, minlength=num_services)
-    mean = np.empty((len(nodes), num_services))
-    start = 0
-    for s, n in enumerate(counts.tolist()):
-        mean[:, s] = np.add.reduce(dist[:, start:start + n], axis=1) / n if n else centroid_dist
-        start += n
-    return DelayModel(d=alpha_ms_per_km * mean + base_ms)
+    node_xy = np.array([n.location for n in nodes])
+    seg = _units(stream) * S + stream.service
+    length = np.bincount(seg, minlength=T * S)
+    by_length = np.argsort(length, kind="stable")  # segments by length, ties by id
+    rank = np.empty_like(by_length)
+    rank[by_length] = np.arange(T * S)
+    order = np.argsort(rank[seg], kind="stable")  # rows by segment rank
+    del seg, rank
+    x, y = stream.xy[order, 0], stream.xy[order, 1]
+
+    mean = np.empty((T * S, E))  # by segment; transposed to (T, E, S) at the end
+    sizes, starts = np.unique(length[by_length], return_index=True)
+    row = 0
+    for n, a, b in zip(sizes.tolist(), starts.tolist(), [*starts[1:].tolist(), T * S]):
+        segs = by_length[a:b]
+        if n == 0:  # centroid of the unit's requests, or the fallback point
+            empty, which = np.unique(segs // S, return_inverse=True)
+            centroid = np.array([
+                stream.xy[stream.offsets[u]:stream.offsets[u + 1]].mean(axis=0) if counts[u]
+                else np.asarray(fallback_point, dtype=float) for u in empty.tolist()])
+            dist = np.hypot(node_xy[:, 0] - centroid[:, :1], node_xy[:, 1] - centroid[:, 1:])
+            mean[segs] = dist[which]
+            continue
+        end = row + (b - a) * n
+        dist = np.hypot(node_xy[:, :1] - x[row:end], node_xy[:, 1:] - y[row:end])
+        mean[segs] = (np.add.reduce(dist.reshape(E, b - a, n), axis=2) / n).T
+        row = end
+    return alpha_ms_per_km * mean.reshape(T, S, E).transpose(0, 2, 1) + base_ms

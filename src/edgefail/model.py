@@ -96,11 +96,21 @@ class ServiceRequest:
             raise ValueError("request time must be >= 0")
 
 
+def _freeze_columns(obj, *extra: str) -> None:
+    """Store ``obj``'s request columns read-only: ``xy`` as (n, 2) floats,
+    ``service``, ``vehicle`` and the ``extra`` columns as int64."""
+    object.__setattr__(obj, "xy", _freeze(np.ascontiguousarray(obj.xy, dtype=float).reshape(-1, 2)))
+    for name in ("service", "vehicle", *extra):
+        object.__setattr__(obj, name, _freeze(np.asarray(getattr(obj, name), dtype=np.int64)))
+    if not len(obj.xy) == len(obj.service) == len(obj.vehicle):
+        raise StructuralError("xy, service and vehicle must have one row per request")
+
+
 @dataclass(frozen=True, eq=False)
 class RequestBatch:
     """One time unit's requests as columns: vehicle ``vehicles[vehicle[i]]``
-    at ``xy[i]`` asks for ``service[i]``.  A stream shares one ``vehicles``
-    tuple; indexing or iterating yields ``ServiceRequest`` objects."""
+    at ``xy[i]`` asks for ``service[i]``.  Indexing or iterating yields
+    ``ServiceRequest`` objects."""
 
     time: int
     xy: np.ndarray
@@ -111,20 +121,7 @@ class RequestBatch:
     def __post_init__(self):
         if self.time < 0:
             raise ValueError("request time must be >= 0")
-        xy = np.ascontiguousarray(self.xy, dtype=float).reshape(-1, 2)
-        object.__setattr__(self, "xy", _freeze(xy))
-        object.__setattr__(self, "service", _freeze(np.asarray(self.service, dtype=np.int64)))
-        object.__setattr__(self, "vehicle", _freeze(np.asarray(self.vehicle, dtype=np.int64)))
-        if not len(self.xy) == len(self.service) == len(self.vehicle):
-            raise StructuralError("xy, service and vehicle must have one row per request")
-
-    @classmethod
-    def of(cls, requests) -> "RequestBatch":
-        """Columns of a list of requests, which share the first one's time."""
-        names = tuple(dict.fromkeys(r.vehicle for r in requests))
-        index = {v: i for i, v in enumerate(names)}
-        return cls(requests[0].time if requests else 0, [r.location for r in requests],
-                   [r.service for r in requests], [index[r.vehicle] for r in requests], names)
+        _freeze_columns(self)
 
     def __len__(self) -> int:
         return len(self.service)
@@ -142,9 +139,47 @@ class RequestBatch:
         return (self.time == other.time and np.array_equal(self.xy, other.xy)
                 and np.array_equal(self.service, other.service) and self._names() == other._names())
 
-    def __reduce__(self):
-        # through the constructor, so the columns come back read-only
-        return (RequestBatch, (self.time, self.xy, self.service, self.vehicle, self.vehicles))
+
+@dataclass(frozen=True, eq=False)
+class RequestStream:
+    """The requests of time units 0..T-1 as one set of read-only columns,
+    each row as in ``RequestBatch``; unit t's are rows ``offsets[t]:offsets[t + 1]``.
+    ``stream[t]`` and iteration give a unit's ``RequestBatch`` of views, and
+    ``stream[a:b]`` the stream of units a..b-1."""
+
+    xy: np.ndarray
+    service: np.ndarray
+    vehicle: np.ndarray
+    offsets: np.ndarray
+    vehicles: tuple[str, ...]
+
+    def __post_init__(self):
+        _freeze_columns(self, "offsets")
+        off = self.offsets
+        if off.ndim != 1 or not len(off) or off[0] != 0 or off[-1] != len(self.service) \
+                or (off[1:] < off[:-1]).any():
+            raise StructuralError("offsets must rise from 0 to the number of requests")
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t):  # iteration stops at the IndexError of t = len(self)
+        units, off = range(len(self))[t], self.offsets
+        if isinstance(units, int):
+            lo, hi = off[units], off[units + 1]
+            return RequestBatch(units, self.xy[lo:hi], self.service[lo:hi], self.vehicle[lo:hi],
+                                self.vehicles)
+        if units.step != 1:
+            raise ValueError("a stream slice must be contiguous")
+        off = off[units.start:units.start + len(units) + 1]
+        lo, hi = off[0], off[-1]
+        return RequestStream(self.xy[lo:hi], self.service[lo:hi], self.vehicle[lo:hi], off - lo,
+                             self.vehicles)
+
+    def __eq__(self, other):
+        if not isinstance(other, RequestStream):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)

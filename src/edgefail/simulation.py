@@ -12,9 +12,11 @@ The loop walks a three-phase state machine per attack cycle:
   delay.  The attacked node returns after a quarantine, by default the
   remainder of the attack cycle.
 
-Every policy steps over the same ``UnitInputs``: ``derive_inputs`` turns
-each unit's requests into demand per service and a delay matrix once;
-the matrix reads node locations, not health.
+Every policy steps over the same ``StreamInputs``: ``derive_inputs`` turns
+the request stream into (T, S) demand and (T, E, S) delay matrices once,
+in chunks of whole units; a matrix reads node locations, not health.  A
+``DelayModel`` of one unit is built only where one is read: at a
+placement, an onset split, a recovery, and ``state.delay``.
 
 Outputs go to a ``RunTable``: columns preallocated over the horizon.
 ``step`` returns nothing; it closes the unit's row, which is checked
@@ -25,10 +27,11 @@ caps and, below a threshold, triggers a placement re-optimization.
 
 A non-attack unit depends only on the active instances (``placement.x``)
 and on its inputs, so it is served from a lookahead: one batched pass
-over the next T units, whose rows are written as one block.  Lookaheads
-are stored by the content of ``x``, their first unit and uncut end; the
-policies of a run share the store, so a later policy under the same
-instances reuses a block instead of serving it again.  A lookahead
+over slices of the next T units' inputs, whose rows are written as one
+block.  Lookaheads are stored by the content of ``x``, their first unit
+and uncut end; the policies of a run share the store, so a later policy
+over the same inputs object and instances reuses a block instead of
+serving it again.  A lookahead
 belongs to one placement object, which a re-placement or a recovery
 replaces (a later lookahead rewrites the rows it invalidates).  It ends
 before the next unit at which ``run`` may start an attack, before the
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +52,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
 from .metrics import RunTable, average_elf, edge_load_factor, jain_fairness, service_delay
-from .mobility import derive_delay_matrix, derive_demand
+from .mobility import derive_delay_matrix, derive_demand, unit_chunks
 from .model import (
     AttackEvent,
     DelayModel,
@@ -58,6 +60,7 @@ from .model import (
     NodeStatus,
     PlacementDecision,
     PrimaryMapping,
+    RequestStream,
     SecondaryMapping,
     SimPhase,
     check_gamma,
@@ -102,30 +105,34 @@ def evaluate_quality(monitor: QualityMonitor, delays) -> float:
 
 
 @dataclass(frozen=True)
-class UnitInputs:
-    """One unit's requests as every policy sees them."""
+class StreamInputs:
+    """A request stream as every policy sees it, read-only: unit t (0-based)
+    has demand ``demand[t]`` (lambda_s) and delay matrix ``delay[t]``."""
 
-    demand: np.ndarray  # lambda_s, requests per service
-    delay: DelayModel
+    demand: np.ndarray  # (T, S)
+    delay: np.ndarray  # (T, E, S) in ms
+
+    def __post_init__(self):
+        if (self.delay < 0).any() or not np.isfinite(self.delay).all():
+            raise ValueError("delay entries must be finite and >= 0")
+        self.demand.flags.writeable = self.delay.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.demand)
 
 
-def derive_inputs(cfg: ExperimentConfig, requests_by_unit) -> list[UnitInputs]:
-    """Demand and delay matrix of each unit of a request stream."""
+def derive_inputs(cfg: ExperimentConfig, requests: RequestStream) -> StreamInputs:
+    """Demand and delay matrices of every unit of a request stream, derived
+    over chunks of whole units (``mobility.unit_chunks``)."""
     nodes, S, center = cfg.nodes(), cfg.services_count, cfg.grid().center()
-    return [
-        UnitInputs(
-            derive_demand(requests, S),
-            derive_delay_matrix(
-                requests,
-                nodes,
-                S,
-                alpha_ms_per_km=cfg.delay_alpha_ms_per_km,
-                base_ms=cfg.delay_base_ms,
-                fallback_point=center,
-            ),
-        )
-        for requests in requests_by_unit
-    ]
+    demand, delay = np.empty((len(requests), S)), np.empty((len(requests), len(nodes), S))
+    for first, end in unit_chunks(requests, len(nodes)):
+        chunk = requests[first:end]
+        demand[first:end] = derive_demand(chunk, S)
+        delay[first:end] = derive_delay_matrix(
+            chunk, nodes, S, alpha_ms_per_km=cfg.delay_alpha_ms_per_km,
+            base_ms=cfg.delay_base_ms, fallback_point=center)
+    return StreamInputs(demand, delay)
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,7 @@ class Lookahead:
 
     placement: PlacementDecision
     t0: int
-    units: tuple  # the uncut block, whose unit objects a reuse must share
+    inputs: StreamInputs  # what the block was served from; a reuse must share them
     demand: np.ndarray  # (T, S)
     delay: np.ndarray  # (T, S) per-service delays
     gamma: np.ndarray  # (T, E, S) primary loads
@@ -149,7 +156,7 @@ class SimulationState:
     placement: PlacementDecision | None = None
     primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
     primary_demand: np.ndarray | None = None
-    delay: DelayModel | None = None
+    delay_matrix: np.ndarray | None = None  # (E, S) delays of the last unit
     primary_nodes: tuple | None = None  # nodes of the last non-attack unit since recovery
     proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
     active_attack: AttackEvent | None = None
@@ -162,6 +169,11 @@ class SimulationState:
     def primary(self) -> PrimaryMapping | None:
         """The last non-attack unit's mapping, built when read."""
         return None if self.primary_gamma is None else PrimaryMapping(self.primary_gamma)
+
+    @property
+    def delay(self) -> DelayModel | None:
+        """The last unit's delay matrix, built when read."""
+        return None if self.delay_matrix is None else DelayModel(self.delay_matrix)
 
     def set_status(self, node: int, status: NodeStatus) -> None:
         """The one writer of ``nodes``: a new tuple, so a kept one stays as it was."""
@@ -200,17 +212,17 @@ class Simulation:
         )
         # (x bytes, first unit, uncut end) -> Lookahead; run shares one over policies
         self.serving = {} if serving is None else serving
-        self.stream: list | None = None  # the units of the current run
+        self.inputs: StreamInputs | None = None  # those of the current run
         self.lookahead: Lookahead | None = None
 
     # ---- driver ---------------------------------------------------------
 
-    def run(self, units) -> RunTable:
+    def run(self, inputs: StreamInputs) -> RunTable:
         """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
-        self.stream, self.lookahead = list(units), None
+        self.inputs, self.lookahead = inputs, None
         try:
-            for t, unit in enumerate(self.stream, start=1):
+            for t in range(1, len(inputs) + 1):
                 if st.active_attack is not None and st.recover_at == t:
                     self.recover(t)
                 if st.active_attack is not None and st.heal_at == t:
@@ -218,9 +230,9 @@ class Simulation:
                 target = self._scheduled_target(t)
                 if target is not None:
                     self.inject_attack(target, t)
-                self.step(unit, t)
+                self.step(inputs, t)
         finally:
-            self.stream = self.lookahead = None
+            self.inputs = self.lookahead = None
         return st.history
 
     def _next_onset(self, t: int) -> int | float:
@@ -275,9 +287,9 @@ class Simulation:
         healthy = {n.id for n in st.primary_nodes or () if n.healthy}
         st.proactive = {}
         if target in healthy:
-            primary = st.primary
+            primary, d = st.primary, st.delay
             st.proactive = {
-                (target, s): self._policy_secondary(primary, healthy, target, s)
+                (target, s): self._policy_secondary(primary, d, healthy, target, s)
                 for s in st.placement.services_on(target)
             }
         st.set_status(target, NodeStatus.ATTACKED)
@@ -320,20 +332,22 @@ class Simulation:
 
     # ---- per-unit work ----------------------------------------------------
 
-    def step(self, unit: UnitInputs, t: int) -> None:
-        """Serve one time unit's derived demand and close its row of the run table."""
+    def step(self, inputs: StreamInputs, t: int) -> None:
+        """Serve unit t of ``inputs`` (its row t - 1) and close its row of the run table."""
+        if not 0 < t <= len(inputs):
+            raise IndexError(f"t={t} is outside units 1..{len(inputs)}")
         st = self.state
-        lam, d = unit.demand, unit.delay
+        lam, d = inputs.demand[t - 1], inputs.delay[t - 1]
         if st.phase is not SimPhase.ATTACK and (st.placement is None or st.pending_reopt):
-            self._place(d, t)
+            self._place(DelayModel(d), t)
             st.pending_reopt = False
         if st.phase is SimPhase.ATTACK:
             self._attack_record(t, lam, d, *self._attack_serve(lam, d))
         else:
-            look = self.lookahead if self.stream is not None else None  # bare steps: one unit
+            look = self.lookahead if self.inputs is not None else None  # bare steps: one unit
             i = t - look.t0 if look is not None else 0
             if look is None or look.placement is not st.placement or not 0 <= i < len(look.gamma):
-                look, i = self._look_ahead(unit, t), 0
+                look, i = self._look_ahead(inputs, t), 0
             st.primary_gamma = look.gamma[i]
             st.primary_demand = lam
             st.primary_nodes = st.nodes
@@ -346,38 +360,37 @@ class Simulation:
             if monitor.q_value < monitor.threshold and st.phase is not SimPhase.ATTACK:
                 st.pending_reopt = True
         table.commit(st.phase, monitor.q_value)
-        st.delay = d
+        st.delay_matrix = d
 
-    def _look_ahead(self, unit: UnitInputs, t: int) -> Lookahead:
+    def _look_ahead(self, inputs: StreamInputs, t: int) -> Lookahead:
         """Serve unit t and the units after it that share its placement
         by the primary mapping, in one batched pass, and write their rows."""
         st = self.state
-        prev, stream = self.lookahead, self.stream
-        if stream is None:
-            units, stop = [unit], t + 1
+        prev = self.lookahead
+        if self.inputs is None:
+            stop = t + 1
         else:
             if prev is not None and prev.placement is st.placement:
                 stop = t + 2 * len(prev.gamma)
             else:  # through the next monitor evaluation
                 stop = t + (-t) % st.monitor.period + 1
-            stop = min(stop, self._next_onset(t), len(stream) + 1)
-            units = stream[t - 1 : stop - 1]
+            stop = min(stop, self._next_onset(t), len(inputs) + 1)
         key = (st.placement.x.tobytes(), t, stop)
         look = self.serving.get(key)
-        if look is None or not all(map(operator.is_, look.units, units)):
-            lam = np.stack([u.demand for u in units])
+        if look is None or look.inputs is not inputs:
+            lam = inputs.demand[t - 1 : stop - 1]
             over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
             cut = max(over[0], 1) if len(over) else None  # stop before an overload, or raise at t
-            lam, d = lam[:cut], np.stack([u.delay.d for u in units[:cut]])
+            lam, d = lam[:cut], inputs.delay[t - 1 : stop - 1][:cut]
             try:
                 gamma = solve_primary_mapping(st.placement, lam, d, self.capacity)
             except InfeasibleError as exc:
                 raise InfeasibleError(f"t={t}: {exc}") from exc
             check_gamma(gamma)
             delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
-            for a in (lam, delay, gamma):
+            for a in (delay, gamma):
                 a.flags.writeable = False
-            look = self.serving[key] = Lookahead(st.placement, t, tuple(units), lam, delay, gamma)
+            look = self.serving[key] = Lookahead(st.placement, t, inputs, lam, delay, gamma)
         self._write_rows(t, look.demand, look.delay, look.gamma.sum(axis=-2))
         self.lookahead = replace(look, placement=st.placement)
         return self.lookahead
@@ -409,10 +422,10 @@ class Simulation:
                 logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc
 
-    def _policy_secondary(self, gamma: PrimaryMapping, healthy: set, target: int,
+    def _policy_secondary(self, gamma: PrimaryMapping, d: DelayModel, healthy: set, target: int,
                           service: int) -> SecondaryMapping | None:
-        """The split of (target, service) from ``gamma``, st.delay and ``healthy``."""
-        st, d = self.state, self.state.delay
+        """The split of (target, service) from ``gamma``, ``d`` and ``healthy``."""
+        st = self.state
         try:
             if self.uses_reserves:
                 reserved = [
@@ -456,7 +469,7 @@ class Simulation:
                            target, service, exc)
             return None
 
-    def _attack_serve(self, lam: np.ndarray, d: DelayModel):
+    def _attack_serve(self, lam: np.ndarray, d: np.ndarray):
         """Serve via stored splits; previous proportions scaled to today."""
         st = self.state
         target = st.active_attack.target
@@ -470,7 +483,7 @@ class Simulation:
             if prev <= 0:
                 hosts = failover_candidates(st.placement, target, s)
                 loads[:, s], unserved[s] = fill_cheapest(
-                    hosts, float(lam[s]), d.d[:, s], self.capacity
+                    hosts, float(lam[s]), d[:, s], self.capacity
                 )
                 continue
             ratio = float(lam[s]) / float(prev)
@@ -491,7 +504,7 @@ class Simulation:
 
     def _attack_record(self, t, lam, d, loads, added, unserved) -> None:
         per_service = service_delay(
-            loads + added, d.d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
+            loads + added, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
         )
         failover = bool(added.sum() > 0)
         avail = np.maximum(self.capacity - loads, self.cfg.lbpsvm_epsilon)

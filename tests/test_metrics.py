@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from edgefail.errors import SaturationError
 from edgefail.metrics import (
@@ -149,10 +149,16 @@ class TestJainFairness:
         with pytest.raises(ValueError):
             jain_fairness([1.0, -0.5])
 
+    def test_single_positive_of_tiny_values(self):
+        # squares of values this small underflow to subnormals or to 0
+        assert jain_fairness([1e-170, 0.0]) == 0.5
+        assert jain_fairness([1e-160, 1e-160, 0.0]) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=8),
         st.floats(min_value=1e-3, max_value=1e3),
     )
+    @example(values=[1.7078879972143106e-159, 1.7078879972143106e-159], c=2.0)
     def test_scale_invariance(self, values, c):
         x = np.array(values)
         assert jain_fairness(c * x) == pytest.approx(jain_fairness(x), rel=1e-9)

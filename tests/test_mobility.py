@@ -1,12 +1,15 @@
 import csv
 import math
-import pickle
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgefail import mobility
+from edgefail.config import ExperimentConfig
 from edgefail.errors import IngestError, StructuralError
 from edgefail.mobility import (
     BoundingBox,
@@ -17,7 +20,8 @@ from edgefail.mobility import (
     generate_synthetic,
     ingest_trace,
 )
-from edgefail.model import EdgeNode, RequestBatch, ServiceRequest
+from edgefail.model import EdgeNode, RequestBatch, RequestStream, ServiceRequest
+from edgefail.simulation import derive_inputs
 
 GRID = GridMap()  # 3x3 cells of 5 km
 
@@ -27,6 +31,13 @@ def nodes_for(grid):
         EdgeNode(id=i, location=loc, capacity=100.0)
         for i, loc in enumerate(grid.node_locations())
     ]
+
+
+def one_unit(locations, services):
+    """A one-unit stream of requests by vehicles v0, v1, ..."""
+    n = len(services)
+    return RequestStream(np.reshape(locations, (-1, 2)), services, np.arange(n), [0, n],
+                         tuple(f"v{i}" for i in range(n)))
 
 
 def reference_demand(requests, num_services):
@@ -62,6 +73,23 @@ def reference_delay_matrix(requests, nodes, num_services, alpha_ms_per_km=2.0, b
             dist = centroid_dist
         d[:, s] = alpha_ms_per_km * dist + base_ms
     return d
+
+
+def per_unit_delay_matrix(batch, nodes, num_services, alpha_ms_per_km, base_ms, fallback_point):
+    """One unit's delay matrix as a per-unit loop computes it: one distance
+    pass over the requests grouped by service, one column slice each."""
+    node_xy = np.array([n.location for n in nodes])
+    centroid = batch.xy.mean(axis=0) if len(batch) else np.asarray(fallback_point, dtype=float)
+    centroid_dist = np.hypot(node_xy[:, 0] - centroid[0], node_xy[:, 1] - centroid[1])
+    pts = batch.xy[np.argsort(batch.service, kind="stable")]
+    dist = np.hypot(node_xy[:, 0][:, None] - pts[:, 0], node_xy[:, 1][:, None] - pts[:, 1])
+    counts = np.bincount(batch.service, minlength=num_services)
+    mean = np.empty((len(nodes), num_services))
+    start = 0
+    for s, n in enumerate(counts.tolist()):
+        mean[:, s] = np.add.reduce(dist[:, start:start + n], axis=1) / n if n else centroid_dist
+        start += n
+    return alpha_ms_per_km * mean + base_ms
 
 
 def reference_ingest(path, bbox, grid, time_unit_s, num_services, seed, carry_gap):
@@ -178,8 +206,6 @@ class TestRequestBatch:
         assert batch[-1] == ServiceRequest("a", (4.0, 5.0), 3, 0)
         assert not (batch.xy.flags.writeable or batch.service.flags.writeable
                     or batch.vehicle.flags.writeable)
-        assert RequestBatch.of(list(batch)) == batch
-        assert RequestBatch.of([]) == RequestBatch(0, [], [], [], ())
 
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="time"):
@@ -206,13 +232,25 @@ class TestRequestBatch:
         result = ingest_trace(path, TestIngestTrace.BBOX, GRID)
         assert [len(b) for b in result.requests_by_unit] == [1, 2]
 
-    def test_synthetic_stream_pickles(self):
-        units = generate_synthetic(seed=4, vehicles=80, grid=GRID, horizon=30,
-                                   model=MobilityModel(p_request=0.5))
-        again = pickle.loads(pickle.dumps(units))
-        assert again == units
-        assert not again[0].xy.flags.writeable
-        assert again[0].vehicles is again[-1].vehicles
+    def test_stream_units_are_views(self):
+        stream = generate_synthetic(seed=4, vehicles=80, grid=GRID, horizon=30,
+                                    model=MobilityModel(p_request=0.5))
+        assert len(stream) == 30 and stream[-1].time == 29
+        for t, batch in enumerate(stream):
+            lo, hi = stream.offsets[t], stream.offsets[t + 1]
+            assert batch.time == t and len(batch) == hi - lo
+            assert np.shares_memory(batch.xy, stream.xy) or not len(batch)
+            assert np.array_equal(batch.service, stream.service[lo:hi])
+            assert batch.vehicles is stream.vehicles
+        part = stream[10:20]
+        assert len(part) == 10 and part.offsets[0] == 0
+        assert list(part) == [RequestBatch(t - 10, b.xy, b.service, b.vehicle, b.vehicles)
+                              for t, b in enumerate(stream) if 10 <= t < 20]
+        assert len(stream[20:10]) == 0 and len(stream[:1000]) == 30
+        with pytest.raises(IndexError):
+            stream[30]
+        with pytest.raises(StructuralError, match="offsets"):
+            RequestStream(stream.xy, stream.service, stream.vehicle, [0, 5], stream.vehicles)
 
 
 class TestIngestTrace:
@@ -317,88 +355,99 @@ class TestIngestTrace:
                 assert np.array_equal(batch.service, services)
                 assert [vids[v] for v in batch.vehicle.tolist()] == names
 
-    def test_trace_stream_pickles(self, tmp_path):
-        rows = [f"cab{v},{60 * t + v},{37.1 + 0.01 * v},{-122.9 + 0.02 * t}"
-                for v in range(12) for t in range(0, 20, 1 + v % 3)]
-        result = ingest_trace(self.write(tmp_path, rows), self.BBOX, GRID, carry_gap=1)
-        units = result.requests_by_unit
-        assert pickle.loads(pickle.dumps(units)) == units
-        assert sorted({r.vehicle for b in units for r in b}) == sorted(units[0].vehicles)
+    def test_peak_memory_within_a_few_times_the_stream(self, tmp_path):
+        # the parsed rows become typed columns, and each later stage's
+        # working arrays end with it: the traced peak stays a small
+        # multiple of the returned columns
+        rnd = random.Random(3)
+        rows = []
+        for v in range(120):
+            ts = rnd.uniform(0.0, 600.0)
+            while ts < 14_000.0 and len(rows) < 20_000:
+                rows.append(f"cab{v:03d},{ts:.1f},{rnd.uniform(37.0, 38.0):.6f},"
+                            f"{rnd.uniform(-123.0, -122.0):.6f}")
+                ts += rnd.uniform(15.0, 150.0)
+        assert len(rows) > 15_000
+        # a first call imports what numpy loads lazily
+        ingest_trace(self.write(tmp_path, rows[:50]), self.BBOX, GRID)
+        path = self.write(tmp_path, rows)
+        tracemalloc.start()
+        try:
+            stream = ingest_trace(path, self.BBOX, GRID, carry_gap=3).requests_by_unit
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(c.nbytes for c in (stream.xy, stream.service, stream.vehicle, stream.offsets))
+        assert peak < 4 * size, (peak, size)
 
 
 class TestDeriveDemand:
     def test_single_service(self):
-        reqs = [ServiceRequest(f"v{i}", (1.0, 1.0), 0, 0) for i in range(25)]
-        lam = derive_demand(reqs, 3)
-        assert lam.tolist() == [25.0, 0.0, 0.0]
+        lam = derive_demand(one_unit([(1.0, 1.0)] * 25, [0] * 25), 3)
+        assert lam.tolist() == [[25.0, 0.0, 0.0]]
 
     def test_worked_example_totals(self):
         # 25 + 22 + 18 vehicles on one service across three cells
-        reqs = [ServiceRequest(f"v{i}", (2.5, 2.5), 0, 0) for i in range(25)]
-        reqs += [ServiceRequest(f"w{i}", (7.5, 2.5), 0, 0) for i in range(22)]
-        reqs += [ServiceRequest(f"x{i}", (12.5, 2.5), 0, 0) for i in range(18)]
-        assert derive_demand(reqs, 1)[0] == 65.0
+        xy = [(2.5, 2.5)] * 25 + [(7.5, 2.5)] * 22 + [(12.5, 2.5)] * 18
+        assert derive_demand(one_unit(xy, [0] * 65), 1)[0, 0] == 65.0
 
     def test_recount_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        reqs = [
-            ServiceRequest(f"v{i}", (1.0, 1.0), 0, int(rng.integers(0, 8)))
-            for i in range(300)
-        ]
-        lam = derive_demand(reqs, 8)
+        batch = one_unit([(1.0, 1.0)] * 300, rng.integers(0, 8, 300))
+        (lam,) = derive_demand(batch, 8)
         tally = [0] * 8
-        for r in reqs:
+        for r in batch[0]:
             tally[r.service] += 1
         assert lam.tolist() == [float(c) for c in tally]
         assert lam.sum() == 300
 
     def test_service_out_of_range_raises(self):
         with pytest.raises(ValueError, match="service 3 out of range"):
-            derive_demand([ServiceRequest("v0", (1.0, 1.0), 0, 3)], 3)
+            derive_demand(one_unit([(1.0, 1.0)], [3]), 3)
+        with pytest.raises(ValueError, match="service -1 out of range"):
+            derive_demand(one_unit([(1.0, 1.0)], [-1]), 3)
 
 
 class TestDeriveDelayMatrix:
     nodes = nodes_for(GRID)
 
     def test_colocated_vehicles_give_base_delay(self):
-        reqs = [ServiceRequest("v0", (2.5, 2.5), 0, 0)]
-        d = derive_delay_matrix(reqs, self.nodes, 1, alpha_ms_per_km=2.0, base_ms=1.0)
-        assert d.d[0, 0] == pytest.approx(1.0)
+        (d,) = derive_delay_matrix(one_unit([(2.5, 2.5)], [0]), self.nodes, 1,
+                                   alpha_ms_per_km=2.0, base_ms=1.0)
+        assert d[0, 0] == pytest.approx(1.0)
 
     def test_affine_model(self):
         # 10 km from node 0 at alpha 2 ms/km plus base 1 ms
-        reqs = [ServiceRequest("v0", (12.5, 2.5), 0, 0)]
-        d = derive_delay_matrix(reqs, self.nodes, 1, alpha_ms_per_km=2.0, base_ms=1.0)
-        assert d.d[0, 0] == pytest.approx(21.0)
+        (d,) = derive_delay_matrix(one_unit([(12.5, 2.5)], [0]), self.nodes, 1,
+                                   alpha_ms_per_km=2.0, base_ms=1.0)
+        assert d[0, 0] == pytest.approx(21.0)
 
     def test_monotone_in_distance(self):
-        near = [ServiceRequest("v0", (3.0, 2.5), 0, 0)]
-        far = [ServiceRequest("v0", (9.0, 2.5), 0, 0)]
-        dn = derive_delay_matrix(near, self.nodes, 1)
-        df = derive_delay_matrix(far, self.nodes, 1)
-        assert df.d[0, 0] > dn.d[0, 0]
+        (dn,) = derive_delay_matrix(one_unit([(3.0, 2.5)], [0]), self.nodes, 1)
+        (df,) = derive_delay_matrix(one_unit([(9.0, 2.5)], [0]), self.nodes, 1)
+        assert df[0, 0] > dn[0, 0]
 
     def test_empty_services_use_crowd_centroid(self):
-        reqs = [ServiceRequest("v0", (2.5, 2.5), 0, 0), ServiceRequest("v1", (12.5, 2.5), 0, 0)]
-        d = derive_delay_matrix(reqs, self.nodes, 2, alpha_ms_per_km=2.0, base_ms=1.0)
+        (d,) = derive_delay_matrix(one_unit([(2.5, 2.5), (12.5, 2.5)], [0, 0]), self.nodes, 2,
+                                   alpha_ms_per_km=2.0, base_ms=1.0)
         # service 1 has no demand: node 0 is 5 km from the centroid (7.5, 2.5)
-        assert d.d[0, 1] == pytest.approx(2.0 * 5.0 + 1.0)
+        assert d[0, 1] == pytest.approx(2.0 * 5.0 + 1.0)
         # node 1 sits on the centroid
-        assert d.d[1, 1] == pytest.approx(1.0)
+        assert d[1, 1] == pytest.approx(1.0)
 
     def test_bounds_within_grid_diagonal(self):
         units = generate_synthetic(seed=13, vehicles=60, grid=GRID, horizon=20)
         hi = 1.0 + 2.0 * math.hypot(GRID.width_km, GRID.height_km)
-        for batch in units:
-            d = derive_delay_matrix(batch, self.nodes, 8)
-            assert (d.d >= 1.0 - 1e-12).all()
-            assert (d.d <= hi + 1e-12).all()
+        d = derive_delay_matrix(units, self.nodes, 8)
+        assert d.shape == (20, 9, 8)
+        assert (d >= 1.0 - 1e-12).all()
+        assert (d <= hi + 1e-12).all()
 
     def test_empty_unit_needs_fallback(self):
         with pytest.raises(ValueError):
-            derive_delay_matrix([], self.nodes, 2)
-        d = derive_delay_matrix([], self.nodes, 2, fallback_point=GRID.center())
-        assert np.isfinite(d.d).all()
+            derive_delay_matrix(one_unit([], []), self.nodes, 2)
+        d = derive_delay_matrix(one_unit([], []), self.nodes, 2, fallback_point=GRID.center())
+        assert d.shape == (1, 9, 2) and np.isfinite(d).all()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -418,17 +467,56 @@ class TestDeriveDelayMatrix:
             names,
         )
         requests = list(batch)
-        assert RequestBatch.of(requests) == batch
+        stream = RequestStream(batch.xy, batch.service, batch.vehicle, [0, n], names)
         nodes = nodes_for(grid)
         want_lam = reference_demand(requests, num_services)
         want_d = reference_delay_matrix(requests, nodes, num_services, 2.0, 1.0, grid.center())
-        for given_as in (batch, requests):
-            assert np.array_equal(derive_demand(given_as, num_services), want_lam)
-            got = derive_delay_matrix(given_as, nodes, num_services, fallback_point=grid.center())
-            assert np.array_equal(got.d, want_d)
+        assert np.array_equal(derive_demand(stream, num_services), [want_lam])
+        got = derive_delay_matrix(stream, nodes, num_services, fallback_point=grid.center())
+        assert np.array_equal(got, [want_d])
+
+    # unit sizes around numpy's pairwise-sum thresholds (8 and 128 terms)
+    SIZES = st.one_of(st.just(0), st.integers(1, 7), st.integers(8, 127), st.integers(128, 400))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cols=st.integers(2, 3), num_services=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(SIZES, min_size=1, max_size=12),
+           chunk_rows=st.sampled_from([1, 5, 64, 300, None]), data=st.data())
+    def test_stream_same_bits_as_per_unit_reference(self, cols, num_services, seed, sizes,
+                                                    chunk_rows, data):
+        # chunks of whole units: a unit that would cross a chunk's bound
+        # starts the next chunk, and a unit larger than the bound is a
+        # chunk of its own; empty services take the unit's centroid, empty
+        # units the grid center
+        cfg = ExperimentConfig.from_sources(overrides={
+            "grid.cols": cols, "services.count": num_services, "node.capacity": 1000.0,
+            "placement.instances_per_service": 2})
+        grid, nodes = cfg.grid(), cfg.nodes()
+        used = sorted(data.draw(st.sets(st.integers(0, num_services - 1), min_size=1)))
+        rng = np.random.default_rng(seed)
+        n = sum(sizes)
+        names = tuple(f"v{i}" for i in range(max(n, 1)))
+        stream = RequestStream(rng.random((n, 2)) * [grid.width_km, grid.height_km],
+                               rng.choice(used, n), rng.integers(0, len(names), n),
+                               np.cumsum([0] + sizes), names)
+        limit = mobility.CHUNK_BYTES if chunk_rows is None else 8 * len(nodes) * chunk_rows
+        with mock.patch.object(mobility, "CHUNK_BYTES", limit):
+            chunks = list(mobility.unit_chunks(stream, len(nodes)))
+            got = derive_inputs(cfg, stream)
+        assert chunks[0][0] == 0 and chunks[-1][1] == len(sizes)
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        for first, end in chunks:
+            rows = stream.offsets[end] - stream.offsets[first]
+            assert end - first == 1 or 8 * len(nodes) * rows <= limit
+        for t, batch in enumerate(stream):
+            want = per_unit_delay_matrix(batch, nodes, num_services, cfg.delay_alpha_ms_per_km,
+                                         cfg.delay_base_ms, grid.center())
+            assert np.array_equal(got.delay[t], want), t
+            want_lam = np.bincount(batch.service, minlength=num_services).astype(float)
+            assert np.array_equal(got.demand[t], want_lam), t
 
     def test_determinism_bit_identical(self):
         units = generate_synthetic(seed=21, vehicles=30, grid=GRID, horizon=5)
-        a = derive_delay_matrix(units[2], self.nodes, 8)
-        b = derive_delay_matrix(units[2], self.nodes, 8)
-        assert np.array_equal(a.d, b.d)
+        a = derive_delay_matrix(units[2:3], self.nodes, 8)
+        b = derive_delay_matrix(units[2:3], self.nodes, 8)
+        assert np.array_equal(a, b)

@@ -39,7 +39,7 @@ def grid_scenario(seed=0):
     ]
     services = make_services([10.0 + 2 * s for s in range(8)])
     units = generate_synthetic(seed=seed, vehicles=100, grid=GRID, horizon=1)
-    delay = derive_delay_matrix(units[0], nodes, 8)
+    delay = DelayModel(derive_delay_matrix(units[:1], nodes, 8)[0])
     return nodes, services, delay
 
 

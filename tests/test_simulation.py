@@ -21,7 +21,7 @@ from edgefail.errors import (
 from edgefail import experiment, simulation
 from edgefail.experiment import build_requests, run, simulate_policy, summarize
 from edgefail.metrics import MetricsRecord
-from edgefail.model import NodeStatus, SimPhase
+from edgefail.model import DelayModel, NodeStatus, SimPhase
 from edgefail.placement import place_services, reserve_backup
 from edgefail.simulation import QualityMonitor, Simulation, derive_inputs, evaluate_quality
 from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
@@ -201,7 +201,7 @@ class TestStateMachine:
                            "services.count": 2})
         sim = Simulation(cfg, "lb-psvm")
         reqs = derived(cfg)
-        sim.step(reqs[0], 1)
+        sim.step(reqs, 1)
         empty = [e for e in range(12) if not sim.state.placement.services_on(e, True)]
         assert empty, "scenario needs an empty node"
         assert sim.inject_attack(empty[0], 2) is False
@@ -244,18 +244,21 @@ class TestServingInvariants:
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
         reqs = derived(cfg)
-        sim.step(reqs[0], 1)
+        same = simulation.StreamInputs(reqs.demand[[0, 0]], reqs.delay[[0, 0]])
+        sim.step(same, 1)
         g1 = np.array(sim.state.primary.gamma)
-        sim.step(reqs[0], 2)
+        sim.step(same, 2)
         g2 = np.array(sim.state.primary.gamma)
         assert np.array_equal(g1, g2)
 
     def test_zero_demand_unit(self):
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
-        reqs = derived(cfg)
-        sim.step(reqs[0], 1)
-        sim.step(derive_inputs(cfg, [[]])[0], 2)
+        first = build_requests(cfg)[:1]  # then a unit without requests
+        reqs = derive_inputs(cfg, dataclasses.replace(
+            first, offsets=np.append(first.offsets, first.offsets[-1])))
+        sim.step(reqs, 1)
+        sim.step(reqs, 2)
         record = sim.state.history[-1]
         assert record.avg_delay == 0.0
         assert record.fairness == 1.0
@@ -284,7 +287,7 @@ class TestServingInvariants:
         for policy in ("lb-psvm", "psvm", "br"):
             sim = Simulation(cfg, policy)
             for t in range(1, 4):
-                sim.step(reqs[t - 1], t)
+                sim.step(reqs, t)
             plc = sim.state.placement
             gamma = sim.state.primary.gamma
             hosting = [e for e in range(9) if plc.services_on(e)]
@@ -307,7 +310,7 @@ class TestServingInvariants:
         reqs = derived(cfg)
         sim = Simulation(cfg, policy)
         for t in range(1, 10):
-            sim.step(reqs[t - 1], t)
+            sim.step(reqs, t)
         target = sim._pick_target()
         reference = copy.deepcopy(sim)
         assert reference.inject_attack(target, 10)
@@ -329,12 +332,12 @@ class TestServingInvariants:
         cfg = small_cfg()
         reqs = derived(cfg)
         sim = Simulation(cfg, "lb-psvm")
-        sim.step(reqs[0], 1)
+        sim.step(reqs, 1)
         target = sim._pick_target()
         with pytest.raises(TypeError):  # nodes change only through set_status
             sim.state.nodes[target] = sim.state.nodes[target].with_status(NodeStatus.ATTACKED)
         sim.state.set_status(target, NodeStatus.ATTACKED)
-        sim.step(reqs[1], 2)
+        sim.step(reqs, 2)
         sim.state.set_status(target, NodeStatus.HEALTHY)
         assert sim.inject_attack(target, 3)
         assert sim.state.proactive == {}
@@ -372,14 +375,14 @@ class TestServingInvariants:
         cfg = small_cfg()
         sim = Simulation(cfg, "lb-psvm")
         reqs = derived(cfg)
-        sim.step(reqs[0], 1)
+        sim.step(reqs, 1)
         plc = sim.state.placement
         loads = sim.state.primary.load_per_node()
         idle = [e for e in range(9) if plc.services_on(e) and loads[e] == 0.0]
         if not idle:
             pytest.skip("every hosting node carries load in this draw")
         assert sim.inject_attack(idle[0], 2)
-        sim.step(reqs[1], 2)
+        sim.step(reqs, 2)
         record = sim.state.history[-1]
         assert record.state is SimPhase.ATTACK
         assert not record.failover_active
@@ -391,12 +394,12 @@ class TestServingInvariants:
         sim = Simulation(cfg, "psvm")
         reqs = derived(cfg)
         for t in range(1, 10):
-            sim.step(reqs[t - 1], t)
+            sim.step(reqs, t)
         gamma_prev = np.array(sim.state.primary.gamma)
         lam_prev = np.array(sim.state.primary_demand)
         target = sim._pick_target()
         sim.inject_attack(target, 10)
-        sim.step(reqs[9], 10)
+        sim.step(reqs, 10)
         record = sim.state.history[-1]
         lam_now = record.demand_per_service
         for s in range(cfg.services_count):
@@ -436,7 +439,7 @@ class TestQualityMonitor:
         runs = [Simulation(cfg, policy).run(units) for policy in cfg.policy_list()]
         sim = Simulation(cfg, "psvm")
         for t in range(2, cfg.horizon + 1):
-            sim.step(units[t - 1], t)
+            sim.step(units, t)
         runs.append(sim.state.history)
         scores = []
         for records in runs:
@@ -462,7 +465,7 @@ class TestQualityMonitor:
         sim = Simulation(cfg, "lb-psvm")
         reqs = derived(cfg)
         for t in range(1, 6):
-            sim.step(reqs[t - 1], t)
+            sim.step(reqs, t)
         # threshold 1.0 cannot be met, so the 5th unit flags a re-placement
         assert sim.state.pending_reopt
 
@@ -473,13 +476,13 @@ class TestBrPolicy:
         sim = Simulation(cfg, "br")
         reqs = derived(cfg)
         for t in range(1, 10):
-            sim.step(reqs[t - 1], t)
+            sim.step(reqs, t)
         plc = sim.state.placement
         target = sim._pick_target()
         lost = plc.services_on(target)
         assert lost
         sim.inject_attack(target, 10)
-        sim.step(reqs[9], 10)
+        sim.step(reqs, 10)
         record = sim.state.history[-1]
         reserved_nodes = {s: plc.reserved_nodes(s) for s in lost}
         for s in lost:
@@ -495,7 +498,7 @@ class TestBrPolicy:
         for t in range(1, 12):
             if t == 10:
                 sim.inject_attack(sim._pick_target(), t)
-            sim.step(reqs[t - 1], t)
+            sim.step(reqs, t)
         plc = sim.state.placement
         # after recovery every service is hosted on >= 2 nodes again
         assert (plc.instance_counts() >= 2).all()
@@ -528,8 +531,8 @@ class TestBrPolicy:
         cfg = small_cfg(**{"node.capacity": 55})
         units = derived(cfg)
         sim = Simulation(cfg, "br")
-        sim.step(units[0], 1)
-        plc = place_services(sim.services, sim.state.nodes, units[0].delay,
+        sim.step(units, 1)
+        plc = place_services(sim.services, sim.state.nodes, DelayModel(units.delay[0]),
                              cfg.placement_instances_per_service)
         with pytest.raises(InfeasibleError):
             reserve_backup(plc, sim.services, sim.state.nodes)
@@ -541,7 +544,7 @@ class TestBrPolicy:
         assert np.array_equal(sim.state.placement.reserved, plc.reserved)
         assert 0 < plc.reserved.sum() < 8
         for t in range(2, cfg.horizon + 1):
-            sim.step(units[t - 1], t)
+            sim.step(units, t)
         assert len(sim.state.history) == cfg.horizon
 
 
@@ -632,7 +635,7 @@ class TestSharedInputs:
         cfg = small_cfg()
         assert len(cfg.policy_list()) == 3
         run(cfg, out=str(tmp_path / "o"))
-        assert len(calls) == cfg.horizon
+        assert sum(map(len, calls)) == cfg.horizon
 
 
 def stepped(cfg, policy, units):
@@ -640,7 +643,7 @@ def stepped(cfg, policy, units):
     unit.  Checks each served vector against a sum over one unit's loads."""
     sim = Simulation(cfg, policy)
     st = sim.state
-    for t, unit in enumerate(units, start=1):
+    for t in range(1, len(units) + 1):
         if st.active_attack is not None and st.recover_at == t:
             sim.recover(t)
         if st.active_attack is not None and st.heal_at == t:
@@ -648,7 +651,7 @@ def stepped(cfg, policy, units):
         target = sim._scheduled_target(t)
         if target is not None:
             sim.inject_attack(target, t)
-        sim.step(unit, t)
+        sim.step(units, t)
         record = st.history[-1]
         if record.state is not SimPhase.ATTACK:
             assert np.array_equal(record.served_per_service, st.primary.gamma.sum(axis=0)), t
@@ -743,9 +746,9 @@ class TestLookahead:
     def test_overload_raises_at_its_unit(self, policy):
         cfg = small_cfg()
         units = derived(cfg)
-        demand = np.array(units[6].demand)
-        demand[0] = 1000.0
-        units[6] = simulation.UnitInputs(demand=demand, delay=units[6].delay)
+        demand = np.array(units.demand)
+        demand[6, 0] = 1000.0
+        units = simulation.StreamInputs(demand, units.delay)
         sim = Simulation(cfg, policy)
         with pytest.raises(InfeasibleError) as exc:
             sim.run(units)
@@ -758,17 +761,17 @@ class TestLookahead:
         # blocks lb-psvm stored; stored arrays are read-only
         cfg = small_cfg()
         units = derived(cfg)
-        demand = np.array(units[6].demand)
-        demand[0] = 1000.0
-        units[6] = simulation.UnitInputs(demand=demand, delay=units[6].delay)
+        demand = np.array(units.demand)
+        demand[6, 0] = 1000.0
+        units = simulation.StreamInputs(demand, units.delay)
         serving = {}
         for policy in ("lb-psvm", "psvm"):
             with pytest.raises(InfeasibleError, match="^t=7: service 0"):
                 Simulation(cfg, policy, serving=serving).run(units)
-        looks = sorted(serving.values(), key=lambda look: look.t0)
-        assert [(look.t0, len(look.units), len(look.gamma)) for look in looks] == [
+        looks = sorted(serving.items(), key=lambda item: item[0][1])  # (x, t0, uncut end)
+        assert [(t0, end - t0, len(look.gamma)) for (_x, t0, end), look in looks] == [
             (1, 5, 5), (6, 4, 1)]
-        assert not any(a.flags.writeable for look in looks
+        assert not any(a.flags.writeable for _key, look in looks
                        for a in (look.demand, look.delay, look.gamma))
 
     @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
@@ -786,7 +789,13 @@ class TestLookahead:
         monkeypatch.setattr(simulation, "place_services", fail)
         cfg = small_cfg()
         with pytest.raises(InfeasibleError, match="no room"):
-            Simulation(cfg, "psvm").step(derived(cfg)[0], 1)
+            Simulation(cfg, "psvm").step(derived(cfg), 1)
+
+    @pytest.mark.parametrize("t", [0, 31])
+    def test_step_outside_the_units_raises(self, t):
+        # row t - 1 of the inputs: t = 0 must not read the last unit
+        with pytest.raises(IndexError, match=f"t={t} is outside units 1..30"):
+            Simulation(small_cfg(), "psvm").step(derived(small_cfg()), t)
 
 
 class TestSingleCandidateCollapse:
