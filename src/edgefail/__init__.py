@@ -40,7 +40,6 @@ from .mobility import (
     ingest_trace,
 )
 from .model import (
-    AttackEvent,
     DelayModel,
     EdgeNode,
     NodeStatus,
@@ -54,7 +53,7 @@ from .model import (
     SimPhase,
     validate_placement,
 )
-from .placement import RecoveryResult, place_services, recover_placement, reserve_backup
+from .placement import place_services, recover_placement, reserve_backup
 from .simulation import QualityMonitor, Simulation, StreamInputs, derive_inputs, evaluate_quality
 from .solvers import (
     LbPsvmProblem,
@@ -69,7 +68,6 @@ from .solvers import (
 from .experiment import RunArtifacts, compare, run, simulate_policy
 
 __all__ = [
-    "AttackEvent",
     "BoundingBox",
     "ConcurrentAttackError",
     "ConfigError",
@@ -89,7 +87,6 @@ __all__ = [
     "PlacementDecision",
     "PrimaryMapping",
     "QualityMonitor",
-    "RecoveryResult",
     "RequestBatch",
     "RequestStream",
     "RunArtifacts",

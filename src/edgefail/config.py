@@ -136,16 +136,23 @@ class ExperimentConfig:
         ]
         if self.horizon < 1:
             problems.append("horizon: must be >= 1")
-        bad = [p for p in self.policy_list() if p not in POLICIES]
+        policies = self.policy_list()
+        bad = [p for p in policies if p not in POLICIES]
         if bad:
             problems.append(f"policies: unknown {bad}, valid: {','.join(POLICIES)}")
-        if not self.policy_list():
+        if not policies:
             problems.append("policies: need at least one")
+        if len(set(policies)) < len(policies):
+            problems.append("policies: each policy at most once")
         if not (self.dataset == "synthetic" or self.dataset.startswith("trace:")):
             problems.append("dataset: expected 'synthetic' or 'trace:<path>'")
         if self.dataset.startswith("trace:") and self.trace_bbox is None:
             problems.append("trace.bbox: required for trace datasets "
                             "(lat_min,lat_max,lon_min,lon_max)")
+        try:
+            self.bbox()
+        except ValueError as exc:
+            problems.append(f"trace.bbox: {exc}")
         if self.grid_rows < 1 or self.grid_cols < 1 or self.grid_cell_km <= 0:
             problems.append("grid: rows/cols must be >= 1, cell_km > 0")
         if self.services_count < 1:
@@ -171,8 +178,9 @@ class ExperimentConfig:
             problems.append("attack.every: must be >= 1")
         if self.recovery_delay < 1:
             problems.append("recovery.delay: must be >= 1")
-        # recovery drops the t-1 node health a split is solved from, so
-        # it must come at least one unit before the next onset can
+        # an onset drops the node health a split is solved from, and only a
+        # non-attack unit, after the recovery, keeps it again: so recovery
+        # must come at least one unit before the next onset can
         if self.quarantine_units() <= self.recovery_delay:
             problems.append("attack.quarantine: must be > recovery.delay")
         if self.monitor_period < 1:
@@ -200,7 +208,7 @@ class ExperimentConfig:
                                 f"distinct nodes, the grid has {E}")
             else:
                 try:
-                    check_budget(self.services(), self.nodes(), [I] * self.services_count)
+                    check_budget(self.services(), self.nodes(), I)
                 except InfeasibleError as exc:
                     problems.append(f"node.capacity: {exc}")
         if problems:
@@ -252,7 +260,6 @@ class ExperimentConfig:
                 id=s,
                 delay_threshold=50.0 + 10.0 * s,
                 resource_cost=10.0 + 2.0 * s,
-                instance_capacity=self.service_capacity,
             )
             for s in range(self.services_count)
         ]
@@ -272,11 +279,12 @@ class ExperimentConfig:
         )
 
     def bbox(self) -> BoundingBox | None:
+        """The trace's box; ValueError when ``trace.bbox`` is malformed."""
         if self.trace_bbox is None:
             return None
         parts = [float(v) for v in self.trace_bbox.split(",")]
         if len(parts) != 4:
-            raise ConfigError("trace.bbox: expected lat_min,lat_max,lon_min,lon_max")
+            raise ValueError("expected lat_min,lat_max,lon_min,lon_max")
         return BoundingBox(*parts)
 
     def trace_path(self) -> str | None:

@@ -190,7 +190,6 @@ class Comparison:
     """Side-by-side summaries of several runs sharing a config hash."""
 
     values: dict  # (run_label, policy) -> {metric: value}
-    deltas: dict  # (run_label, policy) -> {metric: value - baseline}
     winners: dict  # metric -> (run_label, policy)
 
     def to_text(self) -> str:
@@ -258,15 +257,8 @@ def compare(summary_paths: list[str]) -> Comparison:
         for policy, metrics in _read_summary(path).items():
             values[(label, policy)] = metrics
 
-    baseline_by_policy: dict[str, dict[str, float]] = {}
-    for (label, policy), v in values.items():
-        baseline_by_policy.setdefault(policy, v)
-    deltas = {
-        key: {m: v[m] - baseline_by_policy[key[1]][m] for m in v}
-        for key, v in values.items()
-    }
     winners = {}
     for m in SUMMARY_COLUMNS[1:]:
         pick = min if m != "mean_fairness" else max
         winners[m] = pick(values, key=lambda k: values[k][m])
-    return Comparison(values=values, deltas=deltas, winners=winners)
+    return Comparison(values=values, winners=winners)

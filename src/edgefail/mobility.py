@@ -76,6 +76,8 @@ class BoundingBox:
     lon_max: float
 
     def __post_init__(self):
+        if not np.isfinite([self.lat_min, self.lat_max, self.lon_min, self.lon_max]).all():
+            raise ValueError("bounding box must be finite")
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box must be non-degenerate")
 

@@ -1,4 +1,4 @@
-"""Core domain types: services, edge nodes, placements, mappings, attacks.
+"""Core domain types: services, edge nodes, requests, placements, mappings.
 
 All types are immutable value objects; numpy array fields are marked
 read-only after construction so instances can be shared freely.
@@ -36,27 +36,23 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ServiceType:
-    """One service class: delay bound, footprint, per-instance capacity.
+    """One service class: delay bound and footprint.
 
     Attributes:
         id: service index in [0, S).
         delay_threshold: maximum tolerable delay in milliseconds.
         resource_cost: resource units one instance consumes on a node.
-        instance_capacity: simultaneous vehicle connections one instance serves.
     """
 
     id: int
     delay_threshold: float
     resource_cost: float
-    instance_capacity: float
 
     def __post_init__(self):
         if self.delay_threshold <= 0:
             raise ValueError(f"service {self.id}: delay_threshold must be > 0")
         if self.resource_cost <= 0:
             raise ValueError(f"service {self.id}: resource_cost must be > 0")
-        if self.instance_capacity <= 0:
-            raise ValueError(f"service {self.id}: instance_capacity must be > 0")
 
 
 @dataclass(frozen=True)
@@ -282,9 +278,6 @@ class PrimaryMapping:
         check_gamma(g)
         object.__setattr__(self, "gamma", _freeze(g))
 
-    def load_per_node(self) -> np.ndarray:
-        return self.gamma.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class SecondaryMapping:
@@ -332,14 +325,6 @@ class DelayModel:
     def nearest(self, nodes, s: int) -> int:
         """The lowest-delay node of ``nodes`` for service s."""
         return self.ranked(nodes, s)[0]
-
-
-@dataclass(frozen=True)
-class AttackEvent:
-    """A single-node outage: onset time and target node."""
-
-    time: int
-    target: int
 
 
 @dataclass(frozen=True)

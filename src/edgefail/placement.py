@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InfeasibleError
@@ -20,10 +18,10 @@ from .model import (
 MAX_SEARCH_STATES = 200_000
 
 
-def check_budget(services: list[ServiceType], nodes: list[EdgeNode], counts: list[int]) -> None:
-    """Raise InfeasibleError when ``counts[s]`` instances of every service
+def check_budget(services: list[ServiceType], nodes: list[EdgeNode], instances: int) -> None:
+    """Raise InfeasibleError when ``instances`` instances of every service
     need more resource units than the healthy nodes have in total."""
-    total_need = sum(counts[s] * services[s].resource_cost for s in range(len(services)))
+    total_need = sum(instances * s.resource_cost for s in services)
     total_have = sum(n.capacity for n in nodes if n.healthy)
     if total_need > total_have + 1e-9:
         raise InfeasibleError(
@@ -34,7 +32,7 @@ def check_budget(services: list[ServiceType], nodes: list[EdgeNode], counts: lis
 
 def footprint_order(services: list[ServiceType], ids) -> list[int]:
     """Service ids ``ids``, bigger footprint first (ties to the lower id),
-    the order in which services are sited, reserved and recovered."""
+    the order in which services are sited, recovered, and reserved at a placement."""
     return sorted(ids, key=lambda s: (-services[s].resource_cost, s))
 
 
@@ -57,7 +55,7 @@ def place_services(
     services: list[ServiceType],
     nodes: list[EdgeNode],
     delay: DelayModel,
-    instances_per_service: int | list[int] = 3,
+    instances_per_service: int = 3,
 ) -> PlacementDecision:
     """Greedy-by-delay siting with capacity backtracking.
 
@@ -71,17 +69,11 @@ def place_services(
         InfeasibleError: when the aggregate budget cannot fit all
             instances, or the search exhausts its state budget.
     """
-    E, S = len(nodes), len(services)
-    if isinstance(instances_per_service, int):
-        counts = [instances_per_service] * S
-    else:
-        counts = list(instances_per_service)
-        if len(counts) != S:
-            raise ValueError("instances_per_service must match the service count")
-    if any(c < 2 for c in counts):
+    E, S, need = len(nodes), len(services), instances_per_service
+    if need < 2:
         raise ValueError("each service needs at least 2 instances (redundancy)")
 
-    check_budget(services, nodes, counts)
+    check_budget(services, nodes, need)
     healthy = [n.id for n in nodes if n.healthy]
 
     order = footprint_order(services, range(S))
@@ -96,7 +88,6 @@ def place_services(
         s = order[idx]
         cost = services[s].resource_cost
         options = [e for e in delay.ranked(healthy, s) if residual[e] >= cost - 1e-9]
-        need = counts[s]
         if len(options) < need:
             return False
 
@@ -140,35 +131,28 @@ def place_services(
 
 def reserve_backup(
     p: PlacementDecision,
+    order: list[int],
     services: list[ServiceType],
     nodes: list[EdgeNode],
-    only=None,
-) -> PlacementDecision:
-    """Add one idle backup instance per service type.
+) -> tuple[PlacementDecision, list[int]]:
+    """Add one idle backup instance of each service in ``order``, in that order.
 
     The backup lands on the healthy node with the most residual capacity
     that does not already host the service (ties to the lowest index).
     Reserved instances consume node resources immediately but carry no
     primary load.  Existing instances are never moved or removed.
-    ``only`` restricts reservation to a subset of service ids.
 
-    Raises:
-        InfeasibleError: when some service has no node with room left.
+    Returns the placement and the services of ``order`` with no node with
+    room left, which get no backup, in ``order``.
     """
-    out = p
-    for s in footprint_order(services, range(len(services)) if only is None else only):
-        room = _room(out, s, services, nodes)
+    missing = []
+    for s in order:
+        room = _room(p, s, services, nodes)
         if not room:
-            raise InfeasibleError(f"service {s}: no residual capacity for a backup instance")
-        best = max(room, key=lambda e: (room[e], -e))
-        out = out.with_instance(best, s, reserved=True)
-    return out
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    placement: PlacementDecision
-    unrecovered: tuple[int, ...]
+            missing.append(s)
+            continue
+        p = p.with_instance(max(room, key=lambda e: (room[e], -e)), s, reserved=True)
+    return p, missing
 
 
 def recover_placement(
@@ -178,7 +162,7 @@ def recover_placement(
     services: list[ServiceType],
     nodes: list[EdgeNode],
     delay: DelayModel,
-) -> RecoveryResult:
+) -> tuple[PlacementDecision, tuple[int, ...]]:
     """Restore the instances of ``services_lost`` that the attacked node
     hosted, bigger footprints first.
 
@@ -186,8 +170,10 @@ def recover_placement(
     lowest propagation delay (ties to the lowest node index).  A service
     without one gets a new instance on the lowest-delay healthy node that
     hosts no instance of it, active or reserved, and has room left.  The
-    attacked node ends up hosting nothing.  Services with no room
-    anywhere are reported back rather than raising.
+    attacked node ends up hosting nothing.
+
+    Returns the placement and the lost services with no room anywhere,
+    which stay on fewer instances, in id order.
     """
     out = p.without_node(attacked)
     unrecovered: list[int] = []
@@ -201,4 +187,4 @@ def recover_placement(
             unrecovered.append(s)
             continue
         out = out.with_instance(delay.nearest(options, s), s)
-    return RecoveryResult(placement=out, unrecovered=tuple(sorted(unrecovered)))
+    return out, tuple(sorted(unrecovered))

@@ -1,6 +1,7 @@
 """Discrete-time failure/recovery simulation.
 
-The loop walks a three-phase state machine per attack cycle:
+The loop walks a three-phase state machine per attack cycle, whose phase
+is read from the attack record (``SimulationState.phase``), not stored:
 
 * PreAttack -- demand is served by the primary mapping; the state keeps
   the unit's loads, delay matrix and node health, the inputs of a
@@ -10,7 +11,8 @@ The loop walks a three-phase state machine per attack cycle:
   mapping acts as routing proportions rescaled to the current demand.
 * Recovered -- lost instances are restored elsewhere after the recovery
   delay.  The attacked node returns after a quarantine, by default the
-  remainder of the attack cycle.
+  remainder of the attack cycle; its return clears the attack record, so
+  a return before the recovery ends the attack too.
 
 Every policy steps over the same ``StreamInputs``: ``derive_inputs`` turns
 the request stream into (T, S) demand and (T, E, S) delay matrices once,
@@ -54,7 +56,6 @@ from .errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
 from .metrics import RunTable, average_elf, edge_load_factor, jain_fairness, service_delay
 from .mobility import derive_delay_matrix, derive_demand, unit_chunks
 from .model import (
-    AttackEvent,
     DelayModel,
     EdgeNode,
     NodeStatus,
@@ -157,13 +158,19 @@ class SimulationState:
     primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
     primary_demand: np.ndarray | None = None
     delay_matrix: np.ndarray | None = None  # (E, S) delays of the last unit
-    primary_nodes: tuple | None = None  # nodes of the last non-attack unit since recovery
+    primary_nodes: tuple | None = None  # nodes of the last non-attack unit since the last onset
     proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
-    active_attack: AttackEvent | None = None
-    phase: SimPhase = SimPhase.PRE_ATTACK
-    recover_at: int | None = None
-    heal_at: int | None = None
+    attack_target: int | None = None  # the attacked node until it heals
+    recover_at: int | None = None  # set only during an attack, until its recovery
+    heal_at: int | None = None  # set only during an attack
     pending_reopt: bool = False
+
+    @property
+    def phase(self) -> SimPhase:
+        """PreAttack without an attack target, Attack until its recovery, then Recovered."""
+        if self.attack_target is None:
+            return SimPhase.PRE_ATTACK
+        return SimPhase.ATTACK if self.recover_at is not None else SimPhase.RECOVERED
 
     @property
     def primary(self) -> PrimaryMapping | None:
@@ -223,9 +230,9 @@ class Simulation:
         self.inputs, self.lookahead = inputs, None
         try:
             for t in range(1, len(inputs) + 1):
-                if st.active_attack is not None and st.recover_at == t:
+                if st.recover_at == t:
                     self.recover(t)
-                if st.active_attack is not None and st.heal_at == t:
+                if st.heal_at == t:
                     self.heal(t)
                 target = self._scheduled_target(t)
                 if target is not None:
@@ -243,7 +250,7 @@ class Simulation:
         return (t // self.cfg.attack_every + 1) * self.cfg.attack_every
 
     def _scheduled_target(self, t: int) -> int | None:
-        if self.state.active_attack is not None or self._next_onset(t - 1) != t:
+        if self.state.attack_target is not None or self._next_onset(t - 1) != t:
             return None
         return self.schedule[t] if self.schedule else self._pick_target()
 
@@ -273,17 +280,17 @@ class Simulation:
             ConcurrentAttackError: if an attack is already active.
         """
         st = self.state
-        if st.active_attack is not None:
+        if st.attack_target is not None:
             raise ConcurrentAttackError(
                 f"attack on node {target} at t={t} while node "
-                f"{st.active_attack.target} is still down"
+                f"{st.attack_target} is still down"
             )
         if st.placement is None or not st.placement.services_on(target, include_reserved=True):
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
         # unit t-1 was served by the primary mapping and left st.primary and
         # st.delay at its values; no split when no such unit ran since the last
-        # recovery (a validated config has one) or the target was down at t-1
+        # onset (a validated config has one) or the target was down at t-1
         healthy = {n.id for n in st.primary_nodes or () if n.healthy}
         st.proactive = {}
         if target in healthy:
@@ -293,8 +300,7 @@ class Simulation:
                 for s in st.placement.services_on(target)
             }
         st.set_status(target, NodeStatus.ATTACKED)
-        st.active_attack = AttackEvent(time=t, target=target)
-        st.phase = SimPhase.ATTACK
+        st.attack_target, st.primary_nodes = target, None
         st.recover_at = t + self.cfg.recovery_delay
         st.heal_at = t + self.cfg.quarantine_units()
         return True
@@ -304,31 +310,24 @@ class Simulation:
         with reserves, each service it hosted that has no healthy backup
         left then reserves a new one."""
         st = self.state
-        target = st.active_attack.target
+        target = st.attack_target
         touched = st.placement.services_on(target, include_reserved=True)
-        result = recover_placement(st.placement, target, st.placement.services_on(target),
-                                   self.services, st.nodes, st.delay)
-        plc = result.placement
-        if result.unrecovered:
-            logger.warning("t=%d: unrecovered services %s", t, result.unrecovered)
+        plc, unrecovered = recover_placement(st.placement, target, st.placement.services_on(target),
+                                             self.services, st.nodes, st.delay)
+        if unrecovered:
+            logger.warning("t=%d: unrecovered services %s", t, unrecovered)
         if self.uses_reserves:
             healthy = st.healthy_ids()
             unreserved = [s for s in touched if not plc.reserved[healthy, s].any()]
             plc = self._reserve(plc, unreserved, t)
         st.placement = plc
-        st.phase = SimPhase.RECOVERED
         st.recover_at = None
-        st.primary_nodes = None
 
     def heal(self, t: int) -> None:
-        """End the quarantine: the node is placeable again."""
+        """End the quarantine, and the attack with it: the node is placeable again."""
         st = self.state
-        target = st.active_attack.target
-        st.set_status(target, NodeStatus.HEALTHY)
-        st.active_attack = None
-        st.heal_at = None
-        if st.phase is SimPhase.RECOVERED:
-            st.phase = SimPhase.PRE_ATTACK
+        st.set_status(st.attack_target, NodeStatus.HEALTHY)
+        st.attack_target = st.recover_at = st.heal_at = None
 
     # ---- per-unit work ----------------------------------------------------
 
@@ -338,10 +337,12 @@ class Simulation:
             raise IndexError(f"t={t} is outside units 1..{len(inputs)}")
         st = self.state
         lam, d = inputs.demand[t - 1], inputs.delay[t - 1]
-        if st.phase is not SimPhase.ATTACK and (st.placement is None or st.pending_reopt):
+        phase = st.phase
+        attack = phase is SimPhase.ATTACK
+        if not attack and (st.placement is None or st.pending_reopt):
             self._place(DelayModel(d), t)
             st.pending_reopt = False
-        if st.phase is SimPhase.ATTACK:
+        if attack:
             self._attack_record(t, lam, d, *self._attack_serve(lam, d))
         else:
             look = self.lookahead if self.inputs is not None else None  # bare steps: one unit
@@ -357,9 +358,9 @@ class Simulation:
             first = max(0, len(table) - monitor.period + 1)
             window = table.cols["per_service_delay"][first:len(table) + 1]
             monitor.q_value = evaluate_quality(monitor, window)
-            if monitor.q_value < monitor.threshold and st.phase is not SimPhase.ATTACK:
+            if monitor.q_value < monitor.threshold and not attack:
                 st.pending_reopt = True
-        table.commit(st.phase, monitor.q_value)
+        table.commit(phase, monitor.q_value)
         st.delay_matrix = d
 
     def _look_ahead(self, inputs: StreamInputs, t: int) -> Lookahead:
@@ -412,14 +413,12 @@ class Simulation:
             plc = self._reserve(plc, footprint_order(self.services, range(self.num_services)), t)
         st.placement = plc
 
-    def _reserve(self, plc: PlacementDecision, services, t: int) -> PlacementDecision:
+    def _reserve(self, plc: PlacementDecision, order: list[int], t: int) -> PlacementDecision:
         """One idle backup per service, in the given order, where room is
         left; a service without room fails over as psvm would."""
-        for s in services:
-            try:
-                plc = reserve_backup(plc, self.services, self.state.nodes, only=[s])
-            except InfeasibleError:
-                logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
+        plc, missing = reserve_backup(plc, order, self.services, self.state.nodes)
+        for s in missing:
+            logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc
 
     def _policy_secondary(self, gamma: PrimaryMapping, d: DelayModel, healthy: set, target: int,
@@ -472,7 +471,7 @@ class Simulation:
     def _attack_serve(self, lam: np.ndarray, d: np.ndarray):
         """Serve via stored splits; previous proportions scaled to today."""
         st = self.state
-        target = st.active_attack.target
+        target = st.attack_target
         loads = np.zeros((len(st.nodes), self.num_services))
         added = np.zeros_like(loads)
         unserved = np.zeros(self.num_services)
@@ -514,7 +513,7 @@ class Simulation:
             avg_elf = average_elf(elf_per_node, added.sum(axis=1) > 0)
 
         # fairness over each split's candidates, for the services it loaded
-        target = self.state.active_attack.target
+        target = self.state.attack_target
         jains = [
             jain_fairness([added[e, s] / avail[e, s]
                            for e in self.state.proactive[(target, s)].candidates])

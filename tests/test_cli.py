@@ -216,9 +216,10 @@ class TestCompare:
     def test_identical_runs_zero_deltas(self, tmp_path):
         paths = self.make_summaries(tmp_path)
         cmp = compare(paths)
-        assert all(
-            abs(d) == 0.0 for deltas in cmp.deltas.values() for d in deltas.values()
-        )
+        policies = ExperimentConfig.from_sources(overrides=FAST).policy_list()
+        assert len(cmp.values) == 2 * len(policies)
+        for p in policies:
+            assert cmp.values[("r0", p)] == cmp.values[("r1", p)], p
 
     def test_winner_flags(self, tmp_path):
         paths = self.make_summaries(tmp_path)
@@ -300,6 +301,30 @@ class TestCliEntry:
         extra = ["--config", str(cfgfile), "--attack-every", str(every)]
         assert main(fast_args(tmp_path / "o", extra=extra)) == 2
         assert f"error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bbox", [
+        "1,0,0,1",  # degenerate
+        "0,1,nan,1",
+        "a,b,c,d",
+        "-inf,inf,-inf,inf",  # used to fail on the delay matrices
+        "0,inf,0,1",  # used to run with every vehicle at y = 0
+    ])
+    def test_malformed_bbox_exit_2(self, tmp_path, capsys, bbox):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("vehicle_id,timestamp,lat,lon\nv1,0,0.5,0.5\nv1,60,0.6,0.5\n")
+        cfgfile = tmp_path / "exp.conf"
+        cfgfile.write_text(f"trace.bbox = {bbox}\n")
+        extra = ["--dataset", f"trace:{trace}", "--config", str(cfgfile)]
+        assert main(fast_args(tmp_path / "o", extra=extra)) == 2
+        assert "error: trace.bbox: " in capsys.readouterr().err
+
+    def test_repeated_policy_exit_2(self, tmp_path, capsys):
+        # psvm,psvm used to write each psvm row twice
+        with pytest.raises(ConfigError, match="policies"):
+            ExperimentConfig.from_sources(overrides={**FAST, "policies": "psvm,br,psvm"})
+        assert main(fast_args(tmp_path / "o", extra=["--policies", "psvm,psvm"])) == 2
+        assert "error: policies" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_file_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.conf"

@@ -13,9 +13,9 @@ from edgefail.model import (
 )
 
 
-def make_services(costs, cap=30.0):
+def make_services(costs):
     return [
-        ServiceType(id=i, delay_threshold=50.0 + 10 * i, resource_cost=c, instance_capacity=cap)
+        ServiceType(id=i, delay_threshold=50.0 + 10 * i, resource_cost=c)
         for i, c in enumerate(costs)
     ]
 
@@ -27,7 +27,7 @@ def make_nodes(n, capacity=100.0):
 class TestServiceType:
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(ValueError):
-            ServiceType(id=0, delay_threshold=0, resource_cost=10, instance_capacity=30)
+            ServiceType(id=0, delay_threshold=0, resource_cost=10)
 
 
 class TestPlacementDecision:

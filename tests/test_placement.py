@@ -19,7 +19,7 @@ GRID = GridMap()
 
 def make_services(costs):
     return [
-        ServiceType(id=i, delay_threshold=50.0 + 10 * i, resource_cost=c, instance_capacity=30.0)
+        ServiceType(id=i, delay_threshold=50.0 + 10 * i, resource_cost=c)
         for i, c in enumerate(costs)
     ]
 
@@ -103,19 +103,27 @@ class TestPlaceServices:
                            instances_per_service=1)
 
 
+def reserve_all(p, services, nodes):
+    """Reserve a backup of every service, bigger footprints first."""
+    order = sorted(range(len(services)), key=lambda s: (-services[s].resource_cost, s))
+    return reserve_backup(p, order, services, nodes)
+
+
 class TestReserveBackup:
     def test_only_legal_spot(self):
         nodes = make_nodes(3)
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1], [0]]))
-        q = reserve_backup(p, services, nodes)
+        q, missing = reserve_backup(p, [0], services, nodes)
+        assert missing == []
         assert q.reserved[2, 0] == 1
         assert np.array_equal(q.x, p.x)
 
     def test_default_scenario_costs_extra_136_units(self):
         nodes, services, delay = grid_scenario()
         p = place_services(services, nodes, delay, instances_per_service=3)
-        q = reserve_backup(p, services, nodes)
+        q, missing = reserve_all(p, services, nodes)
+        assert missing == []
         extra = q.resource_usage(services).sum() - p.resource_usage(services).sum()
         assert extra == pytest.approx(sum(s.resource_cost for s in services))
         assert extra == pytest.approx(136.0)
@@ -125,24 +133,36 @@ class TestReserveBackup:
     def test_superset_of_input(self):
         nodes, services, delay = grid_scenario()
         p = place_services(services, nodes, delay, instances_per_service=3)
-        q = reserve_backup(p, services, nodes)
+        q, _ = reserve_all(p, services, nodes)
         assert (q.x >= p.x).all()
 
-    def test_full_nodes_raise(self):
+    def test_full_nodes_reported(self):
         nodes = make_nodes(2, capacity=20.0)
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1]]))
         # residual is 10 per node but both already host the service
-        with pytest.raises(InfeasibleError):
-            reserve_backup(p, services, nodes)
+        q, missing = reserve_backup(p, [0], services, nodes)
+        assert missing == [0]
+        assert q is p
 
     def test_only_subset(self):
         nodes = make_nodes(4)
         services = make_services([10.0, 12.0])
         p = PlacementDecision(x=np.array([[1, 1], [1, 1], [0, 0], [0, 0]]))
-        q = reserve_backup(p, services, nodes, only=[1])
+        q, _ = reserve_backup(p, [1], services, nodes)
         assert q.reserved[:, 0].sum() == 0
         assert q.reserved[:, 1].sum() == 1
+
+    def test_order_is_the_callers(self):
+        # only node 2 has room, for one instance: the first service of the
+        # order gets it, the second is reported
+        nodes = make_nodes(2, capacity=22.0) + [EdgeNode(id=2, location=(2.0, 0.0), capacity=12.0)]
+        services = make_services([10.0, 12.0])
+        p = PlacementDecision(x=np.array([[1, 1], [1, 1], [0, 0]]))
+        for order in ([0, 1], [1, 0]):
+            q, missing = reserve_backup(p, order, services, nodes)
+            assert q.reserved[2].tolist() == [int(order[0] == 0), int(order[0] == 1)]
+            assert missing == order[1:]
 
 
 class TestRecoverPlacement:
@@ -164,9 +184,8 @@ class TestRecoverPlacement:
         ])
         p = PlacementDecision(x=x)
         d = uniform_delay(4, 3)
-        result = recover_placement(p, 0, [0, 1, 2], services, self.attack(nodes, 0), d)
-        assert not result.unrecovered
-        q = result.placement
+        q, unrecovered = recover_placement(p, 0, [0, 1, 2], services, self.attack(nodes, 0), d)
+        assert not unrecovered
         assert q.x[0].sum() == 0
         for s in range(3):
             assert q.x[:, s].sum() == x[:, s].sum()  # instance count restored
@@ -181,18 +200,18 @@ class TestRecoverPlacement:
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1], [0]]))
         d = uniform_delay(3, 1)
-        result = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
-        assert not result.unrecovered
-        assert result.placement.x[:, 0].tolist() == [0, 1, 1]
+        q, unrecovered = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        assert not unrecovered
+        assert q.x[:, 0].tolist() == [0, 1, 1]
 
     def test_no_capacity_reports_unrecovered(self):
         nodes = make_nodes(2, capacity=10.0)
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1]]))
         d = uniform_delay(2, 1)
-        result = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
-        assert result.unrecovered == (0,)
-        assert result.placement.x[:, 0].tolist() == [0, 1]
+        q, unrecovered = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        assert unrecovered == (0,)
+        assert q.x[:, 0].tolist() == [0, 1]
 
     def test_never_places_on_attacked_node(self):
         rng = np.random.default_rng(8)
@@ -201,13 +220,12 @@ class TestRecoverPlacement:
             p = place_services(services, nodes, delay, instances_per_service=3)
             target = int(rng.integers(0, 9))
             lost = p.services_on(target)
-            result = recover_placement(
+            q, unrecovered = recover_placement(
                 p, target, lost, services, self.attack(nodes, target), delay
             )
-            assert result.placement.x[target].sum() == 0
-            assert result.placement.reserved[target].sum() == 0
-            report = validate_placement(result.placement, nodes, services,
-                                        require_redundancy=not result.unrecovered)
+            assert q.x[target].sum() == 0
+            assert q.reserved[target].sum() == 0
+            report = validate_placement(q, nodes, services, require_redundancy=not unrecovered)
             assert all(report.resource_ok)
 
     def test_delay_tie_breaks_to_lowest_index(self):
@@ -215,8 +233,8 @@ class TestRecoverPlacement:
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1], [0], [0]]))
         d = uniform_delay(4, 1)
-        result = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
-        assert result.placement.x[:, 0].tolist() == [0, 1, 1, 0]
+        q, _ = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        assert q.x[:, 0].tolist() == [0, 1, 1, 0]
 
     def test_promotes_nearest_healthy_backup(self):
         # node 0 is hit; service 0's backups sit on node 2 (down, nearest),
@@ -226,12 +244,12 @@ class TestRecoverPlacement:
         x = np.array([[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]])
         reserved = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0]])
         d = DelayModel(d=np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, 3.0], [2.0, 2.0]]))
-        result = recover_placement(
+        q, unrecovered = recover_placement(
             PlacementDecision(x=x, reserved=reserved), 0, [0, 1], services, nodes, d
         )
-        assert not result.unrecovered
-        assert result.placement.x.tolist() == [[0, 0], [1, 1], [0, 0], [1, 0], [0, 1]]
-        assert result.placement.reserved[:, 0].tolist() == [0, 0, 1, 0, 1]
+        assert not unrecovered
+        assert q.x.tolist() == [[0, 0], [1, 1], [0, 0], [1, 0], [0, 1]]
+        assert q.reserved[:, 0].tolist() == [0, 0, 1, 0, 1]
 
 
 def promote_then_recover(p, attacked, services, nodes, delay):
@@ -286,8 +304,9 @@ def reserved_placements(draw):
 @given(reserved_placements())
 def test_recovery_equals_promote_then_recover(case):
     p, attacked, services, nodes, delay = case
-    result = recover_placement(p, attacked, p.services_on(attacked), services, nodes, delay)
-    expected, unrecovered = promote_then_recover(p, attacked, services, nodes, delay)
-    assert result.placement.x.tolist() == expected.x.tolist()
-    assert result.placement.reserved.tolist() == expected.reserved.tolist()
-    assert result.unrecovered == unrecovered
+    got, unrecovered = recover_placement(p, attacked, p.services_on(attacked), services, nodes,
+                                         delay)
+    expected, want = promote_then_recover(p, attacked, services, nodes, delay)
+    assert got.x.tolist() == expected.x.tolist()
+    assert got.reserved.tolist() == expected.reserved.tolist()
+    assert unrecovered == want

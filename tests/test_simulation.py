@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from edgefail.config import ExperimentConfig
+from edgefail.config import POLICIES, ExperimentConfig
 from edgefail.errors import (
     ConcurrentAttackError,
     ConfigError,
@@ -190,8 +191,8 @@ class TestStateMachine:
 
     def test_concurrent_attack_rejected(self):
         sim, _ = run_sim(small_cfg())
-        sim.state.active_attack = None
-        sim.state.phase = SimPhase.PRE_ATTACK
+        sim.heal(31)  # end the attack of t=30 before its recovery
+        assert sim.state.phase is SimPhase.PRE_ATTACK
         assert sim.inject_attack(0, 1000) or True
         with pytest.raises(ConcurrentAttackError):
             sim.inject_attack(1, 1001)
@@ -206,7 +207,31 @@ class TestStateMachine:
         assert empty, "scenario needs an empty node"
         assert sim.inject_attack(empty[0], 2) is False
         assert sim.state.phase is SimPhase.PRE_ATTACK
-        assert sim.state.active_attack is None
+        assert sim.state.attack_target is None
+
+    def test_heal_before_recovery_ends_the_attack(self):
+        # the node returns while its recovery is still due: the attack ends
+        # with it, and the next unit is served by the primary mapping
+        cfg = small_cfg(**{"recovery.delay": 3})
+        sim, units = Simulation(cfg, "lb-psvm"), derived(cfg)
+        sim.step(units, 1)
+        target = sim._pick_target()
+        assert sim.inject_attack(target, 2)
+        sim.step(units, 2)
+        sim.heal(3)
+        sim.step(units, 3)
+        assert sim.state.phase is SimPhase.PRE_ATTACK
+        assert sim.state.recover_at is None and sim.state.heal_at is None
+        assert [r.state for r in sim.state.history] == [
+            SimPhase.PRE_ATTACK, SimPhase.ATTACK, SimPhase.PRE_ATTACK]
+        assert sim.state.nodes[target].healthy
+        assert sim.state.placement.services_on(target)  # never recovered away
+        assert sim.inject_attack(target, 4)
+        assert sim.state.proactive  # solved from unit 3, a non-attack unit
+        sim.step(units, 4)
+        sim.heal(5)
+        assert sim.inject_attack(target, 5)
+        assert sim.state.proactive == {}  # unit 4 was an attack unit
 
     def test_explicit_schedule(self):
         cfg = small_cfg(**{"attack.schedule": "7:4,23:1", "attack.target": "most-loaded"})
@@ -377,7 +402,7 @@ class TestServingInvariants:
         reqs = derived(cfg)
         sim.step(reqs, 1)
         plc = sim.state.placement
-        loads = sim.state.primary.load_per_node()
+        loads = sim.state.primary.gamma.sum(axis=1)
         idle = [e for e in range(9) if plc.services_on(e) and loads[e] == 0.0]
         if not idle:
             pytest.skip("every hosting node carries load in this draw")
@@ -534,13 +559,9 @@ class TestBrPolicy:
         sim.step(units, 1)
         plc = place_services(sim.services, sim.state.nodes, DelayModel(units.delay[0]),
                              cfg.placement_instances_per_service)
-        with pytest.raises(InfeasibleError):
-            reserve_backup(plc, sim.services, sim.state.nodes)
-        for s in sorted(range(8), key=lambda s: (-sim.services[s].resource_cost, s)):
-            try:
-                plc = reserve_backup(plc, sim.services, sim.state.nodes, only=[s])
-            except InfeasibleError:
-                pass
+        order = sorted(range(8), key=lambda s: (-sim.services[s].resource_cost, s))
+        plc, missing = reserve_backup(plc, order, sim.services, sim.state.nodes)
+        assert missing and [s for s in order if s in missing] == missing
         assert np.array_equal(sim.state.placement.reserved, plc.reserved)
         assert 0 < plc.reserved.sum() < 8
         for t in range(2, cfg.horizon + 1):
@@ -644,9 +665,9 @@ def stepped(cfg, policy, units):
     sim = Simulation(cfg, policy)
     st = sim.state
     for t in range(1, len(units) + 1):
-        if st.active_attack is not None and st.recover_at == t:
+        if st.recover_at == t:
             sim.recover(t)
-        if st.active_attack is not None and st.heal_at == t:
+        if st.heal_at == t:
             sim.heal(t)
         target = sim._scheduled_target(t)
         if target is not None:
@@ -962,3 +983,125 @@ def test_every_valid_config_runs_or_fails_cleanly(over):
             assert 0.0 <= r.q_value <= 1.0
         for a, b in zip(records, records[1:]):
             assert b.state in LEGAL_NEXT[a.state], (a.time, a.state, b.state)
+
+
+@st.composite
+def machine_configs(draw):
+    """Overrides of a small config that passes ``validate()``: 2 to 9 nodes,
+    tight to loose capacities.  Attacks come from the machine's rules."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(2 if rows == 1 else 1, 3))
+    services = draw(st.integers(1, 5))
+    instances = draw(st.integers(2, min(4, rows * cols)))
+    need = instances * sum(10 + 2 * s for s in range(services))
+    return {
+        "grid.rows": rows,
+        "grid.cols": cols,
+        "services.count": services,
+        "placement.instances_per_service": instances,
+        "node.capacity": draw(st.sampled_from(
+            [c for c in (30.0, 46.0, 60.0, 100.0, 200.0) if c * rows * cols >= need])),
+        "service.capacity": draw(st.sampled_from([5.0, 15.0, 30.0])),
+        "mobility.vehicles": draw(st.integers(10, 150)),
+        "mobility.p_request": draw(st.sampled_from([0.1, 0.3, 0.6])),
+        "br.enabled": draw(st.booleans()),
+        "monitor.period": draw(st.integers(1, 5)),
+        "monitor.threshold": draw(st.sampled_from([0.5, 0.9, 0.99])),
+        "horizon": 30,
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class BareSteps(RuleBasedStateMachine):
+    """Bare ``step``, ``inject_attack``, ``recover`` and ``heal`` calls in
+    ``run``'s order: within a unit, a recovery or the node's return, then an
+    onset, then the step.  A recovery comes at least one unit after its
+    onset; the node may also return in its place.  Each onset's splits are
+    checked to sum to their affected counts (``check_splits_at_onset``)."""
+
+    @initialize(over=machine_configs(), policy=st.sampled_from(POLICIES))
+    def start(self, over, policy):
+        self.cfg = ExperimentConfig.from_sources(overrides=over)
+        self.units = derived(self.cfg)
+        self.sim = Simulation(self.cfg, policy)
+        check_splits_at_onset(self.sim)
+        self.t = 0  # units stepped
+        self.onset = None  # unit of the current attack's onset
+        self.done = set()  # what unit t + 1 has seen before its step
+        self.ended = False  # an InfeasibleError or the last unit ends the case
+
+    @property
+    def state(self):
+        return self.sim.state
+
+    def may_end_attack(self):
+        state = self.state
+        return (not self.ended and not self.done and state.attack_target is not None
+                and self.onset < self.t + 1)
+
+    @precondition(lambda self: self.may_end_attack() and self.state.recover_at is not None)
+    @rule()
+    def recover(self):
+        assert self.state.phase is SimPhase.ATTACK
+        self.sim.recover(self.t + 1)
+        self.done.add("recover")
+        assert self.state.phase is SimPhase.RECOVERED
+
+    @precondition(may_end_attack)
+    @rule()
+    def heal(self):
+        target, bare = self.state.attack_target, self.state.phase is SimPhase.ATTACK
+        self.sim.heal(self.t + 1)
+        self.done.add("bare heal" if bare else "heal")
+        assert self.state.phase is SimPhase.PRE_ATTACK
+        assert self.state.nodes[target].healthy
+
+    @precondition(lambda self: not self.ended and "inject" not in self.done
+                  and self.state.attack_target is None)
+    @rule(node=st.integers(0, 8))
+    def inject(self, node):
+        target = node % len(self.state.nodes)
+        if self.sim.inject_attack(target, self.t + 1):
+            self.onset = self.t + 1
+            assert self.state.phase is SimPhase.ATTACK
+            assert not self.state.nodes[target].healthy
+        else:
+            assert self.state.phase is SimPhase.PRE_ATTACK
+        self.done.add("inject")
+
+    @rule()
+    def step(self):
+        if self.ended:
+            return
+        state, before = self.state, self.state.phase
+        prev = state.history[-1].state if len(state.history) else SimPhase.PRE_ATTACK
+        try:
+            self.sim.step(self.units, self.t + 1)
+        except InfeasibleError as exc:
+            assert not state.history or OVERLOAD.match(str(exc)), str(exc)
+            self.ended = True
+            return
+        self.t += 1
+        self.ended = self.t == len(self.units)
+        row = state.history[-1].state
+        assert state.phase is before is row
+        # the node's return in place of the recovery is the one way out of
+        # Attack other than Recovered
+        assert row in LEGAL_NEXT[prev] or (
+            (prev, row) == (SimPhase.ATTACK, SimPhase.PRE_ATTACK) and "bare heal" in self.done)
+        self.done = set()
+
+    @invariant()
+    def consistent(self):
+        state = self.state
+        assert (state.phase is SimPhase.PRE_ATTACK) == (state.attack_target is None)
+        assert len(state.history) == self.t
+        if self.t:
+            r = state.history[-1]
+            np.testing.assert_allclose(r.served_per_service + r.unserved_per_service,
+                                       r.demand_per_service, rtol=0, atol=1e-9)
+            assert 0.0 <= r.q_value <= 1.0
+
+
+BareSteps.TestCase.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
+TestBareSteps = BareSteps.TestCase
