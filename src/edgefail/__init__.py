@@ -51,10 +51,10 @@ from .model import (
     ServiceRequest,
     ServiceType,
     SimPhase,
-    validate_placement,
+    placement_problems,
 )
 from .placement import place_services, recover_placement, reserve_backup
-from .simulation import QualityMonitor, Simulation, StreamInputs, derive_inputs, evaluate_quality
+from .simulation import Simulation, StreamInputs, derive_inputs
 from .solvers import (
     LbPsvmProblem,
     LbPsvmSolution,
@@ -86,7 +86,6 @@ __all__ = [
     "NodeStatus",
     "PlacementDecision",
     "PrimaryMapping",
-    "QualityMonitor",
     "RequestBatch",
     "RequestStream",
     "RunArtifacts",
@@ -106,13 +105,13 @@ __all__ = [
     "derive_demand",
     "derive_inputs",
     "edge_load_factor",
-    "evaluate_quality",
     "generate_synthetic",
     "ingest_trace",
     "jain_fairness",
     "lb_objective",
     "oracle_lb_psvm",
     "place_services",
+    "placement_problems",
     "queue_delay",
     "recover_placement",
     "reserve_backup",
@@ -122,5 +121,4 @@ __all__ = [
     "solve_lb_psvm",
     "solve_primary_mapping",
     "solve_psvm",
-    "validate_placement",
 ]

@@ -82,15 +82,12 @@ def simulate_policy(
     policy: str,
     requests: RequestStream | None = None,
     inputs: StreamInputs | None = None,
-    *,
-    serving: dict | None = None,
 ) -> RunTable:
     """Run one policy over derived ``inputs``; without them, derive them
-    from ``requests``, or from the configured stream when that is None.
-    ``serving`` is the lookahead store of the run ``inputs`` belong to."""
+    from ``requests``, or from the configured stream when that is None."""
     if inputs is None:
         inputs = derive_inputs(cfg, build_requests(cfg) if requests is None else requests)
-    return Simulation(cfg, policy, serving=serving).run(inputs)
+    return Simulation(cfg, policy).run(inputs)
 
 
 @dataclass(frozen=True)
@@ -127,17 +124,17 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     Policies run over one request stream, built once; the demand and delay
     matrix of every unit are derived once from it, in chunks of whole
     units, and shared with every policy as read-only (T, S) and (T, E, S)
-    arrays, so their rows are directly comparable.  They also share one
-    store of primary serving, dropped when the run returns: a calm unit
-    is served once per set of active instances, and a later policy under
-    the same instances reuses what an earlier one computed."""
+    arrays, so their rows are directly comparable.  They also share the
+    calm-unit serving the inputs store (``StreamInputs.served``): a calm
+    unit is served once per set of active instances, and a later policy
+    under the same instances reuses what an earlier one computed."""
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)
     os.makedirs(out_dir, exist_ok=True)
 
-    inputs, serving = derive_inputs(cfg, build_requests(cfg)), {}
-    records = {p: simulate_policy(cfg, p, inputs=inputs, serving=serving) for p in policies}
+    inputs = derive_inputs(cfg, build_requests(cfg))
+    records = {p: simulate_policy(cfg, p, inputs=inputs) for p in policies}
 
     delay_columns = [f"delay_s{s}_ms" for s in range(cfg.services_count)]
     lines = [",".join(METRICS_STATIC_COLUMNS + delay_columns + METRICS_TAIL_COLUMNS)]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -327,29 +327,16 @@ class DelayModel:
         return self.ranked(nodes, s)[0]
 
 
-@dataclass(frozen=True)
-class PlacementReport:
-    """Per-invariant outcome of a placement validation."""
-
-    resource_ok: tuple[bool, ...]
-    redundancy_ok: tuple[bool, ...]
-    messages: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.resource_ok) and all(self.redundancy_ok)
-
-
-def validate_placement(
+def placement_problems(
     p: PlacementDecision,
     nodes: list[EdgeNode],
     services: list[ServiceType],
     require_redundancy: bool = True,
-) -> PlacementReport:
-    """Check per-node resource feasibility and per-service redundancy.
-
-    Redundancy requires instances of every service on at least two
-    distinct nodes; it can be waived for post-attack partial states.
+) -> list[str]:
+    """Check per-node resource feasibility and per-service redundancy: a
+    message per node over its capacity, then per service on fewer than two
+    distinct nodes (waivable for post-attack partial states), in id order;
+    empty when the placement is valid.
 
     Raises:
         StructuralError: when the placement shape does not match the
@@ -360,19 +347,11 @@ def validate_placement(
             f"placement is {p.x.shape}, expected ({len(nodes)}, {len(services)})"
         )
     usage = p.resource_usage(services)
-    resource_ok = tuple(usage[e] <= nodes[e].capacity + 1e-9 for e in range(len(nodes)))
-    counts = p.instance_counts()
-    redundancy_ok = tuple(
-        True if not require_redundancy else int(counts[s]) >= 2 for s in range(len(services))
-    )
-    messages = []
-    for e, ok in enumerate(resource_ok):
-        if not ok:
-            messages.append(
-                f"node {e}: resource use {usage[e]:.3f} exceeds capacity {nodes[e].capacity:.3f}"
-            )
-    for s, ok in enumerate(redundancy_ok):
-        if not ok:
-            messages.append(f"service {s}: hosted on {int(counts[s])} node(s), needs >= 2")
-    return PlacementReport(resource_ok, redundancy_ok, tuple(messages))
-
+    messages = [
+        f"node {e}: resource use {usage[e]:.3f} exceeds capacity {n.capacity:.3f}"
+        for e, n in enumerate(nodes) if not usage[e] <= n.capacity + 1e-9
+    ]
+    if require_redundancy:
+        messages += [f"service {s}: hosted on {int(n)} node(s), needs >= 2"
+                     for s, n in enumerate(p.instance_counts()) if n < 2]
+    return messages

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import InfeasibleError
@@ -10,10 +12,10 @@ from .model import (
     EdgeNode,
     PlacementDecision,
     ServiceType,
-    validate_placement,
+    placement_problems,
 )
 
-# Backtracking budget for the placement search; the default scenario
+# Budget of host subsets the placement search tries; the default scenario
 # (9 nodes, 8 services, 3 instances) never gets near it.
 MAX_SEARCH_STATES = 200_000
 
@@ -59,15 +61,17 @@ def place_services(
 ) -> PlacementDecision:
     """Greedy-by-delay siting with capacity backtracking.
 
-    Each service gets its instances on distinct healthy nodes, picked in
-    ascending propagation-delay order; services are processed from the
-    most resource-hungry down so big footprints are placed while room is
-    plentiful.  When a greedy branch runs out of room the search
-    backtracks to the previous choice.
+    Each service gets its instances on distinct healthy nodes with room
+    for one; services are processed from the most resource-hungry down so
+    big footprints are placed while room is plentiful.  A service tries the
+    ``instances_per_service``-subsets of those nodes in ascending
+    propagation-delay order, lexicographically (``itertools.combinations``),
+    and the first subset with which every later service fits wins.
 
     Raises:
         InfeasibleError: when the aggregate budget cannot fit all
-            instances, or the search exhausts its state budget.
+            instances, or the search tries more than ``MAX_SEARCH_STATES``
+            subsets.
     """
     E, S, need = len(nodes), len(services), instances_per_service
     if need < 2:
@@ -78,7 +82,7 @@ def place_services(
 
     order = footprint_order(services, range(S))
     residual = {e: nodes[e].capacity for e in healthy}
-    chosen: dict[int, list[int]] = {}
+    chosen: dict[int, tuple[int, ...]] = {}
     states = 0
 
     def search(idx: int) -> bool:
@@ -88,44 +92,28 @@ def place_services(
         s = order[idx]
         cost = services[s].resource_cost
         options = [e for e in delay.ranked(healthy, s) if residual[e] >= cost - 1e-9]
-        if len(options) < need:
-            return False
-
-        def pick(start: int, taken: list[int]) -> bool:
-            nonlocal states
-            if len(taken) == need:
-                chosen[s] = list(taken)
-                if search(idx + 1):
-                    return True
-                chosen.pop(s)
-                return False
-            if len(options) - start < need - len(taken):
-                return False
-            for j in range(start, len(options)):
-                states += 1
-                if states > MAX_SEARCH_STATES:
-                    raise InfeasibleError("placement search exhausted its budget")
-                e = options[j]
+        for hosts in combinations(options, need):
+            states += 1
+            if states > MAX_SEARCH_STATES:
+                raise InfeasibleError("placement search exhausted its budget")
+            for e in hosts:
                 residual[e] -= cost
-                taken.append(e)
-                if pick(j + 1, taken):
-                    return True
-                taken.pop()
+            chosen[s] = hosts
+            if search(idx + 1):
+                return True
+            for e in hosts:
                 residual[e] += cost
-            return False
-
-        return pick(0, [])
+        return False
 
     if not search(0):
         raise InfeasibleError("no feasible placement found for the given budgets")
 
     x = np.zeros((E, S), dtype=np.int64)
     for s, hosts in chosen.items():
-        for e in hosts:
-            x[e, s] = 1
+        x[list(hosts), s] = 1
     decision = PlacementDecision(x=x)
-    report = validate_placement(decision, nodes, services)
-    assert report.ok, report.messages
+    problems = placement_problems(decision, nodes, services)
+    assert not problems, problems
     return decision
 
 

@@ -23,31 +23,32 @@ placement, an onset split, a recovery, and ``state.delay``.
 Outputs go to a ``RunTable``: columns preallocated over the horizon.
 ``step`` returns nothing; it closes the unit's row, which is checked
 when written.  ``run`` returns the table, whose records are row views
-built on read.  A quality monitor stands in for a learned critic: every
-few units it scores a slice of the delay column against the per-service
-caps and, below a threshold, triggers a placement re-optimization.
+built on read.  A quality score stands in for a learned critic: every
+``monitor.period`` units ``evaluate_quality`` scores a slice of the delay
+column and, below ``monitor.threshold``, triggers a re-placement.
 
 A non-attack unit depends only on the active instances (``placement.x``)
 and on its inputs, so it is served from a lookahead: one batched pass
 over slices of the next T units' inputs, whose rows are written as one
-block.  Lookaheads are stored by the content of ``x``, their first unit
-and uncut end; the policies of a run share the store, so a later policy
-over the same inputs object and instances reuses a block instead of
-serving it again.  A lookahead
-belongs to one placement object, which a re-placement or a recovery
-replaces (a later lookahead rewrites the rows it invalidates).  It ends
-before the next unit at which ``run`` may start an attack, before the
-first unit whose demand its instances cannot serve (that unit's step
-raises), and at the end of the units.  The first lookahead under a
-placement ends at the next monitor evaluation; each later one is at most
-twice the previous one.  A ``step`` outside ``run`` is a one-unit lookahead.
+block.  The inputs own the lookaheads (``StreamInputs.served``), so
+every simulation over one inputs object shares them: a later policy
+under the same instances reuses a block instead of serving it again.  A
+simulation reads its lookahead while its active instances are those the
+block was served under; a re-placement or a recovery that changes them
+starts another (which rewrites the rows the last one wrote ahead).  A
+lookahead ends before the next unit at which ``run`` may start an
+attack, before the first unit whose demand its instances cannot serve
+(that unit's step raises), and at the end of the units.  The first
+lookahead under a set of active instances ends at the next monitor
+evaluation; each later one is at most twice the previous one.  A
+``step`` outside ``run`` is a one-unit lookahead.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,38 +81,28 @@ from .solvers import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class QualityMonitor:
-    """Delay-based stand-in for a learned critic.
-
-    Scores sit in [0, 1]: 1 when recent delays are negligible, 0 once
-    they reach the per-service caps.  Evaluated every ``period`` units
-    over the delays of the last ``period`` units; scores below
-    ``threshold`` trigger re-optimization.
-    """
-
-    thresholds: np.ndarray
-    threshold: float = 0.5
-    period: int = 5
-    q_value: float = 1.0
-
-
-def evaluate_quality(monitor: QualityMonitor, delays) -> float:
-    """Mean over services of clip(1 - mean window delay / cap, 0, 1);
+def evaluate_quality(caps, delays) -> float:
+    """Delay-based stand-in for a learned critic, in [0, 1]: the mean over
+    services of clip(1 - mean window delay / cap, 0, 1), so 1 when recent
+    delays are negligible and 0 once they reach the per-service ``caps``;
     ``delays`` holds one row of per-service delays per unit of the window."""
     delays = np.asarray(delays, dtype=float)
     if len(delays) == 0:
         raise ValueError("need at least one unit")
-    return float(np.mean(np.clip(1.0 - np.mean(delays, axis=0) / monitor.thresholds, 0.0, 1.0)))
+    return float(np.mean(np.clip(1.0 - np.mean(delays, axis=0) / caps, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
 class StreamInputs:
     """A request stream as every policy sees it, read-only: unit t (0-based)
-    has demand ``demand[t]`` (lambda_s) and delay matrix ``delay[t]``."""
+    has demand ``demand[t]`` (lambda_s) and delay matrix ``delay[t]``.
+    ``served`` holds the ``Lookahead`` blocks served from them, keyed by
+    (``x.tobytes()``, first unit, uncut end, service capacity, queue ms
+    per unit): every simulation over these inputs shares it."""
 
     demand: np.ndarray  # (T, S)
     delay: np.ndarray  # (T, E, S) in ms
+    served: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.delay < 0).any() or not np.isfinite(self.delay).all():
@@ -138,13 +129,12 @@ def derive_inputs(cfg: ExperimentConfig, requests: RequestStream) -> StreamInput
 
 @dataclass(frozen=True)
 class Lookahead:
-    """Primary serving of the T units from ``t0`` on under ``placement``, cut
-    before the first unit whose demand its instances cannot serve; read-only."""
+    """Primary serving of the T units from ``t0`` on under the active
+    instances ``x`` (``placement.x.tobytes()``), cut before the first unit
+    whose demand they cannot serve; read-only."""
 
-    placement: PlacementDecision
+    x: bytes
     t0: int
-    inputs: StreamInputs  # what the block was served from; a reuse must share them
-    demand: np.ndarray  # (T, S)
     delay: np.ndarray  # (T, S) per-service delays
     gamma: np.ndarray  # (T, E, S) primary loads
 
@@ -152,7 +142,6 @@ class Lookahead:
 @dataclass
 class SimulationState:
     nodes: tuple  # EdgeNode by id; only set_status replaces it
-    monitor: QualityMonitor
     history: RunTable
     placement: PlacementDecision | None = None
     primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
@@ -164,6 +153,7 @@ class SimulationState:
     recover_at: int | None = None  # set only during an attack, until its recovery
     heal_at: int | None = None  # set only during an attack
     pending_reopt: bool = False
+    q_value: float = 1.0  # the last monitor score
 
     @property
     def phase(self) -> SimPhase:
@@ -195,7 +185,7 @@ class SimulationState:
 class Simulation:
     """Single-policy simulation owning all mutable state."""
 
-    def __init__(self, cfg: ExperimentConfig, policy: str, *, serving: dict | None = None):
+    def __init__(self, cfg: ExperimentConfig, policy: str):
         if policy not in ("lb-psvm", "psvm", "br"):
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
@@ -210,15 +200,8 @@ class Simulation:
         self.schedule = dict(cfg.schedule_list())
         self.state = SimulationState(
             nodes=tuple(cfg.nodes()),
-            monitor=QualityMonitor(
-                thresholds=self.thresholds,
-                threshold=cfg.monitor_threshold,
-                period=cfg.monitor_period,
-            ),
             history=RunTable(cfg.horizon, len(cfg.nodes()), self.thresholds),
         )
-        # (x bytes, first unit, uncut end) -> Lookahead; run shares one over policies
-        self.serving = {} if serving is None else serving
         self.inputs: StreamInputs | None = None  # those of the current run
         self.lookahead: Lookahead | None = None
 
@@ -308,8 +291,11 @@ class Simulation:
     def recover(self, t: int) -> None:
         """Restore the attacked node's instances (``recover_placement``);
         with reserves, each service it hosted that has no healthy backup
-        left then reserves a new one."""
+        left then reserves a new one.  Outside the Attack phase, raise
+        ValueError and change nothing."""
         st = self.state
+        if st.phase is not SimPhase.ATTACK:
+            raise ValueError(f"recover at t={t}: the phase is {st.phase.value}, not Attack")
         target = st.attack_target
         touched = st.placement.services_on(target, include_reserved=True)
         plc, unrecovered = recover_placement(st.placement, target, st.placement.services_on(target),
@@ -324,8 +310,11 @@ class Simulation:
         st.recover_at = None
 
     def heal(self, t: int) -> None:
-        """End the quarantine, and the attack with it: the node is placeable again."""
+        """End the quarantine, and the attack with it: the node is placeable
+        again.  Without an active attack, raise ValueError and change nothing."""
         st = self.state
+        if st.attack_target is None:
+            raise ValueError(f"heal at t={t}: no attack is active")
         st.set_status(st.attack_target, NodeStatus.HEALTHY)
         st.attack_target = st.recover_at = st.heal_at = None
 
@@ -347,38 +336,39 @@ class Simulation:
         else:
             look = self.lookahead if self.inputs is not None else None  # bare steps: one unit
             i = t - look.t0 if look is not None else 0
-            if look is None or look.placement is not st.placement or not 0 <= i < len(look.gamma):
+            if look is None or look.x != st.placement.x.tobytes() or not 0 <= i < len(look.gamma):
                 look, i = self._look_ahead(inputs, t), 0
             st.primary_gamma = look.gamma[i]
             st.primary_demand = lam
             st.primary_nodes = st.nodes
-        table, monitor = st.history, st.monitor
-        if t % monitor.period == 0:
+        table, period = st.history, self.cfg.monitor_period
+        if t % period == 0:
             # this unit's row and the period - 1 rows before it
-            first = max(0, len(table) - monitor.period + 1)
+            first = max(0, len(table) - period + 1)
             window = table.cols["per_service_delay"][first:len(table) + 1]
-            monitor.q_value = evaluate_quality(monitor, window)
-            if monitor.q_value < monitor.threshold and not attack:
+            st.q_value = evaluate_quality(self.thresholds, window)
+            if st.q_value < self.cfg.monitor_threshold and not attack:
                 st.pending_reopt = True
-        table.commit(phase, monitor.q_value)
+        table.commit(phase, st.q_value)
         st.delay_matrix = d
 
     def _look_ahead(self, inputs: StreamInputs, t: int) -> Lookahead:
-        """Serve unit t and the units after it that share its placement
-        by the primary mapping, in one batched pass, and write their rows."""
+        """Serve unit t and the units after it under the same active instances
+        by the primary mapping in one batched pass, or read them from
+        ``inputs.served``; write their rows."""
         st = self.state
-        prev = self.lookahead
+        prev, x = self.lookahead, st.placement.x.tobytes()
         if self.inputs is None:
             stop = t + 1
         else:
-            if prev is not None and prev.placement is st.placement:
+            if prev is not None and prev.x == x:
                 stop = t + 2 * len(prev.gamma)
             else:  # through the next monitor evaluation
-                stop = t + (-t) % st.monitor.period + 1
+                stop = t + (-t) % self.cfg.monitor_period + 1
             stop = min(stop, self._next_onset(t), len(inputs) + 1)
-        key = (st.placement.x.tobytes(), t, stop)
-        look = self.serving.get(key)
-        if look is None or look.inputs is not inputs:
+        key = (x, t, stop, self.capacity, self.cfg.queue_ms_per_unit)
+        look = inputs.served.get(key)
+        if look is None:
             lam = inputs.demand[t - 1 : stop - 1]
             over = np.flatnonzero(over_capacity(st.placement, lam, self.capacity).any(axis=-1))
             cut = max(over[0], 1) if len(over) else None  # stop before an overload, or raise at t
@@ -391,10 +381,11 @@ class Simulation:
             delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
             for a in (delay, gamma):
                 a.flags.writeable = False
-            look = self.serving[key] = Lookahead(st.placement, t, inputs, lam, delay, gamma)
-        self._write_rows(t, look.demand, look.delay, look.gamma.sum(axis=-2))
-        self.lookahead = replace(look, placement=st.placement)
-        return self.lookahead
+            look = inputs.served[key] = Lookahead(x, t, delay, gamma)
+        lam = inputs.demand[t - 1 : t - 1 + len(look.gamma)]
+        self._write_rows(t, lam, look.delay, look.gamma.sum(axis=-2))
+        self.lookahead = look
+        return look
 
     def _place(self, d: DelayModel, t: int) -> None:
         """Place every service; a failed re-placement keeps the current one."""

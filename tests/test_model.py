@@ -9,7 +9,7 @@ from edgefail.model import (
     PrimaryMapping,
     SecondaryMapping,
     ServiceType,
-    validate_placement,
+    placement_problems,
 )
 
 
@@ -53,24 +53,28 @@ class TestPlacementDecision:
 class TestValidatePlacement:
     def test_two_nodes_one_service_passes(self):
         p = PlacementDecision(x=np.array([[1], [1]]))
-        report = validate_placement(p, make_nodes(2), make_services([10.0]))
-        assert report.ok
+        assert placement_problems(p, make_nodes(2), make_services([10.0])) == []
 
     def test_single_node_fails_redundancy(self):
         # both instances on one node is unrepresentable; one instance total
         # still violates the two-node spread
         p = PlacementDecision(x=np.array([[1], [0]]))
-        report = validate_placement(p, make_nodes(2), make_services([10.0]))
-        assert not report.ok
-        assert report.redundancy_ok == (False,)
-        assert report.resource_ok == (True, True)
+        assert placement_problems(p, make_nodes(2), make_services([10.0])) == [
+            "service 0: hosted on 1 node(s), needs >= 2"]
 
     def test_resource_overrun_reported_per_node(self):
-        p = PlacementDecision(x=np.array([[1, 1], [1, 1]]))
+        # node messages first, in id order, then service messages
+        p = PlacementDecision(x=np.array([[1, 1], [1, 0]]))
         nodes = make_nodes(2, capacity=15.0)
-        report = validate_placement(p, nodes, make_services([10.0, 10.0]))
-        assert report.resource_ok == (False, False)
-        assert any("exceeds capacity" in m for m in report.messages)
+        assert placement_problems(p, nodes, make_services([10.0, 10.0])) == [
+            "node 0: resource use 20.000 exceeds capacity 15.000",
+            "service 1: hosted on 1 node(s), needs >= 2",
+        ]
+        p = PlacementDecision(x=np.array([[1, 1], [1, 1]]))
+        assert placement_problems(p, nodes, make_services([10.0, 10.0])) == [
+            "node 0: resource use 20.000 exceeds capacity 15.000",
+            "node 1: resource use 20.000 exceeds capacity 15.000",
+        ]
 
     def test_default_scenario_passes(self):
         # 9 nodes at 100 units, 8 services with footprints 10..24, 3 instances
@@ -81,19 +85,17 @@ class TestValidatePlacement:
         for s in range(8):
             for k in range(3):
                 x[(s + k * 3) % 9, s] = 1
-        report = validate_placement(PlacementDecision(x=x), nodes, services)
-        assert report.ok
+        assert placement_problems(PlacementDecision(x=x), nodes, services) == []
 
     def test_dimension_mismatch_is_structural(self):
         p = PlacementDecision(x=np.array([[1], [1]]))
         with pytest.raises(StructuralError):
-            validate_placement(p, make_nodes(3), make_services([10.0]))
+            placement_problems(p, make_nodes(3), make_services([10.0]))
 
     def test_redundancy_waivable(self):
         p = PlacementDecision(x=np.array([[1], [0]]))
-        report = validate_placement(p, make_nodes(2), make_services([10.0]),
-                                    require_redundancy=False)
-        assert report.ok
+        assert placement_problems(p, make_nodes(2), make_services([10.0]),
+                                  require_redundancy=False) == []
 
 
 class TestSecondaryMapping:

@@ -10,9 +10,16 @@ from edgefail.model import (
     NodeStatus,
     PlacementDecision,
     ServiceType,
-    validate_placement,
+    placement_problems,
 )
-from edgefail.placement import place_services, recover_placement, reserve_backup
+from edgefail.placement import (
+    MAX_SEARCH_STATES,
+    check_budget,
+    footprint_order,
+    place_services,
+    recover_placement,
+    reserve_backup,
+)
 
 GRID = GridMap()
 
@@ -53,8 +60,7 @@ class TestPlaceServices:
     def test_default_scenario_feasible(self):
         nodes, services, delay = grid_scenario()
         p = place_services(services, nodes, delay, instances_per_service=3)
-        report = validate_placement(p, nodes, services)
-        assert report.ok
+        assert placement_problems(p, nodes, services) == []
         assert (p.instance_counts() == 3).all()
         assert (p.resource_usage(services) <= 100.0).all()
 
@@ -88,7 +94,7 @@ class TestPlaceServices:
         services = make_services([20.0, 10.0])
         d = DelayModel(d=np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 300.0]]))
         p = place_services(services, nodes, d, instances_per_service=2)
-        assert validate_placement(p, nodes, services).ok
+        assert placement_problems(p, nodes, services) == []
 
     def test_attacked_nodes_excluded(self):
         nodes = make_nodes(3)
@@ -128,7 +134,7 @@ class TestReserveBackup:
         assert extra == pytest.approx(sum(s.resource_cost for s in services))
         assert extra == pytest.approx(136.0)
         assert (q.reserved.sum(axis=0) == 1).all()
-        assert validate_placement(q, nodes, services).ok
+        assert placement_problems(q, nodes, services) == []
 
     def test_superset_of_input(self):
         nodes, services, delay = grid_scenario()
@@ -189,7 +195,8 @@ class TestRecoverPlacement:
         assert q.x[0].sum() == 0
         for s in range(3):
             assert q.x[:, s].sum() == x[:, s].sum()  # instance count restored
-            assert validate_placement(q, nodes, services).redundancy_ok[s]
+            assert not any(m.startswith(f"service {s}:")
+                           for m in placement_problems(q, nodes, services))
         # the replacement node did not host the service before
         for s in range(3):
             new_hosts = set(np.flatnonzero(q.x[:, s])) - set(np.flatnonzero(x[1:, s]) + 1)
@@ -225,8 +232,8 @@ class TestRecoverPlacement:
             )
             assert q.x[target].sum() == 0
             assert q.reserved[target].sum() == 0
-            report = validate_placement(q, nodes, services, require_redundancy=not unrecovered)
-            assert all(report.resource_ok)
+            problems = placement_problems(q, nodes, services, require_redundancy=not unrecovered)
+            assert not any(m.startswith("node") for m in problems)
 
     def test_delay_tie_breaks_to_lowest_index(self):
         nodes = make_nodes(4)
@@ -310,3 +317,97 @@ def test_recovery_equals_promote_then_recover(case):
     assert got.x.tolist() == expected.x.tolist()
     assert got.reserved.tolist() == expected.reserved.tolist()
     assert unrecovered == want
+
+
+def reference_place_services(services, nodes, delay, need):
+    """Reference: the recursive search ``place_services`` replaced, which
+    picks each service's hosts one by one from its ranked options and
+    counts every pick against the budget."""
+    check_budget(services, nodes, need)
+    healthy = [n.id for n in nodes if n.healthy]
+    order = footprint_order(services, range(len(services)))
+    residual = {e: nodes[e].capacity for e in healthy}
+    chosen = {}
+    states = 0
+
+    def search(idx):
+        nonlocal states
+        if idx == len(order):
+            return True
+        s = order[idx]
+        cost = services[s].resource_cost
+        options = [e for e in delay.ranked(healthy, s) if residual[e] >= cost - 1e-9]
+        if len(options) < need:
+            return False
+
+        def pick(start, taken):
+            nonlocal states
+            if len(taken) == need:
+                chosen[s] = list(taken)
+                if search(idx + 1):
+                    return True
+                chosen.pop(s)
+                return False
+            if len(options) - start < need - len(taken):
+                return False
+            for j in range(start, len(options)):
+                states += 1
+                if states > MAX_SEARCH_STATES:
+                    raise InfeasibleError("placement search exhausted its budget")
+                e = options[j]
+                residual[e] -= cost
+                taken.append(e)
+                if pick(j + 1, taken):
+                    return True
+                taken.pop()
+                residual[e] += cost
+            return False
+
+        return pick(0, [])
+
+    if not search(0):
+        raise InfeasibleError("no feasible placement found for the given budgets")
+    x = np.zeros((len(nodes), len(services)), dtype=np.int64)
+    for s, hosts in chosen.items():
+        x[hosts, s] = 1
+    return x
+
+
+@st.composite
+def placement_cases(draw):
+    """3 to 9 nodes, some tight, one maybe down; 1 to 8 services of 2 to 4
+    instances; delays from a few values, so ranks tie."""
+    E, S = draw(st.integers(3, 9)), draw(st.integers(1, 8))
+    need = draw(st.integers(2, 4))
+    capacity = draw(st.lists(st.sampled_from([15.0, 25.0, 40.0, 100.0]), min_size=E, max_size=E))
+    costs = draw(st.lists(st.sampled_from([5.0, 10.0, 15.0, 20.0]), min_size=S, max_size=S))
+    delays = draw(st.lists(st.integers(0, 3), min_size=E * S, max_size=E * S))
+    down = draw(st.none() | st.integers(0, E - 1))
+    nodes = [
+        EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e],
+                 status=NodeStatus.ATTACKED if e == down else NodeStatus.HEALTHY)
+        for e in range(E)
+    ]
+    return make_services(costs), nodes, DelayModel(d=np.array(delays, float).reshape(E, S)), need
+
+
+def x_or_error(place, *args):
+    try:
+        return place(*args)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placement_cases())
+def test_search_equals_recursive_reference(case):
+    # the same subsets in the same order: the same placement, or the same
+    # error unless the reference, which counts more states, ran out of budget
+    got = x_or_error(lambda *a: place_services(*a).x, *case)
+    want = x_or_error(reference_place_services, *case)
+    if isinstance(want, str):
+        assert isinstance(got, str), want
+        assert got == want or want == "placement search exhausted its budget", (got, want)
+    else:
+        assert not isinstance(got, str), got
+        assert got.tolist() == want.tolist()

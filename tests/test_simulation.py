@@ -24,7 +24,7 @@ from edgefail.experiment import build_requests, run, simulate_policy, summarize
 from edgefail.metrics import MetricsRecord
 from edgefail.model import DelayModel, NodeStatus, SimPhase
 from edgefail.placement import place_services, reserve_backup
-from edgefail.simulation import QualityMonitor, Simulation, derive_inputs, evaluate_quality
+from edgefail.simulation import Simulation, derive_inputs, evaluate_quality
 from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
 
 
@@ -196,6 +196,31 @@ class TestStateMachine:
         assert sim.inject_attack(0, 1000) or True
         with pytest.raises(ConcurrentAttackError):
             sim.inject_attack(1, 1001)
+
+    def test_recover_and_heal_outside_their_phase_raise(self):
+        # a misused recover or heal names its unit and changes no state
+        cfg = ExperimentConfig.from_sources(overrides={"seed": 1})
+        sim, units = Simulation(cfg, "lb-psvm"), derived(cfg)
+        sim.step(units, 1)
+
+        def unchanged(call, match):
+            before = dataclasses.replace(sim.state)
+            with pytest.raises(ValueError, match=match):
+                call()
+            assert all(getattr(sim.state, f.name) is getattr(before, f.name)
+                       for f in dataclasses.fields(before))
+
+        unchanged(lambda: sim.heal(2), "^heal at t=2: no attack is active$")
+        unchanged(lambda: sim.recover(2), "^recover at t=2: the phase is PreAttack, not Attack$")
+        assert sim.inject_attack(sim._pick_target(), 2)
+        sim.step(units, 2)
+        sim.recover(3)
+        unchanged(lambda: sim.recover(3), "^recover at t=3: the phase is Recovered, not Attack$")
+        sim.heal(3)
+        unchanged(lambda: sim.heal(4), "^heal at t=4: no attack is active$")
+        sim.step(units, 3)
+        assert [r.state for r in sim.state.history] == [
+            SimPhase.PRE_ATTACK, SimPhase.ATTACK, SimPhase.PRE_ATTACK]
 
     def test_attack_on_empty_node_is_noop(self):
         cfg = small_cfg(**{"grid.rows": 4, "placement.instances_per_service": 2,
@@ -434,24 +459,19 @@ class TestServingInvariants:
 
 
 class TestQualityMonitor:
-    def monitor(self, caps):
-        return QualityMonitor(thresholds=np.asarray(caps, dtype=float))
+    CAPS = np.array([50.0, 60.0])
 
     def test_zero_delay_gives_one(self):
-        m = self.monitor([50.0, 60.0])
-        assert evaluate_quality(m, [np.zeros(2)]) == 1.0
+        assert evaluate_quality(self.CAPS, [np.zeros(2)]) == 1.0
 
     def test_delay_at_cap_gives_zero(self):
-        m = self.monitor([50.0, 60.0])
-        assert evaluate_quality(m, [np.array([50.0, 60.0])]) == 0.0
+        assert evaluate_quality(self.CAPS, [np.array([50.0, 60.0])]) == 0.0
 
     def test_half_cap_sits_on_trigger_boundary(self):
-        m = self.monitor([50.0, 60.0])
-        assert evaluate_quality(m, [np.array([25.0, 30.0])]) == pytest.approx(0.5)
+        assert evaluate_quality(self.CAPS, [np.array([25.0, 30.0])]) == pytest.approx(0.5)
 
     def test_window_mean(self):
-        m = self.monitor([100.0])
-        q = evaluate_quality(m, [np.array([0.0]), np.array([50.0])])
+        q = evaluate_quality(np.array([100.0]), [np.array([0.0]), np.array([50.0])])
         assert q == pytest.approx(0.75)
 
     @pytest.mark.parametrize("period", [1, 3, 5])
@@ -471,7 +491,7 @@ class TestQualityMonitor:
             for i, r in enumerate(records):
                 if r.time % period == 0:
                     window = [w.per_service_delay for w in records[max(0, i - period + 1):i + 1]]
-                    assert r.q_value == evaluate_quality(sim.state.monitor, window), r.time
+                    assert r.q_value == evaluate_quality(sim.thresholds, window), r.time
                     scores.append(r.q_value)
         # three runs from t=1, the bare steps from t=2
         assert len(scores) == 4 * (cfg.horizon // period) - (period == 1)
@@ -699,14 +719,14 @@ INTERMITTENT_REPLACEMENT = {
 
 
 def lookaheads(monkeypatch):
-    """Record (placement, first unit, rows) of every lookahead a
+    """Record (active instances, first unit, rows) of every lookahead a
     simulation computes."""
     seen = []
     look_ahead = Simulation._look_ahead
 
     def counted(self, unit, t):
         look = look_ahead(self, unit, t)
-        seen.append((look.placement, look.t0, len(look.gamma)))
+        seen.append((look.x, look.t0, len(look.gamma)))
         return look
 
     monkeypatch.setattr(Simulation, "_look_ahead", counted)
@@ -750,18 +770,18 @@ class TestLookahead:
         period = cfg.monitor_period
         records = Simulation(cfg, "psvm").run(derived(cfg))
         served = sum(r.state is not SimPhase.ATTACK for r in records)
-        placements = len({id(plc) for plc, _, _ in seen})
+        # a lookahead under the active instances of the one before it is
+        # at most twice as long; any other is the first under its instances
+        firsts = {i for i, (x, _, _) in enumerate(seen) if i == 0 or seen[i - 1][0] != x}
         rows = sum(n for _, _, n in seen)
         assert len(seen) < served / 4
-        assert served <= rows <= 2 * served + period * placements
-        assert placements > replacements
-        last = {}  # placement -> rows of its latest lookahead
-        for plc, t0, n in seen:
-            if id(plc) in last:
-                assert n <= 2 * last[id(plc)], t0
-            else:  # through the next monitor evaluation at most
+        assert served <= rows <= 2 * served + period * len(firsts)
+        assert len(firsts) > replacements
+        for i, (x, t0, n) in enumerate(seen):
+            if i in firsts:  # through the next monitor evaluation at most
                 assert t0 + n - 1 <= t0 + (-t0) % period, t0
-            last[id(plc)] = n
+            else:
+                assert n <= 2 * seen[i - 1][2], t0
 
     @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
     def test_overload_raises_at_its_unit(self, policy):
@@ -785,15 +805,14 @@ class TestLookahead:
         demand = np.array(units.demand)
         demand[6, 0] = 1000.0
         units = simulation.StreamInputs(demand, units.delay)
-        serving = {}
         for policy in ("lb-psvm", "psvm"):
             with pytest.raises(InfeasibleError, match="^t=7: service 0"):
-                Simulation(cfg, policy, serving=serving).run(units)
-        looks = sorted(serving.items(), key=lambda item: item[0][1])  # (x, t0, uncut end)
-        assert [(t0, end - t0, len(look.gamma)) for (_x, t0, end), look in looks] == [
+                Simulation(cfg, policy).run(units)
+        # keyed (x, t0, uncut end, service capacity, queue scale)
+        looks = sorted(units.served.items(), key=lambda item: item[0][1])
+        assert [(t0, end - t0, len(look.gamma)) for (_x, t0, end, *_), look in looks] == [
             (1, 5, 5), (6, 4, 1)]
-        assert not any(a.flags.writeable for _key, look in looks
-                       for a in (look.demand, look.delay, look.gamma))
+        assert not any(a.flags.writeable for _key, look in looks for a in (look.delay, look.gamma))
 
     @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
     def test_failed_replacement_keeps_placement(self, policy, caplog):
@@ -983,6 +1002,41 @@ def test_every_valid_config_runs_or_fails_cleanly(over):
             assert 0.0 <= r.q_value <= 1.0
         for a, b in zip(records, records[1:]):
             assert b.state in LEGAL_NEXT[a.state], (a.time, a.state, b.state)
+
+
+def records_or_error(simulate):
+    """The records ``simulate()`` returns, or the message of its InfeasibleError."""
+    try:
+        return list(simulate())
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs(), st.sampled_from([5.0, 15.0, 30.0, 60.0]), st.sampled_from([1000.0, 250.0]))
+def test_shared_inputs_give_standalone_records(over, capacity, ms_per_unit):
+    # a sibling config with another service capacity or queue scale serves
+    # the shared inputs first, then bare steps and a run over them; each
+    # gives the records of a run over inputs of its own.  A sibling above
+    # every drawn capacity (60) stores blocks that load an instance past
+    # the config's capacity, which a store keyed without it would serve
+    try:
+        cfg = ExperimentConfig.from_sources(overrides=over)
+        sibling = ExperimentConfig.from_sources(overrides={
+            **over, "service.capacity": capacity, "queue.ms_per_unit": ms_per_unit})
+    except ConfigError:
+        return
+    shared = derived(cfg)
+    for policy in cfg.policy_list():
+        records_or_error(lambda: Simulation(sibling, policy).run(shared))
+        want = records_or_error(lambda: Simulation(cfg, policy).run(derived(cfg)))
+        for got in (records_or_error(lambda: stepped(cfg, policy, shared)),
+                    records_or_error(lambda: Simulation(cfg, policy).run(shared))):
+            if isinstance(want, str):
+                assert got == want, policy
+            else:
+                assert not isinstance(got, str), (policy, got)
+                assert len(got) == len(want) and all(map(same_record, got, want)), policy
 
 
 @st.composite
