@@ -8,6 +8,7 @@ from whichever vehicles requested a service that unit.
 
 import csv
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -68,8 +69,17 @@ with tempfile.NamedTemporaryFile("w", suffix=".csv", delete=False, newline="") a
             writer.writerow([f"cab{cab:02d}", t, f"{lat:.6f}", f"{lon:.6f}"])
     path = fh.name
 
-result = ingest_trace(path, bbox, grid, time_unit_s=60, num_services=8, seed=1)
-print("\ningested", sum(len(u) for u in result.requests_by_unit), "requests over",
-      len(result.requests_by_unit), "units")
-print("rows dropped outside the box:", result.dropped,
-      " malformed rows skipped:", result.malformed)
+try:
+    result = ingest_trace(path, bbox, grid, time_unit_s=60, num_services=8, seed=1)
+    print("\ningested", sum(len(u) for u in result.requests_by_unit), "requests over",
+          len(result.requests_by_unit), "units")
+    print("rows dropped outside the box:", result.dropped,
+          " malformed rows skipped:", result.malformed)
+    # the parse is kept next to the trace: a second ingest reads it back
+    again = ingest_trace(path, bbox, grid, time_unit_s=60, num_services=8, seed=1)
+    print("parse kept in", os.path.basename(path) + ".parsed:", os.path.exists(path + ".parsed"),
+          " same stream on a second ingest:", again.requests_by_unit == result.requests_by_unit)
+finally:
+    for leftover in (path, path + ".parsed"):
+        if os.path.exists(leftover):
+            os.remove(leftover)

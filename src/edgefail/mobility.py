@@ -15,7 +15,12 @@ service, the delay matrix one distance pass over requests grouped by
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
+import json
+import logging
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -23,6 +28,8 @@ import numpy as np
 
 from .errors import IngestError
 from .model import EdgeNode, RequestStream
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,8 @@ TRACE_HEADER = ["vehicle_id", "timestamp", "lat", "lon"]
 # requests) distances, 32k entries, made one segment length at a time
 CHUNK_BYTES = 1 << 18
 
+CACHE_VERSION = 1  # of ``<trace>.parsed``: bump when its layout or the parse rule changes
+
 
 def generate_synthetic(
     seed: int,
@@ -203,15 +212,24 @@ def ingest_trace(
     Every present vehicle issues one request per unit, in vehicle id
     order; the service type is drawn uniformly (seeded).  Each stage
     returns only what the next one needs, so its working arrays end with it.
+    The parse is kept in ``<path>.parsed``, keyed by the sha256 of the
+    file's bytes, so a later call over the same bytes skips the CSV loop.
 
     Raises:
         IngestError: on a missing/invalid header or zero usable rows.
     """
     if time_unit_s <= 0:
         raise ValueError("time_unit_s must be > 0")
-    first_seen, rows, dropped, malformed = _usable_rows(path, bbox)
-    vids, (vehicle, unit, xy), horizon = _last_fixes(first_seen, rows, bbox, grid, time_unit_s)
-    del rows
+    names, rows, malformed = _parsed_rows(path)
+    finite = np.isfinite(rows[1]) & np.isfinite(rows[2]) & np.isfinite(rows[3])
+    keep = finite & bbox.contains(rows[2], rows[3])
+    malformed += len(finite) - int(finite.sum())
+    dropped = int(finite.sum()) - int(keep.sum())
+    if not keep.any():
+        raise IngestError(f"{path}: no usable rows (dropped={dropped}, malformed={malformed})")
+    rows = [c[keep] for c in rows]  # the finite rows inside the box
+    vids, (vehicle, unit, xy), horizon = _last_fixes(names, rows, bbox, grid, time_unit_s)
+    del rows, finite, keep
     src, offsets = _carry_forward(vehicle, unit, horizon, carry_gap)
     xy, vehicle = xy[src], vehicle[src]
     rng = np.random.default_rng(seed)
@@ -222,10 +240,44 @@ def ingest_trace(
                         dropped=dropped, malformed=malformed)
 
 
-def _usable_rows(path, bbox: BoundingBox):
-    """The vehicle codes (in order of appearance) and the (code, ts, lat,
-    lon) columns of the finite rows inside ``bbox``, parsed into typed
-    arrays; with the counts of rows dropped and malformed."""
+def _parsed_rows(path):
+    """``_parse_csv`` of ``path``, or its sidecar ``<path>.parsed`` if that
+    holds the parse of the same bytes; a miss parses and rewrites it."""
+    if not os.path.isfile(path):  # a pipe can be read only once
+        return _parse_csv(path)
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    key = {"version": CACHE_VERSION, "sha256": digest.hexdigest()}
+    side = os.fspath(path) + ".parsed"
+    try:
+        with open(side, "rb") as fh:
+            meta = json.loads(fh.readline())
+            if {k: meta[k] for k in key} == key:
+                rows = [np.load(fh, allow_pickle=False) for _ in range(4)]
+                if len({len(c) for c in rows}) == 1:
+                    return meta["ids"], rows, meta["malformed"]
+    except (OSError, ValueError, KeyError, TypeError, EOFError):
+        pass  # a miss: parse again and rewrite the sidecar
+    names, rows, malformed = _parse_csv(path)
+    tmp = f"{side}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps({**key, "ids": names, "malformed": malformed}).encode() + b"\n")
+            for c in rows:
+                np.save(fh, c)
+        os.replace(tmp, side)
+    except OSError as exc:
+        logger.debug("trace parse not kept at %s: %s", side, exc)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+    return names, rows, malformed
+
+
+def _parse_csv(path):
+    """The vehicle ids in order of first appearance, the (code, ts, lat, lon)
+    columns of the rows with four fields that parse, and the count of others."""
     malformed = 0
     first_seen: dict[str, int] = {}  # vehicle id -> code in order of appearance
     code, ts, lat, lon = array("q"), array("d"), array("d"), array("d")
@@ -250,32 +302,27 @@ def _usable_rows(path, bbox: BoundingBox):
             lat.append(y)
             lon.append(x)
             code.append(first_seen.setdefault(raw[0], len(first_seen)))
-    rows = [np.frombuffer(c, dtype=c.typecode) for c in (code, ts, lat, lon)]
-    finite = np.isfinite(rows[1]) & np.isfinite(rows[2]) & np.isfinite(rows[3])
-    keep = finite & bbox.contains(rows[2], rows[3])
-    malformed += len(finite) - int(finite.sum())
-    dropped = int(finite.sum()) - int(keep.sum())
-    if not keep.any():
-        raise IngestError(f"{path}: no usable rows (dropped={dropped}, malformed={malformed})")
-    return first_seen, [c[keep] for c in rows], dropped, malformed
+    return list(first_seen), [np.frombuffer(c, c.typecode) for c in (code, ts, lat, lon)], malformed
 
 
-def _last_fixes(first_seen: dict, rows, bbox: BoundingBox, grid: GridMap, time_unit_s: float):
+def _last_fixes(names: list, rows, bbox: BoundingBox, grid: GridMap, time_unit_s: float):
     """The sorted vehicle ids; the (vehicle number, unit, km position) of
     each (vehicle, unit)'s last fix, sorted by vehicle, then unit: the
     latest timestamp, ties to the later row; and the units the rows span."""
     code, ts, lat, lon = rows
-    names = list(first_seen)
-    vids = tuple(sorted(names[c] for c in np.unique(code).tolist()))
+    used = sorted(np.flatnonzero(np.bincount(code)).tolist(), key=names.__getitem__)
+    vids = tuple(names[c] for c in used)
     rank = np.zeros(len(names), dtype=np.int64)
-    rank[[first_seen[v] for v in vids]] = np.arange(len(vids))
+    rank[used] = np.arange(len(used))
     vehicle = rank[code]
     t0 = ts.min()
     unit = ((ts - t0) // time_unit_s).astype(np.int64)
     horizon = int((ts.max() - t0) // time_unit_s) + 1
-    order = np.lexsort((np.arange(len(ts)), ts, unit, vehicle))
+    # lexsort is stable, so equal timestamps keep their row order
+    order = np.lexsort((ts, vehicle * horizon + unit))
+    key = (vehicle * horizon + unit)[order]
     last = np.ones(len(order), dtype=bool)
-    last[:-1] = (vehicle[order[1:]] != vehicle[order[:-1]]) | (unit[order[1:]] != unit[order[:-1]])
+    last[:-1] = key[1:] != key[:-1]
     win = order[last]
     xy = np.column_stack(bbox.to_xy(lat[win], lon[win], grid))
     return vids, (vehicle[win], unit[win], xy), horizon

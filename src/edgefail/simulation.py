@@ -89,7 +89,9 @@ def evaluate_quality(caps, delays) -> float:
     delays = np.asarray(delays, dtype=float)
     if len(delays) == 0:
         raise ValueError("need at least one unit")
-    return float(np.mean(np.clip(1.0 - np.mean(delays, axis=0) / caps, 0.0, 1.0)))
+    # np.mean and np.clip without their Python wrappers: the same bits
+    score = np.minimum(np.maximum(1.0 - np.add.reduce(delays) / len(delays) / caps, 0.0), 1.0)
+    return float(np.add.reduce(score) / len(score))
 
 
 @dataclass(frozen=True)
@@ -233,7 +235,8 @@ class Simulation:
         return (t // self.cfg.attack_every + 1) * self.cfg.attack_every
 
     def _scheduled_target(self, t: int) -> int | None:
-        if self.state.attack_target is not None or self._next_onset(t - 1) != t:
+        onset = t in self.schedule if self.schedule else t % self.cfg.attack_every == 0
+        if self.state.attack_target is not None or not onset:
             return None
         return self.schedule[t] if self.schedule else self._pick_target()
 

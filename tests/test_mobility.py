@@ -1,6 +1,10 @@
 import csv
+import io
+import logging
 import math
+import os
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -140,6 +144,38 @@ def reference_ingest(path, bbox, grid, time_unit_s, num_services, seed, carry_ga
         units.append((np.array(xys, dtype=float).reshape(-1, 2),
                       rng.integers(0, num_services, len(present)), present))
     return units, vids, dropped, malformed
+
+
+def refuse_parse(monkeypatch):
+    """Make a parse of any CSV fail, so an ingest that returns was a hit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace was parsed again")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".parsed")
+
+
+def short_column(sidecar_bytes):
+    """The sidecar with its last column one row short."""
+    fh, out = io.BytesIO(sidecar_bytes), io.BytesIO()
+    out.write(fh.readline())
+    columns = [np.load(fh) for _ in range(4)]
+    for c in columns[:3] + [columns[3][:-1]]:
+        np.save(out, c)
+    return out.getvalue()
+
+
+def same_stream(a, b):
+    """Whether two ingests return the same counts and the same stream, bit
+    for bit; vehicle ids are compared as str (a numpy str array would strip
+    trailing NULs)."""
+    sa, sb = a.requests_by_unit, b.requests_by_unit
+    return ((a.dropped, a.malformed, sa.vehicles) == (b.dropped, b.malformed, sb.vehicles)
+            and all(getattr(sa, c).tobytes() == getattr(sb, c).tobytes()
+                    for c in ("xy", "service", "vehicle", "offsets")))
 
 
 class TestGridMap:
@@ -322,10 +358,11 @@ class TestIngestTrace:
             assert len(batch) == len(per_unit.get(t, set()))
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_same_bits_as_per_row_reference(self, tmp_path, seed):
+    def test_same_bits_as_per_row_reference(self, tmp_path, monkeypatch, seed):
         # rows out of time order, equal timestamps inside a unit, silences
         # longer than carry_gap, rows outside the box, short, long,
-        # unparsable and non-finite rows
+        # unparsable and non-finite rows, a quoted id, a \r\n line end and,
+        # where csv accepts NUL (Python 3.11 on), an id ending in one
         rnd = random.Random(seed)
         rows = []
         for _ in range(rnd.randint(1, 300)):
@@ -338,22 +375,108 @@ class TestIngestTrace:
                         else f"{vid},t{ts!r},{lat!r},{lon!r}" if kind < 0.07
                         else f"{vid},{ts!r},nan,{lon!r}" if kind < 0.09
                         else f"{vid},inf,{lat!r},{lon!r}" if kind < 0.1
+                        else f'"{vid}, quoted",{ts!r},{lat!r},{lon!r}' if kind < 0.12
+                        else f"{vid}\x00,{ts!r},{lat!r},{lon!r}" if kind < 0.14
+                        and sys.version_info >= (3, 11)
+                        else f"{vid},{ts!r},{lat!r},{lon!r}\r" if kind < 0.16
                         else f"{vid},{ts!r},{lat!r},{lon!r}")
         rows.append("cab99,450.0,37.5,-122.5")  # at least one usable row
         path = self.write(tmp_path, rows)
         grid = GridMap(rows=2, cols=3, cell_km=4.0, origin=(1.0, -2.0))
         for time_unit_s, carry_gap in ((60.0, 5), (37.5, 0), (10.0, 2), (60.0, -1)):
-            got = ingest_trace(path, self.BBOX, grid, time_unit_s=time_unit_s,
-                               num_services=4, seed=seed, carry_gap=carry_gap)
             want, vids, dropped, malformed = reference_ingest(
                 path, self.BBOX, grid, time_unit_s, 4, seed, carry_gap)
-            assert (got.dropped, got.malformed) == (dropped, malformed)
-            assert len(got.requests_by_unit) == len(want)
-            for t, (batch, (xy, services, names)) in enumerate(zip(got.requests_by_unit, want)):
-                assert batch.time == t and batch.vehicles == vids
-                assert np.array_equal(batch.xy, xy)
-                assert np.array_equal(batch.service, services)
-                assert [vids[v] for v in batch.vehicle.tolist()] == names
+            args = (path, self.BBOX, grid, time_unit_s, 4, seed, carry_gap)
+            sidecar(path).unlink(missing_ok=True)  # the first call parses, the second reads it
+            cold = ingest_trace(*args)
+            with monkeypatch.context() as m:
+                refuse_parse(m)
+                warm = ingest_trace(*args)
+            for got in (cold, warm):
+                assert (got.dropped, got.malformed) == (dropped, malformed)
+                assert len(got.requests_by_unit) == len(want)
+                for t, (batch, (xy, services, names)) in enumerate(zip(got.requests_by_unit,
+                                                                       want)):
+                    assert batch.time == t and batch.vehicles == vids
+                    assert np.array_equal(batch.xy, xy)
+                    assert np.array_equal(batch.service, services)
+                    assert [vids[v] for v in batch.vehicle.tolist()] == names
+
+    def test_rewritten_file_misses(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, ["cab1,0,37.5,-122.5", "cab2,60,37.6,-122.4"])
+        first = ingest_trace(path, self.BBOX, GRID)
+        path = self.write(tmp_path, ["cab3,0,37.2,-122.8", "cab1,30,37.5,-122.5", "cab3,x,1,2"])
+        second = ingest_trace(path, self.BBOX, GRID)
+        assert second.requests_by_unit.vehicles == ("cab1", "cab3")
+        assert (second.dropped, second.malformed) == (0, 1) and not same_stream(first, second)
+        with monkeypatch.context() as m:
+            refuse_parse(m)
+            assert same_stream(ingest_trace(path, self.BBOX, GRID), second)
+
+    DAMAGE = {
+        "truncated": lambda good: good[:-5],
+        "header only": lambda good: good[:good.index(b"\n") + 1],
+        "garbage": lambda good: bytes(range(256)) * 3,
+        "empty": lambda good: b"",
+        "other version": lambda good: good.replace(b'"version": 1', b'"version": 0'),
+        "not a dict": lambda good: b"[1, 2]" + good[good.index(b"\n"):],
+        "short column": short_column,
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    def test_damaged_sidecar_misses_and_is_rewritten(self, tmp_path, monkeypatch, damage):
+        path = self.write(tmp_path, ["cab1,0,37.5,-122.5", "cab2,70,37.6,-122.4", "cab1,x,1,2"])
+        cold = ingest_trace(path, self.BBOX, GRID)
+        side = sidecar(path)
+        good = side.read_bytes()
+        bad = self.DAMAGE[damage](good)
+        assert bad != good
+        side.write_bytes(bad)
+        assert same_stream(ingest_trace(path, self.BBOX, GRID), cold)
+        assert side.read_bytes() == good
+        with monkeypatch.context() as m:
+            refuse_parse(m)
+            assert same_stream(ingest_trace(path, self.BBOX, GRID), cold)
+
+    def test_unwritable_directory_still_ingests(self, tmp_path, monkeypatch, caplog):
+        # tests may run as root, who can write anywhere: the move into place fails instead
+        path = self.write(tmp_path, ["cab1,0,37.5,-122.5", "cab2,70,37.6,-122.4"])
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(dst))
+
+        with monkeypatch.context() as m, caplog.at_level(logging.DEBUG, "edgefail.mobility"):
+            m.setattr(os, "replace", refuse)
+            got = ingest_trace(path, self.BBOX, GRID)
+        assert os.listdir(tmp_path) == ["trace.csv"]
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+        assert got.requests_by_unit.vehicles == ("cab1", "cab2")
+        assert [len(b) for b in got.requests_by_unit] == [1, 2]
+        assert same_stream(ingest_trace(path, self.BBOX, GRID), got)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self, tmp_path):
+        # a trace from a pipe, such as a shell's <(...), can be read only
+        # once: it is parsed as it streams, with no digest pass before
+        r, w = os.pipe()
+        os.write(w, b"vehicle_id,timestamp,lat,lon\ncab1,0,37.5,-122.5\ncab2,70,37.6,-122.4\n")
+        os.close(w)
+        try:
+            got = ingest_trace(f"/dev/fd/{r}", self.BBOX, GRID)
+        finally:
+            os.close(r)
+        assert [len(b) for b in got.requests_by_unit] == [1, 2]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads NUL from Python 3.11 on")
+    def test_nul_ended_id_keeps_its_vehicle(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, ["ab,0,37.5,-122.5", "ab\x00,0,37.6,-122.4",
+                                     "ab\x00\x00,10,37.7,-122.3"])
+        cold = ingest_trace(path, self.BBOX, GRID)
+        assert cold.requests_by_unit.vehicles == ("ab", "ab\x00", "ab\x00\x00")
+        with monkeypatch.context() as m:
+            refuse_parse(m)
+            warm = ingest_trace(path, self.BBOX, GRID)
+        assert same_stream(warm, cold) and len(warm.requests_by_unit[0]) == 3
 
     def test_peak_memory_within_a_few_times_the_stream(self, tmp_path):
         # the parsed rows become typed columns, and each later stage's

@@ -474,6 +474,20 @@ class TestQualityMonitor:
         q = evaluate_quality(np.array([100.0]), [np.array([0.0]), np.array([50.0])])
         assert q == pytest.approx(0.75)
 
+    @settings(max_examples=300, deadline=None)
+    @given(services=st.integers(1, 39), units=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 60.0, 1e6]))
+    def test_same_bits_as_mean_and_clip(self, services, units, seed, scale):
+        # up to 39 services passes numpy's 8-term pairwise-sum block; delays
+        # range from far below to far above the caps, so both clip bounds act
+        rng = np.random.default_rng(seed)
+        caps = rng.uniform(1.0, 100.0, services)
+        window = rng.random((units, services)) * rng.choice([0.0, 1.0, 2.0, 3.0]) * caps * scale
+        want = float(np.mean(np.clip(1.0 - np.mean(window, axis=0) / caps, 0.0, 1.0)))
+        got = evaluate_quality(caps, window)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert evaluate_quality(caps, list(window)) == got
+
     @pytest.mark.parametrize("period", [1, 3, 5])
     def test_score_over_the_last_period_records(self, period):
         # each evaluation scores the delays of the last ``period`` records,
