@@ -40,17 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    overrides = {}
-    for flag, key in (
-        ("dataset", "dataset"),
-        ("policies", "policies"),
-        ("horizon", "horizon"),
-        ("seed", "seed"),
-        ("attack_every", "attack.every"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = value
+    flags = ("dataset", "policies", "horizon", "seed", "attack_every")
+    overrides = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
     cfg = ExperimentConfig.from_sources(file=args.config, overrides=overrides)
     artifacts = run(cfg, out=args.out)
     print(f"wrote {artifacts.metrics_path}")

@@ -116,17 +116,10 @@ class ExperimentConfig:
         file: str | None = None,
         overrides: dict[str, object] | None = None,
     ) -> "ExperimentConfig":
-        """Merge defaults, an optional config file, and explicit overrides."""
-        merged = dict(DEFAULTS)
-        if file is not None:
-            merged.update(parse_config_file(file))
-        for key, value in (overrides or {}).items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            merged[key] = _coerce(key, value)
-        cfg = cls(**{KEY_MAP[k]: v for k, v in merged.items()})
-        cfg.validate()
-        return cfg
+        """Defaults, then an optional config file, then explicit overrides
+        (dotted keys or field names), validated."""
+        values = parse_config_file(file) if file is not None else {}
+        return cls().replace(**{**values, **(overrides or {})})
 
     def validate(self) -> None:
         """Raise ConfigError on any out-of-range or inconsistent setting."""

@@ -1,6 +1,6 @@
 """Vehicle mobility: synthetic waypoint traces, CSV ingestion, demand binning.
 
-Positions live in a flat km coordinate frame covering the grid of edge
+Positions are km from the grid's corner at (0, 0), covering the grid of edge
 coverage cells (default 3x3 cells of 5 km over a 15x15 km^2 area, one
 edge node per cell center).  Trace files are converted into the same
 frame by linearly projecting their bounding box onto the grid area.
@@ -39,7 +39,6 @@ class GridMap:
     rows: int = 3
     cols: int = 3
     cell_km: float = 5.0
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -57,20 +56,14 @@ class GridMap:
 
     def node_locations(self) -> list[tuple[float, float]]:
         """Cell centers in row-major order (node id = row * cols + col)."""
-        x0, y0 = self.origin
         return [
-            (x0 + (c + 0.5) * self.cell_km, y0 + (r + 0.5) * self.cell_km)
+            ((c + 0.5) * self.cell_km, (r + 0.5) * self.cell_km)
             for r in range(self.rows)
             for c in range(self.cols)
         ]
 
     def center(self) -> tuple[float, float]:
-        x0, y0 = self.origin
-        return (x0 + self.width_km / 2.0, y0 + self.height_km / 2.0)
-
-    def contains(self, xy: tuple[float, float]) -> bool:
-        x0, y0 = self.origin
-        return (x0 <= xy[0] <= x0 + self.width_km) and (y0 <= xy[1] <= y0 + self.height_km)
+        return (self.width_km / 2.0, self.height_km / 2.0)
 
 
 @dataclass(frozen=True)
@@ -97,8 +90,7 @@ class BoundingBox:
         """Grid coordinates in km of (lat, lon); elementwise for arrays."""
         fx = (lon - self.lon_min) / (self.lon_max - self.lon_min)
         fy = (lat - self.lat_min) / (self.lat_max - self.lat_min)
-        x0, y0 = grid.origin
-        return (x0 + fx * grid.width_km, y0 + fy * grid.height_km)
+        return (fx * grid.width_km, fy * grid.height_km)
 
 
 @dataclass(frozen=True)
@@ -160,11 +152,10 @@ def generate_synthetic(
         raise ValueError("num_services must be >= 1")
     model = model or MobilityModel()
     rng = np.random.default_rng(seed)
-    x0, y0 = grid.origin
     w, h = grid.width_km, grid.height_km
 
-    pos = rng.random((vehicles, 2)) * [w, h] + [x0, y0]
-    waypoint = rng.random((vehicles, 2)) * [w, h] + [x0, y0]
+    pos = rng.random((vehicles, 2)) * [w, h]
+    waypoint = rng.random((vehicles, 2)) * [w, h]
     step_km = rng.uniform(model.speed_min_kmh, model.speed_max_kmh, vehicles) * (
         model.time_unit_s / 3600.0
     )
@@ -189,7 +180,7 @@ def generate_synthetic(
         frac = np.divide(step_km, dist, out=np.zeros(vehicles), where=~arrived)
         pos = np.where(arrived[:, None], waypoint, pos + delta * frac[:, None])
         if arrived.any():
-            waypoint[arrived] = rng.random((int(arrived.sum()), 2)) * [w, h] + [x0, y0]
+            waypoint[arrived] = rng.random((int(arrived.sum()), 2)) * [w, h]
     return RequestStream(*(np.frombuffer(c, dtype=c.typecode) for c in (xy, service, vehicle)),
                          offsets, ids)
 

@@ -185,7 +185,8 @@ class PlacementDecision:
     ``x[e, s]`` is 1 when node e hosts an active instance of service s,
     ``reserved[e, s]`` marks idle backup instances that carry no primary
     load.  At most one instance of a given service sits on one node, so
-    the count of hosting nodes equals the instance count I_s.
+    the count of hosting nodes equals the instance count I_s.  Building
+    one freezes the caller's int64 arrays in place: build it from final arrays.
     """
 
     x: np.ndarray
@@ -230,33 +231,6 @@ class PlacementDecision:
     def instance_counts(self) -> np.ndarray:
         """Active instances per service, I_s."""
         return self.x.sum(axis=0)
-
-    def resource_usage(self, services: list[ServiceType]) -> np.ndarray:
-        """Resource units consumed per node, counting reserved instances."""
-        costs = np.array([s.resource_cost for s in services], dtype=float)
-        return (self.x + self.reserved) @ costs
-
-    def with_instance(self, node: int, service: int, reserved: bool = False) -> "PlacementDecision":
-        x = np.array(self.x)
-        r = np.array(self.reserved)
-        (r if reserved else x)[node, service] = 1
-        return PlacementDecision(x=x, reserved=r)
-
-    def without_node(self, node: int) -> "PlacementDecision":
-        x = np.array(self.x)
-        r = np.array(self.reserved)
-        x[node] = 0
-        r[node] = 0
-        return PlacementDecision(x=x, reserved=r)
-
-    def promote_reserved(self, node: int, service: int) -> "PlacementDecision":
-        if self.reserved[node, service] != 1:
-            raise ValueError(f"no reserved instance of service {service} on node {node}")
-        x = np.array(self.x)
-        r = np.array(self.reserved)
-        r[node, service] = 0
-        x[node, service] = 1
-        return PlacementDecision(x=x, reserved=r)
 
 
 def check_gamma(g: np.ndarray) -> None:
@@ -327,6 +301,12 @@ class DelayModel:
         return self.ranked(nodes, s)[0]
 
 
+def resource_usage(x: np.ndarray, reserved: np.ndarray, services: list[ServiceType]) -> np.ndarray:
+    """Resource units consumed per node by the active ``x`` and reserved instances."""
+    costs = np.array([s.resource_cost for s in services], dtype=float)
+    return (x + reserved) @ costs
+
+
 def placement_problems(
     p: PlacementDecision,
     nodes: list[EdgeNode],
@@ -346,7 +326,7 @@ def placement_problems(
         raise StructuralError(
             f"placement is {p.x.shape}, expected ({len(nodes)}, {len(services)})"
         )
-    usage = p.resource_usage(services)
+    usage = resource_usage(p.x, p.reserved, services)
     messages = [
         f"node {e}: resource use {usage[e]:.3f} exceeds capacity {n.capacity:.3f}"
         for e, n in enumerate(nodes) if not usage[e] <= n.capacity + 1e-9

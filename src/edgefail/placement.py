@@ -13,6 +13,7 @@ from .model import (
     PlacementDecision,
     ServiceType,
     placement_problems,
+    resource_usage,
 )
 
 # Budget of host subsets the placement search tries; the default scenario
@@ -38,19 +39,13 @@ def footprint_order(services: list[ServiceType], ids) -> list[int]:
     return sorted(ids, key=lambda s: (-services[s].resource_cost, s))
 
 
-def _room(p: PlacementDecision, s: int, services, nodes) -> dict[int, float]:
+def _room(x, reserved, s: int, services, nodes) -> dict[int, float]:
     """Residual capacity of each healthy node that hosts no instance of
     service s, active or reserved, and has room left for one."""
-    cost = services[s].resource_cost
-    usage = p.resource_usage(services)
-    return {
-        n.id: n.capacity - usage[n.id]
-        for n in nodes
-        if n.healthy
-        and p.x[n.id, s] == 0
-        and p.reserved[n.id, s] == 0
-        and n.capacity - usage[n.id] >= cost - 1e-9
-    }
+    usage = resource_usage(x, reserved, services)
+    return {n.id: n.capacity - usage[n.id] for n in nodes
+            if n.healthy and x[n.id, s] == 0 and reserved[n.id, s] == 0
+            and n.capacity - usage[n.id] >= services[s].resource_cost - 1e-9}
 
 
 def place_services(
@@ -130,17 +125,20 @@ def reserve_backup(
     Reserved instances consume node resources immediately but carry no
     primary load.  Existing instances are never moved or removed.
 
-    Returns the placement and the services of ``order`` with no node with
-    room left, which get no backup, in ``order``.
+    Returns the placement, ``p`` itself when nothing was reserved, and the
+    services of ``order`` with no node with room left, which get no backup,
+    in ``order``.
     """
-    missing = []
+    reserved, missing = p.reserved.copy(), []
     for s in order:
-        room = _room(p, s, services, nodes)
+        room = _room(p.x, reserved, s, services, nodes)
         if not room:
             missing.append(s)
             continue
-        p = p.with_instance(max(room, key=lambda e: (room[e], -e)), s, reserved=True)
-    return p, missing
+        reserved[max(room, key=lambda e: (room[e], -e)), s] = 1
+    if len(missing) == len(order):
+        return p, missing
+    return PlacementDecision(x=p.x, reserved=reserved), missing
 
 
 def recover_placement(
@@ -163,16 +161,18 @@ def recover_placement(
     Returns the placement and the lost services with no room anywhere,
     which stay on fewer instances, in id order.
     """
-    out = p.without_node(attacked)
+    x, reserved = p.x.copy(), p.reserved.copy()
+    x[attacked] = reserved[attacked] = 0
     unrecovered: list[int] = []
     for s in footprint_order(services, services_lost):
-        backups = [e for e in out.reserved_nodes(s) if nodes[e].healthy]
+        backups = [e for e in np.flatnonzero(reserved[:, s]).tolist() if nodes[e].healthy]
         if backups:
-            out = out.promote_reserved(delay.nearest(backups, s), s)
+            e = delay.nearest(backups, s)
+            x[e, s], reserved[e, s] = 1, 0
             continue
-        options = [e for e in _room(out, s, services, nodes) if e != attacked]
+        options = [e for e in _room(x, reserved, s, services, nodes) if e != attacked]
         if not options:
             unrecovered.append(s)
             continue
-        out = out.with_instance(delay.nearest(options, s), s)
-    return out, tuple(sorted(unrecovered))
+        x[delay.nearest(options, s), s] = 1
+    return PlacementDecision(x=x, reserved=reserved), tuple(sorted(unrecovered))

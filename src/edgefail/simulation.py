@@ -52,25 +52,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import POLICIES, ExperimentConfig
 from .errors import ConcurrentAttackError, InfeasibleError, NoCandidateError
 from .metrics import RunTable, average_elf, edge_load_factor, jain_fairness, service_delay
 from .mobility import derive_delay_matrix, derive_demand, unit_chunks
 from .model import (
     DelayModel,
-    EdgeNode,
     NodeStatus,
     PlacementDecision,
     PrimaryMapping,
     RequestStream,
     SecondaryMapping,
     SimPhase,
+    _freeze,
     check_gamma,
 )
 from .placement import footprint_order, place_services, recover_placement, reserve_backup
 from .solvers import (
     build_lb_psvm,
-    failover_candidates,
     fill_cheapest,
     over_capacity,
     solve_lb_psvm,
@@ -109,7 +108,8 @@ class StreamInputs:
     def __post_init__(self):
         if (self.delay < 0).any() or not np.isfinite(self.delay).all():
             raise ValueError("delay entries must be finite and >= 0")
-        self.demand.flags.writeable = self.delay.flags.writeable = False
+        _freeze(self.demand)
+        _freeze(self.delay)
 
     def __len__(self) -> int:
         return len(self.demand)
@@ -188,7 +188,7 @@ class Simulation:
     """Single-policy simulation owning all mutable state."""
 
     def __init__(self, cfg: ExperimentConfig, policy: str):
-        if policy not in ("lb-psvm", "psvm", "br"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
@@ -382,9 +382,7 @@ class Simulation:
                 raise InfeasibleError(f"t={t}: {exc}") from exc
             check_gamma(gamma)
             delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
-            for a in (delay, gamma):
-                a.flags.writeable = False
-            look = inputs.served[key] = Lookahead(x, t, delay, gamma)
+            look = inputs.served[key] = Lookahead(x, t, _freeze(delay), _freeze(gamma))
         lam = inputs.demand[t - 1 : t - 1 + len(look.gamma)]
         self._write_rows(t, lam, look.delay, look.gamma.sum(axis=-2))
         self.lookahead = look
@@ -463,36 +461,27 @@ class Simulation:
             return None
 
     def _attack_serve(self, lam: np.ndarray, d: np.ndarray):
-        """Serve via stored splits; previous proportions scaled to today."""
+        """Serve via stored splits, the t-1 proportions scaled to today; a
+        service without demand at t-1 fills its instances off the target
+        cheapest first."""
         st = self.state
-        target = st.attack_target
-        loads = np.zeros((len(st.nodes), self.num_services))
+        target, prev = st.attack_target, st.primary_demand
+        hosts = st.placement.x > 0
+        hosts[target] = False
+        filled, left = fill_cheapest(hosts, lam[None], d[None], self.capacity)
+        fresh = (lam > 0) & (prev <= 0)
+        ratio = np.divide(lam, prev, out=np.zeros_like(lam), where=prev > 0)
+        loads = np.where(fresh, filled[0], st.primary_gamma * ratio)
+        unserved = np.where(fresh, left[0], 0.0)
+        affected = loads[target].copy()
+        loads[target] = 0.0
         added = np.zeros_like(loads)
-        unserved = np.zeros(self.num_services)
-        for s in range(self.num_services):
-            if lam[s] <= 0:
-                continue
-            prev = st.primary_demand[s]
-            if prev <= 0:
-                hosts = failover_candidates(st.placement, target, s)
-                loads[:, s], unserved[s] = fill_cheapest(
-                    hosts, float(lam[s]), d[:, s], self.capacity
-                )
-                continue
-            ratio = float(lam[s]) / float(prev)
-            scaled = st.primary_gamma[:, s] * ratio
-            affected = float(scaled[target])
-            scaled[target] = 0.0
-            loads[:, s] = scaled
-            if affected <= 0:
-                continue
+        for s in np.flatnonzero(affected > 0).tolist():
             mapping = st.proactive.get((target, s))
             if mapping is None:
-                unserved[s] = affected
-                continue
-            share = affected / mapping.affected
-            for i, e in enumerate(mapping.candidates):
-                added[e, s] += mapping.beta[i] * share
+                unserved[s] = affected[s]
+            else:
+                added[list(mapping.candidates), s] = mapping.beta * (affected[s] / mapping.affected)
         return loads, added, unserved
 
     def _attack_record(self, t, lam, d, loads, added, unserved) -> None:

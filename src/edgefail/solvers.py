@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InfeasibleError, NoCandidateError
 from .metrics import QUEUE_GUARD, queue_delay
-from .model import DelayModel, PlacementDecision, PrimaryMapping, SecondaryMapping
+from .model import DelayModel, PlacementDecision, PrimaryMapping, SecondaryMapping, _freeze
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,7 @@ def solve_primary_mapping(
         )
     single = demand.ndim == 1
     d = delay.d[None] if single else np.asarray(delay, dtype=float)
-    loads = _fill_columns(placement.x > 0, np.atleast_2d(demand), d, capacity)[0]
+    loads = fill_cheapest(placement.x > 0, np.atleast_2d(demand), d, capacity)[0]
     return PrimaryMapping(gamma=loads[0]) if single else loads
 
 
@@ -86,27 +86,13 @@ def over_capacity(placement: PlacementDecision, demand, capacity: float) -> np.n
     return capacity * placement.instance_counts() + 1e-9 < demand
 
 
-def fill_cheapest(hosts, demand: float, d_col, capacity: float) -> tuple[np.ndarray, float]:
-    """Fill ``hosts`` up to ``capacity`` each in ascending delay ``d_col``
-    (ties to the lower node index).
-
-    Returns the per-node loads, of the length of ``d_col``, and the demand
-    (>= 0) left over once every host is full.
-    """
-    d_col = np.asarray(d_col, dtype=float)
-    mask = np.zeros((len(d_col), 1), dtype=bool)
-    mask[np.asarray(hosts, dtype=np.intp), 0] = True
-    loads, left = _fill_columns(
-        mask, np.array([[demand]], dtype=float), d_col[None, :, None], capacity
-    )
-    return loads[0, :, 0], float(left[0, 0])
-
-
-def _fill_columns(hosts, demand, d, capacity: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fill_cheapest`` of every column of T units under one placement:
-    (E, S) host mask, (T, E, S) delays and (T, S) demand.  Rank r of a
-    column takes min(remaining, C) until nothing remains; non-hosts rank
-    last.  Returns the (T, E, S) loads and the (T, S) leftover."""
+def fill_cheapest(hosts, demand, d, capacity: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fill each column's hosts up to ``capacity`` each in ascending delay
+    (ties to the lower node index), for T units under one (E, S) host
+    mask: (T, S) demand and (T, E, S) delays.  Rank r of a column takes
+    min(remaining, capacity) until nothing remains; non-hosts rank last.
+    Returns the (T, E, S) loads and the (T, S) demand (>= 0) left over
+    once every host is full."""
     counts = hosts.sum(axis=0)
     order = np.argsort(np.where(hosts, d, np.inf), axis=-2, kind="stable")
     rounds = int(counts.max(initial=0))
@@ -172,9 +158,7 @@ class LbPsvmProblem:
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("k1 and k2 must be >= 0")
         for name, arr in (("weights", w), ("prior_load", g), ("delay", d)):
-            arr = np.asarray(arr, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _freeze(arr))
 
     @property
     def n(self) -> int:
@@ -194,9 +178,7 @@ class LbPsvmSolution:
     branches: tuple[str, ...] = ()
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=float)
-        b.flags.writeable = False
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "beta", _freeze(np.asarray(self.beta, dtype=float)))
 
     @property
     def objective(self) -> float:

@@ -254,6 +254,18 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "metrics.csv" in out and "lb-psvm" in out
 
+    def test_flag_overrides_config_file(self, tmp_path):
+        # a flag beats the file's key, which beats the default
+        cfgfile = tmp_path / "exp.conf"
+        cfgfile.write_text("attack.every = 50\n")
+        assert ExperimentConfig.from_sources(file=cfgfile, overrides={"attack_every": 20}
+                                             ).attack_every == 20
+        for flags, every in (([], 50), (["--attack-every", "20"], 20)):
+            out = tmp_path / f"o{every}"
+            assert main(["run", "--config", str(cfgfile), *flags, "--horizon", "5",
+                         "--policies", "psvm", "--out", str(out)]) == 0
+            assert json.loads(read(out / "manifest.json"))["config"]["attack.every"] == every
+
     def test_invalid_horizon_exit_2(self, tmp_path, capsys):
         code = main(fast_args(tmp_path / "o", extra=["--horizon", "0"]))
         assert code == 2

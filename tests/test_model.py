@@ -44,11 +44,6 @@ class TestPlacementDecision:
         with pytest.raises(ValueError):
             PlacementDecision(x=np.array([[1], [0]]), reserved=np.array([[1], [0]]))
 
-    def test_promote_reserved(self):
-        p = PlacementDecision(x=np.array([[0], [1]]), reserved=np.array([[1], [0]]))
-        q = p.promote_reserved(0, 0)
-        assert q.x[0, 0] == 1 and q.reserved[0, 0] == 0
-
 
 class TestValidatePlacement:
     def test_two_nodes_one_service_passes(self):

@@ -1,7 +1,11 @@
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from edgefail import placement
 from edgefail.errors import InfeasibleError
 from edgefail.mobility import GridMap, derive_delay_matrix, generate_synthetic
 from edgefail.model import (
@@ -11,6 +15,7 @@ from edgefail.model import (
     PlacementDecision,
     ServiceType,
     placement_problems,
+    resource_usage,
 )
 from edgefail.placement import (
     MAX_SEARCH_STATES,
@@ -62,7 +67,7 @@ class TestPlaceServices:
         p = place_services(services, nodes, delay, instances_per_service=3)
         assert placement_problems(p, nodes, services) == []
         assert (p.instance_counts() == 3).all()
-        assert (p.resource_usage(services) <= 100.0).all()
+        assert (resource_usage(p.x, p.reserved, services) <= 100.0).all()
 
     def test_small_node_hosts_nothing(self):
         nodes = [
@@ -130,7 +135,8 @@ class TestReserveBackup:
         p = place_services(services, nodes, delay, instances_per_service=3)
         q, missing = reserve_all(p, services, nodes)
         assert missing == []
-        extra = q.resource_usage(services).sum() - p.resource_usage(services).sum()
+        extra = (resource_usage(q.x, q.reserved, services).sum()
+                 - resource_usage(p.x, p.reserved, services).sum())
         assert extra == pytest.approx(sum(s.resource_cost for s in services))
         assert extra == pytest.approx(136.0)
         assert (q.reserved.sum(axis=0) == 1).all()
@@ -260,29 +266,34 @@ class TestRecoverPlacement:
 
 
 def promote_then_recover(p, attacked, services, nodes, delay):
-    """Reference: promote each lost service's nearest healthy backup, then
-    re-instantiate the rest, bigger footprints first."""
-    out, needed = p.without_node(attacked), []
+    """Reference on plain arrays: clear the attacked node, promote each lost
+    service's nearest healthy backup, then re-instantiate the rest, bigger
+    footprints first, on the nearest healthy node with room; returns the
+    active and reserved arrays and the unrecovered services."""
+    x, reserved = np.array(p.x), np.array(p.reserved)
+    x[attacked] = reserved[attacked] = 0
+    costs = np.array([s.resource_cost for s in services])
+    needed = []
     for s in p.services_on(attacked):
-        backups = [e for e in out.reserved_nodes(s) if nodes[e].healthy]
+        backups = [n.id for n in nodes if reserved[n.id, s] and n.healthy]
         if backups:
-            out = out.promote_reserved(min(backups, key=lambda e: (delay.d[e, s], e)), s)
+            e = min(backups, key=lambda e: (delay.d[e, s], e))
+            x[e, s], reserved[e, s] = 1, 0
         else:
             needed.append(s)
     unrecovered = []
-    for s in sorted(needed, key=lambda s: (-services[s].resource_cost, s)):
-        cost = services[s].resource_cost
-        usage = out.resource_usage(services)
+    for s in sorted(needed, key=lambda s: (-costs[s], s)):
+        left = [n.capacity - float((x[n.id] + reserved[n.id]) @ costs) for n in nodes]
         options = [
             n.id for n in nodes
-            if n.healthy and n.id != attacked and out.x[n.id, s] == 0
-            and out.reserved[n.id, s] == 0 and n.capacity - usage[n.id] >= cost - 1e-9
+            if n.healthy and n.id != attacked and not x[n.id, s] and not reserved[n.id, s]
+            and left[n.id] >= costs[s] - 1e-9
         ]
         if options:
-            out = out.with_instance(min(options, key=lambda e: (delay.d[e, s], e)), s)
+            x[min(options, key=lambda e: (delay.d[e, s], e)), s] = 1
         else:
             unrecovered.append(s)
-    return out, tuple(sorted(unrecovered))
+    return x, reserved, tuple(sorted(unrecovered))
 
 
 @st.composite
@@ -313,16 +324,16 @@ def test_recovery_equals_promote_then_recover(case):
     p, attacked, services, nodes, delay = case
     got, unrecovered = recover_placement(p, attacked, p.services_on(attacked), services, nodes,
                                          delay)
-    expected, want = promote_then_recover(p, attacked, services, nodes, delay)
-    assert got.x.tolist() == expected.x.tolist()
-    assert got.reserved.tolist() == expected.reserved.tolist()
+    x, reserved, want = promote_then_recover(p, attacked, services, nodes, delay)
+    assert got.x.tolist() == x.tolist()
+    assert got.reserved.tolist() == reserved.tolist()
     assert unrecovered == want
 
 
-def reference_place_services(services, nodes, delay, need):
+def reference_place_services(services, nodes, delay, need, budget=MAX_SEARCH_STATES):
     """Reference: the recursive search ``place_services`` replaced, which
     picks each service's hosts one by one from its ranked options and
-    counts every pick against the budget."""
+    counts every pick against ``budget``."""
     check_budget(services, nodes, need)
     healthy = [n.id for n in nodes if n.healthy]
     order = footprint_order(services, range(len(services)))
@@ -352,8 +363,8 @@ def reference_place_services(services, nodes, delay, need):
                 return False
             for j in range(start, len(options)):
                 states += 1
-                if states > MAX_SEARCH_STATES:
-                    raise InfeasibleError("placement search exhausted its budget")
+                if states > budget:
+                    raise InfeasibleError(EXHAUSTED)
                 e = options[j]
                 residual[e] -= cost
                 taken.append(e)
@@ -398,16 +409,57 @@ def x_or_error(place, *args):
         return str(exc)
 
 
+def placed_or_error(case):
+    """``place_services``' x, or its error message, and the number of host
+    subsets it tried."""
+    tried = 0
+
+    def counted(options, need):
+        nonlocal tried
+        for hosts in combinations(options, need):
+            tried += 1
+            yield hosts
+
+    with mock.patch.object(placement, "combinations", counted):
+        return x_or_error(lambda *a: place_services(*a).x, *case), tried
+
+
+EXHAUSTED = "placement search exhausted its budget"
+# the reference runs out of its 200,000 picks here, while the search finishes
+SLOW_REFERENCE = (
+    make_services([5.0, 5.0, 5.0, 5.0, 15.0, 5.0, 15.0, 20.0]),
+    [EdgeNode(id=e, location=(float(e), 0.0), capacity=c)
+     for e, c in enumerate([100.0, 25.0, 25.0, 40.0, 40.0, 25.0, 15.0, 15.0, 40.0])],
+    DelayModel(d=np.array([
+        [0, 0, 0, 0, 3, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 0, 0, 0],
+        [2, 1, 0, 1, 3, 3, 0, 2],
+        [3, 3, 3, 1, 1, 2, 1, 0],
+        [0, 0, 2, 1, 0, 2, 0, 0],
+    ], dtype=float)),
+    4,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(placement_cases())
+@example(case=SLOW_REFERENCE)
 def test_search_equals_recursive_reference(case):
     # the same subsets in the same order: the same placement, or the same
-    # error unless the reference, which counts more states, ran out of budget
-    got = x_or_error(lambda *a: place_services(*a).x, *case)
+    # error unless the reference, which counts every pick, ran out of budget
+    got, tried = placed_or_error(case)
     want = x_or_error(reference_place_services, *case)
-    if isinstance(want, str):
-        assert isinstance(got, str), want
-        assert got == want or want == "placement search exhausted its budget", (got, want)
+    need = case[3]
+    if isinstance(want, str) and not isinstance(got, str):
+        # the reference ran out first: it makes at most about need * (need + 1)
+        # picks per subset the search tried
+        want = x_or_error(reference_place_services, *case, tried * need * (need + 1))
+    if isinstance(got, str):
+        assert isinstance(want, str) and want in (got, EXHAUSTED), (got, want)
     else:
-        assert not isinstance(got, str), got
+        assert not isinstance(want, str), want
         assert got.tolist() == want.tolist()

@@ -458,6 +458,78 @@ class TestServingInvariants:
                 assert float(record.served_per_service[s]) == pytest.approx(expect, rel=1e-9)
 
 
+def per_service_attack_serve(sim, lam, d):
+    """An attack unit's loads, added and unserved by a loop over services,
+    the rule ``Simulation._attack_serve`` states in columns; and how many
+    services, with demand now but none at t-1, filled their hosts."""
+    st, C = sim.state, sim.capacity
+    target = st.attack_target
+    loads = np.zeros((len(st.nodes), sim.num_services))
+    added = np.zeros_like(loads)
+    unserved = np.zeros(sim.num_services)
+    fresh = 0
+    for s in range(sim.num_services):
+        if lam[s] <= 0:
+            continue
+        prev = st.primary_demand[s]
+        if prev <= 0:
+            fresh += 1
+            remaining = float(lam[s])
+            hosts = [e for e in st.placement.nodes_hosting(s) if e != target]
+            for e in sorted(hosts, key=lambda e: (d[e, s], e)):
+                if remaining <= 0:
+                    break
+                loads[e, s] = min(remaining, C)
+                remaining -= loads[e, s]
+            unserved[s] = remaining
+            continue
+        scaled = st.primary_gamma[:, s] * (float(lam[s]) / float(prev))
+        affected = float(scaled[target])
+        scaled[target] = 0.0
+        loads[:, s] = scaled
+        if affected <= 0:
+            continue
+        mapping = st.proactive.get((target, s))
+        if mapping is None:
+            unserved[s] = affected
+            continue
+        share = affected / mapping.affected
+        for i, e in enumerate(mapping.candidates):
+            added[e, s] += mapping.beta[i] * share
+    return (loads, added, unserved), fresh
+
+
+@pytest.mark.parametrize("over, fresh", [
+    ({"mobility.vehicles": 20, "mobility.p_request": 0.3, "attack.every": 5, "horizon": 300,
+      "seed": 4}, True),
+    ({"mobility.vehicles": 15, "mobility.p_request": 0.2, "services.count": 12,
+      "grid.rows": 4, "grid.cols": 4, "placement.instances_per_service": 4,
+      "attack.every": 3, "attack.quarantine": 3, "horizon": 300, "seed": 9}, True),
+    ({"node.capacity": 46}, False),  # unrecovered services, br with no room
+])
+def test_attack_serve_same_bits_as_per_service_loop(over, fresh):
+    cfg = ExperimentConfig.from_sources(overrides=over)
+    units = derived(cfg)
+    counts = {"units": 0, "fresh": 0}
+    for policy in cfg.policy_list():
+        sim = Simulation(cfg, policy)
+        serve = sim._attack_serve
+
+        def checked(lam, d, sim=sim, serve=serve):
+            got = serve(lam, d)
+            want, n = per_service_attack_serve(sim, lam, d)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            counts["units"] += 1
+            counts["fresh"] += n
+            return got
+
+        sim._attack_serve = checked
+        sim.run(units)
+    assert counts["units"] > 0
+    assert (counts["fresh"] > 0) == fresh, counts
+
+
 class TestQualityMonitor:
     CAPS = np.array([50.0, 60.0])
 
@@ -941,16 +1013,23 @@ class TestRunTable:
 
 @st.composite
 def small_configs(draw):
-    """Overrides of a small config: any grid up to 3x3, tight to loose
-    capacities, attacks by cadence or by a drawn schedule."""
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    """Overrides of a small config that passes ``validate()``: 2 to 9 nodes,
+    tight to loose capacities that meet the footprint budget (a placement
+    at t=1 may still fail), attacks by cadence or by a drawn schedule."""
+    rows = draw(st.integers(1, 3))
+    cols = draw(st.integers(2 if rows == 1 else 1, 3))
+    services = draw(st.integers(1, 5))
+    instances = draw(st.integers(2, min(4, rows * cols)))
+    need = instances * sum(10 + 2 * s for s in range(services))
     recovery = draw(st.integers(1, 4))
+    quarantine = draw(st.integers(recovery + 1, recovery + 6))
     over = {
         "grid.rows": rows,
         "grid.cols": cols,
-        "services.count": draw(st.integers(1, 5)),
-        "placement.instances_per_service": draw(st.integers(2, 4)),
-        "node.capacity": draw(st.sampled_from([30.0, 46.0, 60.0, 100.0, 200.0])),
+        "services.count": services,
+        "placement.instances_per_service": instances,
+        "node.capacity": draw(st.sampled_from(
+            [c for c in (30.0, 46.0, 60.0, 100.0, 200.0) if c * rows * cols >= need])),
         "service.capacity": draw(st.sampled_from([5.0, 15.0, 30.0])),
         "mobility.vehicles": draw(st.integers(10, 150)),
         "mobility.p_request": draw(st.sampled_from([0.1, 0.3, 0.6])),
@@ -958,7 +1037,7 @@ def small_configs(draw):
         "monitor.period": draw(st.integers(1, 5)),
         "monitor.threshold": draw(st.sampled_from([0.5, 0.9, 0.99])),
         "recovery.delay": recovery,
-        "attack.quarantine": draw(st.integers(recovery + 1, recovery + 6)),
+        "attack.quarantine": quarantine,
         "attack.target": draw(st.sampled_from(["most-loaded", "random"])),
         "horizon": draw(st.integers(1, 40)),
         "seed": draw(st.integers(0, 2**16)),
@@ -966,7 +1045,10 @@ def small_configs(draw):
     if draw(st.booleans()):
         over["attack.every"] = draw(st.integers(1, 15))
     else:
-        times = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+        # each scheduled attack at least a quarantine after the one before
+        times = [draw(st.integers(1, 40))]
+        for _ in range(draw(st.integers(0, 3))):
+            times.append(times[-1] + draw(st.integers(quarantine, quarantine + 12)))
         over["attack.schedule"] = ",".join(
             f"{t}:{draw(st.integers(0, rows * cols - 1))}" for t in times)
     return over

@@ -183,12 +183,12 @@ class TestSameBitsAsLoops:
             wants.append(want)
             got = solve_primary_mapping(plc, demand, d, capacity)
             assert np.array_equal(got.gamma, want)
-            for s in range(S):
+            lams = np.array([demand, demand * 1.5 + 1.0, np.zeros(S)])
+            loads, left = fill_cheapest(x > 0, lams, np.broadcast_to(d.d, (3, E, S)), capacity)
+            for (k, lam), s in itertools.product(enumerate(lams), range(S)):
                 hosts = [int(e) for e in np.flatnonzero(x[:, s])]
-                for lam in (float(demand[s]), float(demand[s]) * 1.5 + 1.0, 0.0):
-                    loads, left = fill_cheapest(hosts, lam, d.d[:, s], capacity)
-                    ref_loads, ref_left = reference_fill(hosts, lam, d.d[:, s], capacity)
-                    assert np.array_equal(loads, ref_loads) and left == ref_left
+                ref_loads, ref_left = reference_fill(hosts, float(lam[s]), d.d[:, s], capacity)
+                assert np.array_equal(loads[k, :, s], ref_loads) and left[k, s] == ref_left
         batch = solve_primary_mapping(plc, np.array(fits), np.array(delays), capacity)
         assert batch.shape == (T, E, S)
         assert np.array_equal(batch, np.array(wants))
@@ -200,34 +200,32 @@ class TestSameBitsAsLoops:
 
 
 class TestFillCheapest:
-    @given(
-        nodes=st.lists(
-            st.tuples(st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0)),
-                      st.booleans()),
-            min_size=1, max_size=6,
-        ),
-        demand=st.floats(0.0, 200.0),
-        capacity=st.floats(1.0, 40.0),
-    )
-    def test_fills_cheapest_hosts_first(self, nodes, demand, capacity):
-        d_col = np.array([delay for delay, _ in nodes])
-        hosts = [e for e, (_, hosting) in enumerate(nodes) if hosting]
-        loads, leftover = fill_cheapest(hosts, demand, d_col, capacity)
-        tol = 1e-9 * max(1.0, demand)
-        assert float(loads.sum()) + leftover == pytest.approx(demand, abs=tol)
-        assert leftover == pytest.approx(max(0.0, demand - capacity * len(hosts)), abs=tol)
-        assert loads.shape == d_col.shape and (loads >= 0).all() and (loads <= capacity).all()
-        assert not loads[[e for e in range(len(nodes)) if e not in hosts]].any()
-        order = sorted(hosts, key=lambda e: (d_col[e], e))
-        for i, e in enumerate(order):
-            if loads[e] > 0:
-                assert all(loads[c] == capacity for c in order[:i])
-        if demand <= capacity * len(hosts):
-            x = np.zeros((len(nodes), 1), dtype=int)
-            x[hosts, 0] = 1
-            g = solve_primary_mapping(PlacementDecision(x=x), [demand],
-                                      DelayModel(d=d_col.reshape(-1, 1)), capacity)
-            np.testing.assert_array_equal(g.gamma[:, 0], loads)
+    @given(data=st.data(), E=st.integers(1, 6), S=st.integers(1, 3), T=st.integers(1, 3),
+           capacity=st.floats(1.0, 40.0))
+    def test_fills_cheapest_hosts_first(self, data, E, S, T, capacity):
+        # several units and columns in one call, each column as its own loop
+        def draw(elements, *shape):
+            n = math.prod(shape)
+            return np.array(data.draw(st.lists(elements, min_size=n, max_size=n))).reshape(shape)
+
+        d = draw(st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 50.0)), T, E, S)
+        hosts = draw(st.booleans(), E, S)
+        demand = draw(st.floats(0.0, 200.0), T, S)
+        loads, left = fill_cheapest(hosts, demand, d, capacity)
+        assert loads.shape == (T, E, S) and left.shape == (T, S)
+        for t, s in itertools.product(range(T), range(S)):
+            col, lam = [int(e) for e in np.flatnonzero(hosts[:, s])], float(demand[t, s])
+            ref_loads, ref_left = reference_fill(col, lam, d[t, :, s], capacity)
+            assert np.array_equal(loads[t, :, s], ref_loads) and left[t, s] == ref_left
+            tol = 1e-9 * max(1.0, lam)
+            assert float(loads[t, :, s].sum()) + left[t, s] == pytest.approx(lam, abs=tol)
+            assert left[t, s] == pytest.approx(max(0.0, lam - capacity * len(col)), abs=tol)
+            assert (loads >= 0).all() and (loads <= capacity).all()
+            assert not loads[t, ~hosts[:, s], s].any()
+            order = sorted(col, key=lambda e: (d[t, e, s], e))
+            for i, e in enumerate(order):
+                if loads[t, e, s] > 0:
+                    assert all(loads[t, c, s] == capacity for c in order[:i])
 
 
 class TestBuildProblem:
