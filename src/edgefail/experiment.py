@@ -43,8 +43,11 @@ plot for [p in policies] 'metrics.csv' \\
 """
 
 
+FLOAT_FORMAT = "%.9g"  # every float in metrics.csv and summary.csv
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+    return FLOAT_FORMAT % float(x)
 
 
 def build_requests(cfg: ExperimentConfig) -> RequestStream:
@@ -136,21 +139,21 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     inputs = derive_inputs(cfg, build_requests(cfg))
     records = {p: simulate_policy(cfg, p, inputs=inputs) for p in policies}
 
-    delay_columns = [f"delay_s{s}_ms" for s in range(cfg.services_count)]
-    lines = [",".join(METRICS_STATIC_COLUMNS + delay_columns + METRICS_TAIL_COLUMNS)]
-    for policy in policies:
-        table = records[policy]
-        if not len(table):  # perfbench's wrapper returns [] for a policy that raised
-            continue
-        columns = [table.column(c).tolist() for c in (
-            "time", "state", "avg_delay", "per_service_delay", "avg_elf", "fairness", "q_value")]
-        for t, state, avg_delay, per_service, *tail in zip(*columns):
-            row = [str(t), state.value, policy, _fmt(avg_delay)]
-            row += [_fmt(v) for v in per_service] + [_fmt(v) for v in tail]
-            lines.append(",".join(row))
+    header = METRICS_STATIC_COLUMNS + [f"delay_s{s}_ms" for s in range(cfg.services_count)]
+    header += METRICS_TAIL_COLUMNS
+    # t, state and policy, then floats: one % operation per row, written as made
+    row_format = "%d,%s,%s" + ("," + FLOAT_FORMAT) * (len(header) - 3) + "\n"
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for policy in policies:
+            table = records[policy]
+            if not len(table):  # perfbench's wrapper returns [] for a policy that raised
+                continue
+            columns = [table.column(c).tolist() for c in ("time", "state", "avg_delay",
+                       "per_service_delay", "avg_elf", "fairness", "q_value")]
+            fh.writelines(row_format % (t, state.value, policy, avg_delay, *per_service, *tail)
+                          for t, state, avg_delay, per_service, *tail in zip(*columns))
 
     summary = {p: summarize(records[p]) for p in policies}
     summary_path = os.path.join(out_dir, "summary.csv")

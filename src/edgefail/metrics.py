@@ -80,8 +80,9 @@ def service_delay(
     wait = np.where(arrival <= capacity, 0.0,
                     _backlog_wait(arrival - capacity, capacity, ms_per_unit))
     terms = np.where(loads > 0, loads * (delays + wait), 0.0)
-    acc = np.cumsum(terms, axis=-2)[..., -1, :]
-    total = np.ascontiguousarray(np.swapaxes(loads, -1, -2)).sum(axis=-1)
+    # np.cumsum and .sum without their Python wrappers: the same bits
+    acc = np.add.accumulate(terms, axis=-2)[..., -1, :]
+    total = np.add.reduce(np.ascontiguousarray(loads.swapaxes(-1, -2)), axis=-1)
     out = np.where(total > 0, acc / np.where(total > 0, total, 1.0), 0.0)
     return float(out[0]) if column else out
 
@@ -93,17 +94,22 @@ def edge_load_factor(added, available) -> np.ndarray:
     service s at node e and ``available[e, s]`` its remaining capacity
     (C minus the primary load, epsilon-adjusted by the caller when 0).
     A node's ELF is the mean load factor of its instances that received
-    load; nodes with no added load report 0.
+    load; nodes with no added load report 0.  A node's factors are one
+    contiguous run of the loaded instances' factors, which numpy sums as
+    it would the node's compacted row (pairwise past 8 terms).
     """
     added = np.asarray(added, dtype=float)
     avail = np.asarray(available, dtype=float)
     if added.shape != avail.shape:
         raise ValueError("added and available must have the same shape")
     out = np.zeros(added.shape[0])
-    for e in range(added.shape[0]):
-        hit = added[e] > 0
-        if hit.any():
-            out[e] = float(np.mean(100.0 * added[e, hit] / avail[e, hit]))
+    hit = added > 0
+    factors = 100.0 * added[hit] / avail[hit]  # row-major: each node's run is contiguous
+    start = 0
+    for e, end in enumerate(np.cumsum(hit.sum(axis=1)).tolist()):
+        if end > start:
+            out[e] = np.add.reduce(factors[start:end]) / (end - start)
+        start = end
     return out
 
 
@@ -111,9 +117,8 @@ def average_elf(per_node_elf, loaded_mask=None) -> float:
     """Mean ELF over nodes that took failover load; 0 when none did."""
     elf = np.asarray(per_node_elf, dtype=float)
     mask = elf > 0 if loaded_mask is None else np.asarray(loaded_mask, dtype=bool)
-    if not mask.any():
-        return 0.0
-    return float(elf[mask].mean())
+    loaded = elf[mask]
+    return float(np.add.reduce(loaded) / len(loaded)) if len(loaded) else 0.0
 
 
 def jain_fairness(values) -> float:
@@ -121,15 +126,16 @@ def jain_fairness(values) -> float:
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise ValueError("need at least one value")
-    if (x < 0).any():
+    if any(v < 0 for v in x.ravel().tolist()):
         raise ValueError("values must be >= 0")
-    peak = float(x.max())
+    # .max() and .sum() without their Python wrappers: the same bits
+    peak = float(np.maximum.reduce(x, axis=None))
     if peak == 0.0:
         return 1.0
     if peak < _SQRT_TINY:  # the squares would be subnormal, short of precision or 0
         x = x / peak
-    sq = float((x * x).sum())
-    s = float(x.sum())
+    sq = float(np.add.reduce(x * x, axis=None))
+    s = float(np.add.reduce(x, axis=None))
     return s * s / (x.size * sq)
 
 

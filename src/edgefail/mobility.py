@@ -309,14 +309,31 @@ def _last_fixes(names: list, rows, bbox: BoundingBox, grid: GridMap, time_unit_s
     t0 = ts.min()
     unit = ((ts - t0) // time_unit_s).astype(np.int64)
     horizon = int((ts.max() - t0) // time_unit_s) + 1
-    # lexsort is stable, so equal timestamps keep their row order
-    order = np.lexsort((ts, vehicle * horizon + unit))
-    key = (vehicle * horizon + unit)[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = key[1:] != key[:-1]
-    win = order[last]
+    win = _latest_rows(vehicle * horizon + unit, ts)
     xy = np.column_stack(bbox.to_xy(lat[win], lon[win], grid))
     return vids, (vehicle[win], unit[win], xy), horizon
+
+
+def _latest_rows(key, ts):
+    """Per distinct ``key``, in ascending key order, the row of the latest
+    timestamp, ties to the later row.  A stable sort groups the rows by key
+    in row order; each group's latest time is one ``np.maximum.reduceat``,
+    and its winner the last row at that time.  Each working array is freed
+    once read: the next allocations reuse its memory."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    del key
+    starts = np.flatnonzero(first)
+    del first
+    ends = np.append(starts[1:], len(order))
+    stamp = ts[order]
+    peak = np.flatnonzero(stamp == np.repeat(np.maximum.reduceat(stamp, starts), ends - starts))
+    del stamp
+    # every group holds a row at its latest time, so the last such row before
+    # a group's end is its own
+    return order[peak[np.searchsorted(peak, ends) - 1]]
 
 
 def _carry_forward(vehicle, unit, horizon: int, carry_gap: int):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +75,10 @@ class EdgeNode:
         return self.status is NodeStatus.HEALTHY
 
     def with_status(self, status: NodeStatus) -> "EdgeNode":
-        return replace(self, status=status)
+        """A copy with ``status``, built without re-checking the fields ``self`` holds."""
+        node = object.__new__(type(self))
+        node.__dict__.update(self.__dict__, status=status)
+        return node
 
 
 @dataclass(frozen=True)
@@ -217,16 +220,14 @@ class PlacementDecision:
         return self.x.shape[1]
 
     def nodes_hosting(self, service: int) -> list[int]:
-        return [int(e) for e in np.flatnonzero(self.x[:, service] > 0)]
+        return self.x[:, service].nonzero()[0].tolist()
 
     def reserved_nodes(self, service: int) -> list[int]:
-        return [int(e) for e in np.flatnonzero(self.reserved[:, service] > 0)]
+        return self.reserved[:, service].nonzero()[0].tolist()
 
     def services_on(self, node: int, include_reserved: bool = False) -> list[int]:
-        m = self.x[node] > 0
-        if include_reserved:
-            m = m | (self.reserved[node] > 0)
-        return [int(s) for s in np.flatnonzero(m)]
+        m = self.x[node] | self.reserved[node] if include_reserved else self.x[node]
+        return m.nonzero()[0].tolist()
 
     def instance_counts(self) -> np.ndarray:
         """Active instances per service, I_s."""
@@ -271,9 +272,9 @@ class SecondaryMapping:
         b = np.asarray(self.beta, dtype=float)
         if b.shape != (len(self.candidates),):
             raise StructuralError("beta length must match candidates")
-        if (b < 0).any():
+        if any(v < 0 for v in b.tolist()):
             raise ValueError("beta entries must be >= 0")
-        if abs(float(b.sum()) - self.affected) > 1e-9 * max(1.0, abs(self.affected)):
+        if abs(float(np.add.reduce(b)) - self.affected) > 1e-9 * max(1.0, abs(self.affected)):
             raise ValueError("beta must sum to the affected vehicle count")
         object.__setattr__(self, "beta", _freeze(b))
 
@@ -294,7 +295,8 @@ class DelayModel:
 
     def ranked(self, nodes, s: int) -> list[int]:
         """``nodes`` in ascending delay for service s, ties to the lower id."""
-        return sorted(nodes, key=lambda e: (self.d[e, s], e))
+        col = self.d[:, s].tolist()
+        return sorted(nodes, key=lambda e: (col[e], e))
 
     def nearest(self, nodes, s: int) -> int:
         """The lowest-delay node of ``nodes`` for service s."""

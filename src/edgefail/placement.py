@@ -42,10 +42,15 @@ def footprint_order(services: list[ServiceType], ids) -> list[int]:
 def _room(x, reserved, s: int, services, nodes) -> dict[int, float]:
     """Residual capacity of each healthy node that hosts no instance of
     service s, active or reserved, and has room left for one."""
-    usage = resource_usage(x, reserved, services)
-    return {n.id: n.capacity - usage[n.id] for n in nodes
-            if n.healthy and x[n.id, s] == 0 and reserved[n.id, s] == 0
-            and n.capacity - usage[n.id] >= services[s].resource_cost - 1e-9}
+    usage = resource_usage(x, reserved, services).tolist()
+    taken = (x[:, s] | reserved[:, s]).tolist()
+    need = services[s].resource_cost - 1e-9
+    room = {}
+    for n in nodes:
+        left = n.capacity - usage[n.id]
+        if not taken[n.id] and left >= need and n.healthy:
+            room[n.id] = left
+    return room
 
 
 def place_services(
@@ -100,7 +105,13 @@ def place_services(
                 residual[e] += cost
         return False
 
-    if not search(0):
+    try:
+        found = search(0)
+    finally:
+        # the recursive closure refers to itself; without this, the cycle
+        # keeps it and the delay model it reads until the cycle collector runs
+        del search
+    if not found:
         raise InfeasibleError("no feasible placement found for the given budgets")
 
     x = np.zeros((E, S), dtype=np.int64)

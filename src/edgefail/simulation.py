@@ -133,12 +133,15 @@ def derive_inputs(cfg: ExperimentConfig, requests: RequestStream) -> StreamInput
 class Lookahead:
     """Primary serving of the T units from ``t0`` on under the active
     instances ``x`` (``placement.x.tobytes()``), cut before the first unit
-    whose demand they cannot serve; read-only."""
+    whose demand they cannot serve, with the row columns every reader
+    writes; read-only."""
 
     x: bytes
     t0: int
     delay: np.ndarray  # (T, S) per-service delays
     gamma: np.ndarray  # (T, E, S) primary loads
+    served: np.ndarray  # (T, S) loads summed over nodes
+    avg_delay: np.ndarray  # (T,) demand-weighted delays
 
 
 @dataclass
@@ -200,10 +203,9 @@ class Simulation:
         self.thresholds = np.array([s.delay_threshold for s in self.services])
         self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
         self.schedule = dict(cfg.schedule_list())
-        self.state = SimulationState(
-            nodes=tuple(cfg.nodes()),
-            history=RunTable(cfg.horizon, len(cfg.nodes()), self.thresholds),
-        )
+        nodes = tuple(cfg.nodes())
+        self.state = SimulationState(nodes=nodes,
+                                     history=RunTable(cfg.horizon, len(nodes), self.thresholds))
         self.inputs: StreamInputs | None = None  # those of the current run
         self.lookahead: Lookahead | None = None
 
@@ -244,15 +246,13 @@ class Simulation:
         st = self.state
         if st.placement is None:
             return None
-        hosting = [
-            e for e in st.healthy_ids()
-            if st.placement.services_on(e, include_reserved=True)
-        ]
+        busy = (st.placement.x | st.placement.reserved).any(axis=1).tolist()
+        hosting = [e for e in st.healthy_ids() if busy[e]]
         if not hosting:
             return None
         if self.cfg.attack_target == "random":
             return int(self.target_rng.choice(hosting))
-        loads = st.primary_gamma.sum(axis=1)
+        loads = st.primary_gamma.sum(axis=1).tolist()
         return max(hosting, key=lambda e: (loads[e], -e))
 
     # ---- state transitions ----------------------------------------------
@@ -299,15 +299,15 @@ class Simulation:
         st = self.state
         if st.phase is not SimPhase.ATTACK:
             raise ValueError(f"recover at t={t}: the phase is {st.phase.value}, not Attack")
-        target = st.attack_target
-        touched = st.placement.services_on(target, include_reserved=True)
-        plc, unrecovered = recover_placement(st.placement, target, st.placement.services_on(target),
+        target, old = st.attack_target, st.placement
+        plc, unrecovered = recover_placement(old, target, old.services_on(target),
                                              self.services, st.nodes, st.delay)
         if unrecovered:
             logger.warning("t=%d: unrecovered services %s", t, unrecovered)
         if self.uses_reserves:
-            healthy = st.healthy_ids()
-            unreserved = [s for s in touched if not plc.reserved[healthy, s].any()]
+            backed = plc.reserved[st.healthy_ids()].any(axis=0).tolist()
+            unreserved = [s for s in old.services_on(target, include_reserved=True)
+                          if not backed[s]]
             plc = self._reserve(plc, unreserved, t)
         st.placement = plc
         st.recover_at = None
@@ -382,9 +382,10 @@ class Simulation:
                 raise InfeasibleError(f"t={t}: {exc}") from exc
             check_gamma(gamma)
             delay = service_delay(gamma, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit)
-            look = inputs.served[key] = Lookahead(x, t, _freeze(delay), _freeze(gamma))
+            look = inputs.served[key] = Lookahead(
+                x, t, *map(_freeze, (delay, gamma, gamma.sum(axis=-2), _mean_delay(lam, delay))))
         lam = inputs.demand[t - 1 : t - 1 + len(look.gamma)]
-        self._write_rows(t, lam, look.delay, look.gamma.sum(axis=-2))
+        self._write_rows(t, lam, look.delay, look.served, look.avg_delay)
         self.lookahead = look
         return look
 
@@ -466,13 +467,15 @@ class Simulation:
         cheapest first."""
         st = self.state
         target, prev = st.attack_target, st.primary_demand
-        hosts = st.placement.x > 0
-        hosts[target] = False
-        filled, left = fill_cheapest(hosts, lam[None], d[None], self.capacity)
-        fresh = (lam > 0) & (prev <= 0)
         ratio = np.divide(lam, prev, out=np.zeros_like(lam), where=prev > 0)
-        loads = np.where(fresh, filled[0], st.primary_gamma * ratio)
-        unserved = np.where(fresh, left[0], 0.0)
+        loads = st.primary_gamma * ratio
+        unserved = np.zeros_like(lam)
+        fresh = np.flatnonzero((lam > 0) & (prev <= 0))
+        if len(fresh):  # fill only those columns: each column fills on its own
+            hosts = st.placement.x[:, fresh] > 0
+            hosts[target] = False
+            filled, left = fill_cheapest(hosts, lam[None, fresh], d[None, :, fresh], self.capacity)
+            loads[:, fresh], unserved[fresh] = filled[0], left[0]
         affected = loads[target].copy()
         loads[target] = 0.0
         added = np.zeros_like(loads)
@@ -488,39 +491,41 @@ class Simulation:
         per_service = service_delay(
             loads + added, d, self.capacity, ms_per_unit=self.cfg.queue_ms_per_unit
         )
-        failover = bool(added.sum() > 0)
+        # added >= 0, so a node or service with failover load is one with a positive entry
+        hit = added > 0
+        failover = bool(hit.any())
         avail = np.maximum(self.capacity - loads, self.cfg.lbpsvm_epsilon)
-        elf_per_node, avg_elf = np.zeros(len(loads)), 0.0
+        elf_per_node, avg_elf, fairness = np.zeros(len(loads)), 0.0, 1.0
         if failover:
             elf_per_node = edge_load_factor(added, avail)
-            avg_elf = average_elf(elf_per_node, added.sum(axis=1) > 0)
-
-        # fairness over each split's candidates, for the services it loaded
-        target = self.state.attack_target
-        jains = [
-            jain_fairness([added[e, s] / avail[e, s]
-                           for e in self.state.proactive[(target, s)].candidates])
-            for s in range(self.num_services) if added[:, s].sum() > 0
-        ]
-        fairness = float(np.mean(jains)) if jains else 1.0
+            avg_elf = average_elf(elf_per_node, hit.any(axis=1))
+            # fairness over each split's candidates, for the services it loaded
+            target, share = self.state.attack_target, added / avail
+            jains = [
+                jain_fairness(share[list(self.state.proactive[(target, s)].candidates), s])
+                for s in np.flatnonzero(hit.any(axis=0)).tolist()
+            ]
+            fairness = float(np.add.reduce(jains) / len(jains))
+        lam, per_service = lam[None], per_service[None]
         served = loads.sum(axis=-2) + added.sum(axis=-2)
-        self._write_rows(t, lam[None], per_service[None], served[None], elf_per_node=elf_per_node,
-                         avg_elf=avg_elf, fairness=fairness, unserved_per_service=unserved,
-                         failover_active=failover)
+        self._write_rows(t, lam, per_service, served[None], _mean_delay(lam, per_service),
+                         elf_per_node=elf_per_node, avg_elf=avg_elf, fairness=fairness,
+                         unserved_per_service=unserved, failover_active=failover)
 
-    def _write_rows(self, t, lam, per_service, served, **failover) -> None:
+    def _write_rows(self, t, lam, per_service, served, avg_delay, **failover) -> None:
         """Write the rows of units t, t + 1, ... from their (T, S) demand, delays
-        and served loads; ``failover`` holds an attack unit's failover fields."""
+        and served loads and (T,) average delays; ``failover`` holds an attack
+        unit's failover fields."""
         table, T = self.state.history, len(lam)
         table.write(slice(len(table), len(table) + T), time=np.arange(t, t + T),
                     demand_per_service=lam, per_service_delay=per_service,
-                    served_per_service=served, avg_delay=_mean_delay(lam, per_service),
+                    served_per_service=served, avg_delay=avg_delay,
                     degraded=self.state.placement.instance_counts() == 0, **failover)
 
 
 def _mean_delay(lam, per_service):
     """Demand-weighted mean of the per-service delays over the last axis;
     0 without demand."""
-    total = lam.sum(axis=-1)
-    weighted = (lam * per_service).sum(axis=-1)
-    return np.where(total > 0, weighted / np.where(total > 0, total, 1.0), 0.0)
+    total = np.add.reduce(lam, axis=-1)
+    weighted = np.add.reduce(lam * per_service, axis=-1)
+    return np.divide(weighted, total, out=np.zeros_like(total), where=total > 0)

@@ -147,9 +147,10 @@ class LbPsvmProblem:
             raise NoCandidateError("need at least one candidate node")
         if g.shape != (n,) or d.shape != (n,):
             raise ValueError("weights, prior_load and delay must have equal length")
-        if (w <= 0).any() or (w > 1 + 1e-12).any():
+        # checked on plain floats, written so that a nan passes as under array comparisons
+        if any(x <= 0 or x > 1 + 1e-12 for x in w.ravel().tolist()):
             raise ValueError("weights must lie in (0, 1]")
-        if (g < 0).any() or (d < 0).any():
+        if any(x < 0 for x in g.tolist() + d.tolist()):
             raise ValueError("prior loads and delays must be >= 0")
         if self.affected < 0:
             raise ValueError("affected must be >= 0")
@@ -234,16 +235,17 @@ def build_lb_psvm(
     Raises:
         NoCandidateError: when no healthy node hosts the service.
     """
-    candidates = failover_candidates(placement, attacked, service, healthy)
+    prior = gamma.gamma[:, service]
     # a candidate already past the queue-model domain cannot take load
-    candidates = [e for e in candidates if gamma.gamma[e, service] < 2 * capacity - 2 * QUEUE_GUARD]
+    room = (prior < 2 * capacity - 2 * QUEUE_GUARD).tolist()
+    candidates = [e for e in failover_candidates(placement, attacked, service, healthy) if room[e]]
     if not candidates:
         raise NoCandidateError(
             f"service {service}: no healthy candidate besides node {attacked}"
         )
-    loads = np.array([gamma.gamma[e, service] for e in candidates])
+    loads = prior[candidates]
     w = np.minimum(1.0, 1.0 - (loads - epsilon) / capacity)
-    d = np.array([delay.d[e, service] for e in candidates])
+    d = delay.d[candidates, service]
     if k1 is None:
         k1 = 1.0 / delay_cap
     if k2 is None:
@@ -408,9 +410,7 @@ def solve_lb_psvm(
     """
     n = problem.n
     B = float(problem.affected)
-    w = [float(x) for x in problem.weights]
-    d = [float(x) for x in problem.delay]
-    g = [float(x) for x in problem.prior_load]
+    w, d, g = problem.weights.tolist(), problem.delay.tolist(), problem.prior_load.tolist()
     C = float(problem.capacity)
     k1, k2 = float(problem.k1), float(problem.k2)
 
@@ -497,8 +497,8 @@ def solve_lb_psvm(
 
     beta = np.array(betas)
     # reporting floor; shaved mass moves to the largest coordinate
-    low = beta < BETA_FLOOR
-    if low.any() and B > 10 * n * BETA_FLOOR:
+    if B > 10 * n * BETA_FLOOR and any(b < BETA_FLOOR for b in betas):
+        low = beta < BETA_FLOOR
         deficit = float((BETA_FLOOR - beta[low]).sum())
         beta[low] = BETA_FLOOR
         beta[int(np.argmax(beta))] -= deficit

@@ -8,7 +8,7 @@ import pytest
 from edgefail.cli import main
 from edgefail.config import DEFAULTS, ExperimentConfig, parse_config_file
 from edgefail.errors import ConfigError
-from edgefail.experiment import compare, run
+from edgefail.experiment import FLOAT_FORMAT, compare, run
 
 FAST = {
     "horizon": 12,
@@ -178,6 +178,27 @@ class TestRun:
         assert states[6] == "Attack" and states[12] == "Attack"
         assert states[7] == "Recovered"
         assert states[5] == "PreAttack"
+
+    @pytest.mark.parametrize("x", [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 123456789.5,
+                                   1e-5, 2.5e-7, float("inf"), float("nan"), -1e300])
+    def test_float_format_is_format_9g(self, x):
+        assert FLOAT_FORMAT % x == format(x, ".9g")
+
+    def test_rows_are_format_9g_of_the_columns(self, tmp_path):
+        cfg = ExperimentConfig.from_sources(overrides=FAST)
+        art = run(cfg, out=str(tmp_path / "o"))
+        lines = read(art.metrics_path).strip().split("\n")[1:]
+        want = []
+        for policy in cfg.policy_list():
+            table = art.records[policy]
+            columns = [table.column(c).tolist() for c in (
+                "time", "state", "avg_delay", "per_service_delay", "avg_elf", "fairness",
+                "q_value")]
+            for t, state, avg, per_service, *tail in zip(*columns):
+                floats = [avg, *per_service, *tail]
+                want.append(",".join([str(t), state.value, policy]
+                                     + [format(v, ".9g") for v in floats]))
+        assert lines == want
 
     def test_byte_identical_reproduction(self, tmp_path):
         cfg = ExperimentConfig.from_sources(overrides=FAST)

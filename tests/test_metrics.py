@@ -134,6 +134,32 @@ class TestEdgeLoadFactor:
         assert average_elf(per_node) == pytest.approx(40.0)
         assert average_elf(np.zeros(3)) == 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(E=st.integers(1, 10), S=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_same_bits_as_per_node_mean(self, E, S, seed):
+        # each node gets 0 to S loaded instances, past numpy's 8-term pairwise block
+        rng = np.random.default_rng(seed)
+        added = rng.random((E, S)) * 10.0 ** rng.integers(-6, 4, (E, S))
+        for e in range(E):
+            added[e, rng.permutation(S)[:rng.integers(0, S + 1)]] = 0.0
+        avail = rng.random((E, S)) * 30.0 + 1e-3
+        want = np.zeros(E)
+        for e in range(E):  # the per-node loop the function replaces
+            hit = added[e] > 0
+            if hit.any():
+                want[e] = float(np.mean(100.0 * added[e, hit] / avail[e, hit]))
+        assert edge_load_factor(added, avail).tobytes() == want.tobytes()
+        loaded = added.sum(axis=1) > 0
+        want_avg = float(want[loaded].mean()) if loaded.any() else 0.0
+        assert average_elf(want, loaded) == want_avg
+
+    def test_many_loaded_instances_on_one_node(self):
+        added = np.zeros((2, 12))
+        added[1] = np.linspace(0.1, 1e5, 12)
+        avail = np.full((2, 12), 0.3)
+        want = float(np.mean(100.0 * added[1] / avail[1]))
+        assert edge_load_factor(added, avail).tolist() == [0.0, want]
+
 
 class TestJainFairness:
     def test_equal_is_one(self):
@@ -146,8 +172,19 @@ class TestJainFairness:
         assert jain_fairness([0.0, 0.0]) == 1.0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^values must be >= 0$"):
             jain_fairness([1.0, -0.5])
+        with pytest.raises(ValueError, match=r"^values must be >= 0$"):
+            jain_fairness([[1.0], [-0.5]])
+        with pytest.raises(ValueError, match=r"^need at least one value$"):
+            jain_fairness([])
+
+    def test_same_bits_as_array_methods(self):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 7, 8, 9, 17, 40):
+            x = rng.random(n) * 10.0 ** rng.integers(-3, 3, n)
+            s, sq = float(x.sum()), float((x * x).sum())
+            assert jain_fairness(x) == s * s / (n * sq)
 
     def test_single_positive_of_tiny_values(self):
         # squares of values this small underflow to subnormals or to 0

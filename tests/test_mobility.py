@@ -505,6 +505,73 @@ class TestIngestTrace:
         assert peak < 4 * size, (peak, size)
 
 
+def lexsort_last_fixes(names, rows, bbox, grid, time_unit_s):
+    """``mobility._last_fixes`` as one lexsort by (vehicle, unit) key, then
+    timestamp: stable, so equal timestamps keep their row order and the
+    last row of each key wins."""
+    code, ts, lat, lon = rows
+    used = sorted(np.flatnonzero(np.bincount(code)).tolist(), key=names.__getitem__)
+    rank = np.zeros(len(names), dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    vehicle, t0 = rank[code], ts.min()
+    unit = ((ts - t0) // time_unit_s).astype(np.int64)
+    horizon = int((ts.max() - t0) // time_unit_s) + 1
+    order = np.lexsort((ts, vehicle * horizon + unit))
+    key = (vehicle * horizon + unit)[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    win = order[last]
+    xy = np.column_stack(bbox.to_xy(lat[win], lon[win], grid))
+    return tuple(names[c] for c in used), (vehicle[win], unit[win], xy), horizon
+
+
+class TestLastFixes:
+    BBOX = BoundingBox(lat_min=37.0, lat_max=38.0, lon_min=-123.0, lon_max=-122.0)
+
+    def check(self, names, code, ts, rng, time_unit_s=60.0):
+        """Compare with the lexsort form; return the result and the rows."""
+        rows = (np.asarray(code, dtype=np.int64), np.asarray(ts, dtype=float),
+                rng.uniform(37.0, 38.0, len(code)), rng.uniform(-123.0, -122.0, len(code)))
+        want = lexsort_last_fixes(names, rows, self.BBOX, GRID, time_unit_s)
+        got = mobility._last_fixes(names, rows, self.BBOX, GRID, time_unit_s)
+        assert got[0] == want[0] and got[2] == want[2]
+        for a, b in zip(got[1], want[1]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return got, rows
+
+    def test_shuffled_trace(self):
+        rng = np.random.default_rng(2)
+        cabs, fixes = 40, 30
+        code = np.repeat(np.arange(cabs), fixes)
+        ts = np.concatenate([np.sort(rng.uniform(0.0, 3600.0, fixes)) for _ in range(cabs)])
+        order = rng.permutation(len(code))
+        self.check([f"cab{c:03d}" for c in rng.permutation(cabs)], code[order], ts[order], rng)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), V=st.integers(1, 6),
+           stamps=st.sampled_from([(-0.0, 0.0, 59.0, 60.0), (0.0, 30.0, 30.0), (5.0,),
+                                   (-0.0, -0.0, 0.0, 0.0, 120.5)]))
+    def test_ties_go_to_the_later_row(self, seed, n, V, stamps):
+        # equal timestamps, -0.0 beside 0.0, one vehicle's rows in every unit
+        rng = np.random.default_rng(seed)
+        self.check([f"v{i}" for i in rng.permutation(V)], rng.integers(0, V, n),
+                   rng.choice(stamps, n), rng)
+
+    @pytest.mark.parametrize("ts, winner", [
+        ([1.0, 9.0, 0.0, 9.0], 3),  # rows 1 and 3 share the latest time
+        ([0.0, -0.0], 1),  # -0.0 equals 0.0
+        ([-0.0, 0.0, -0.0], 2),
+        ([3.0, 2.0, 1.0], 0),
+    ])
+    def test_later_row_of_an_equal_latest_timestamp_wins(self, ts, winner):
+        rng = np.random.default_rng(0)
+        (vids, (vehicle, unit, xy), horizon), (_, _, lat, lon) = self.check(
+            ["a"], [0] * len(ts), ts, rng)
+        assert (vids, vehicle.tolist(), unit.tolist(), horizon) == (("a",), [0], [0], 1)
+        want = np.column_stack(self.BBOX.to_xy(lat[[winner]], lon[[winner]], GRID))
+        assert xy.tobytes() == want.tobytes()
+
+
 class TestDeriveDemand:
     def test_single_service(self):
         lam = derive_demand(one_unit([(1.0, 1.0)] * 25, [0] * 25), 3)

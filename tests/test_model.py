@@ -3,6 +3,7 @@ import pytest
 
 from edgefail.errors import StructuralError
 from edgefail.model import (
+    DelayModel,
     EdgeNode,
     NodeStatus,
     PlacementDecision,
@@ -43,6 +44,16 @@ class TestPlacementDecision:
     def test_rejects_active_plus_reserved_overlap(self):
         with pytest.raises(ValueError):
             PlacementDecision(x=np.array([[1], [0]]), reserved=np.array([[1], [0]]))
+
+    def test_host_lists_are_plain_ints(self):
+        p = PlacementDecision(x=np.array([[1, 0], [0, 1], [1, 1]]),
+                              reserved=np.array([[0, 1], [1, 0], [0, 0]]))
+        assert p.nodes_hosting(0) == [0, 2] and p.nodes_hosting(1) == [1, 2]
+        assert p.reserved_nodes(1) == [0] and p.reserved_nodes(0) == [1]
+        assert p.services_on(0) == [0] and p.services_on(0, include_reserved=True) == [0, 1]
+        assert p.services_on(2, include_reserved=True) == [0, 1]
+        lists = [p.nodes_hosting(0), p.reserved_nodes(0), p.services_on(1, include_reserved=True)]
+        assert all(type(v) is int for v in sum(lists, []))
 
 
 class TestValidatePlacement:
@@ -93,16 +104,46 @@ class TestValidatePlacement:
                                   require_redundancy=False) == []
 
 
+class TestDelayModel:
+    def test_ranked_ties_to_the_lower_id(self):
+        d = DelayModel(np.array([[3.0, 1.0], [1.0, 1.0], [3.0, 0.0], [1.0, 1.0], [0.5, 1.0]]))
+        assert d.ranked([0, 1, 2, 3, 4], 0) == [4, 1, 3, 0, 2]
+        assert d.ranked([3, 2, 4, 0, 1], 0) == [4, 1, 3, 0, 2]
+        assert d.ranked([4, 3, 1, 0], 1) == [0, 1, 3, 4]
+        assert d.nearest([3, 1], 0) == 1 and d.nearest((4, 2), 1) == 2
+        assert d.ranked([], 0) == []
+
+    def test_ranked_equals_numpy_scalar_keys(self):
+        rng = np.random.default_rng(5)
+        d = DelayModel(rng.integers(0, 4, (12, 3)).astype(float) * 0.1)
+        for s in range(3):
+            nodes = rng.permutation(12)[:8].tolist()
+            assert d.ranked(nodes, s) == sorted(nodes, key=lambda e: (d.d[e, s], e))
+
+
 class TestSecondaryMapping:
     def test_sum_must_match_affected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beta must sum to the affected vehicle count$"):
             SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
                              beta=np.array([1.0, 2.0]), affected=4.0)
 
     def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^beta entries must be >= 0$"):
             SecondaryMapping(source_node=0, service=0, candidates=(1,),
                              beta=np.array([-1.0]), affected=-1.0)
+        with pytest.raises(ValueError, match=r"^beta entries must be >= 0$"):
+            SecondaryMapping(source_node=0, service=0, candidates=(1, 2, 3),
+                             beta=[2.0, -0.0, -1e-300], affected=2.0)
+
+    def test_length_must_match_candidates(self):
+        with pytest.raises(StructuralError, match=r"^beta length must match candidates$"):
+            SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
+                             beta=np.array([1.0]), affected=1.0)
+
+    def test_sum_within_tolerance_passes(self):
+        m = SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
+                             beta=[0.1, 0.2], affected=0.30000000000000004)
+        assert m.beta.tolist() == [0.1, 0.2] and not m.beta.flags.writeable
 
 
 class TestNodeStatus:
@@ -110,3 +151,5 @@ class TestNodeStatus:
         n = EdgeNode(id=0, location=(0, 0), capacity=10)
         m = n.with_status(NodeStatus.ATTACKED)
         assert n.healthy and not m.healthy
+        assert (m.id, m.location, m.capacity) == (n.id, n.location, n.capacity)
+        assert m.with_status(NodeStatus.HEALTHY) == n

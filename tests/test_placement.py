@@ -330,6 +330,30 @@ def test_recovery_equals_promote_then_recover(case):
     assert unrecovered == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(reserved_placements(), st.sampled_from([0.0, -5e-10, -2e-9, 0.35]))
+def test_room_equals_per_node_reference(case, slack):
+    # the attacked node and the others drawn down are never room; ``slack``
+    # puts residuals that met a footprint exactly just inside (-5e-10) or
+    # just outside (-2e-9) the 1e-9 tolerance
+    p, attacked, services, nodes, _delay = case
+    nodes = [EdgeNode(id=n.id, location=n.location, capacity=n.capacity + slack, status=n.status)
+             for n in nodes]
+    x, reserved = np.array(p.x), np.array(p.reserved)
+    for s in range(p.num_services):
+        usage = resource_usage(x, reserved, services)
+        want = {n.id: n.capacity - usage[n.id] for n in nodes
+                if n.healthy and x[n.id, s] == 0 and reserved[n.id, s] == 0
+                and n.capacity - usage[n.id] >= services[s].resource_cost - 1e-9}
+        got = placement._room(x, reserved, s, services, nodes)
+        assert list(got) == list(want) and attacked not in got
+        assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
+
+
+def bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
 def reference_place_services(services, nodes, delay, need, budget=MAX_SEARCH_STATES):
     """Reference: the recursive search ``place_services`` replaced, which
     picks each service's hosts one by one from its ranked options and

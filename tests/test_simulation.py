@@ -499,14 +499,17 @@ def per_service_attack_serve(sim, lam, d):
     return (loads, added, unserved), fresh
 
 
-@pytest.mark.parametrize("over, fresh", [
+ATTACK_UNIT_CONFIGS = [
     ({"mobility.vehicles": 20, "mobility.p_request": 0.3, "attack.every": 5, "horizon": 300,
       "seed": 4}, True),
     ({"mobility.vehicles": 15, "mobility.p_request": 0.2, "services.count": 12,
       "grid.rows": 4, "grid.cols": 4, "placement.instances_per_service": 4,
       "attack.every": 3, "attack.quarantine": 3, "horizon": 300, "seed": 9}, True),
     ({"node.capacity": 46}, False),  # unrecovered services, br with no room
-])
+]
+
+
+@pytest.mark.parametrize("over, fresh", ATTACK_UNIT_CONFIGS)
 def test_attack_serve_same_bits_as_per_service_loop(over, fresh):
     cfg = ExperimentConfig.from_sources(overrides=over)
     units = derived(cfg)
@@ -527,6 +530,58 @@ def test_attack_serve_same_bits_as_per_service_loop(over, fresh):
         sim._attack_serve = checked
         sim.run(units)
     assert counts["units"] > 0
+    assert (counts["fresh"] > 0) == fresh, counts
+
+
+def per_node_attack_record(sim, loads, added):
+    """An attack unit's ELF per node, average ELF and fairness by loops over
+    nodes and services, each share read as a scalar."""
+    avail = np.maximum(sim.capacity - loads, sim.cfg.lbpsvm_epsilon)
+    elf = np.zeros(len(loads))
+    for e in range(len(loads)):
+        hit = added[e] > 0
+        if hit.any():
+            elf[e] = float(np.mean(100.0 * added[e, hit] / avail[e, hit]))
+    loaded = added.sum(axis=1) > 0
+    avg = float(elf[loaded].mean()) if loaded.any() else 0.0
+    splits = [sim.state.proactive[(sim.state.attack_target, s)] for s in range(sim.num_services)
+              if added[:, s].sum() > 0]
+    jains = []
+    for m in splits:
+        x = np.array([added[e, m.service] / avail[e, m.service] for e in m.candidates])
+        x = x / x.max() if x.max() < sys.float_info.min ** 0.5 else x  # no subnormal squares
+        jains.append(float(x.sum()) ** 2 / (len(x) * float((x * x).sum())))
+    return elf, avg, float(np.mean(jains)) if jains else 1.0
+
+
+@pytest.mark.parametrize("over, fresh", ATTACK_UNIT_CONFIGS)
+def test_attack_record_same_bits_as_per_node_loops(over, fresh):
+    cfg = ExperimentConfig.from_sources(overrides=over)
+    units = derived(cfg)
+    counts = {"units": 0, "failover": 0, "fresh": 0}
+    for policy in cfg.policy_list():
+        sim = Simulation(cfg, policy)
+        serve, record = sim._attack_serve, sim._attack_record
+
+        def served(lam, d, sim=sim, serve=serve):
+            counts["fresh"] += per_service_attack_serve(sim, lam, d)[1]
+            return serve(lam, d)
+
+        def checked(t, lam, d, loads, added, unserved, sim=sim, record=record):
+            elf, avg, fairness = per_node_attack_record(sim, loads, added)
+            record(t, lam, d, loads, added, unserved)
+            cols, i = sim.state.history.cols, len(sim.state.history)  # the row just written
+            assert cols["elf_per_node"][i].tobytes() == elf.tobytes()
+            assert cols["avg_elf"][i] == avg and cols["fairness"][i] == fairness
+            assert cols["unserved_per_service"][i].tobytes() == unserved.tobytes()
+            total = loads.sum(axis=-2) + added.sum(axis=-2)
+            assert cols["served_per_service"][i].tobytes() == total.tobytes()
+            counts["units"] += 1
+            counts["failover"] += bool(cols["failover_active"][i])
+
+        sim._attack_serve, sim._attack_record = served, checked
+        sim.run(units)
+    assert counts["units"] >= counts["failover"] > 0
     assert (counts["fresh"] > 0) == fresh, counts
 
 

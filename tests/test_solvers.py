@@ -266,6 +266,70 @@ class TestBuildProblem:
         assert prob.k1 == pytest.approx(1.0 / 80.0)
         assert prob.k2 == pytest.approx(1.0 / 80.0)
 
+    def test_gathers_each_candidates_load_and_delay(self):
+        # loads past the queue-model domain drop their candidate; the rest
+        # keep node order and the values a per-candidate read gives
+        rng = np.random.default_rng(11)
+        E, S = 9, 4
+        for _ in range(50):
+            x = (rng.random((E, S)) < 0.6).astype(np.int64)
+            g = rng.uniform(0.0, CAP, (E, S))
+            g[rng.random((E, S)) < 0.2] = 2 * CAP - 2 * QUEUE_GUARD
+            gamma, delay = PrimaryMapping(gamma=g * x), DelayModel(d=rng.uniform(0, 40, (E, S)))
+            attacked, s = int(rng.integers(E)), int(rng.integers(S))
+            healthy = set(rng.permutation(E)[:7].tolist())
+            want = [e for e in np.flatnonzero(x[:, s]).tolist() if e != attacked and e in healthy
+                    and gamma.gamma[e, s] < 2 * CAP - 2 * QUEUE_GUARD]
+            if not want:
+                with pytest.raises(NoCandidateError):
+                    build_lb_psvm(gamma, PlacementDecision(x=x), attacked, s, delay, CAP, 50.0,
+                                  healthy=healthy)
+                continue
+            prob = build_lb_psvm(gamma, PlacementDecision(x=x), attacked, s, delay, CAP, 50.0,
+                                 healthy=healthy)
+            loads = np.array([gamma.gamma[e, s] for e in want])
+            assert prob.candidates == tuple(want)
+            assert prob.prior_load.tobytes() == loads.tobytes()
+            assert prob.delay.tobytes() == np.array([delay.d[e, s] for e in want]).tobytes()
+            w = np.minimum(1.0, 1.0 - (loads - 1e-3) / CAP)
+            assert prob.weights.tobytes() == w.tobytes()
+
+
+class TestProblemChecks:
+    """Each check of ``LbPsvmProblem`` raises its class and message."""
+
+    GOOD = dict(weights=[0.5, 1.0], prior_load=[0.0, 3.0], delay=[1.0, 0.0], capacity=CAP,
+                affected=2.0, delay_cap=50.0, k1=0.1, k2=0.1, epsilon=1e-3)
+
+    @pytest.mark.parametrize("change, error, message", [
+        (dict(weights=[], prior_load=[], delay=[]), NoCandidateError,
+         "need at least one candidate node"),
+        (dict(prior_load=[0.0]), ValueError,
+         "weights, prior_load and delay must have equal length"),
+        (dict(delay=[[1.0], [0.0]]), ValueError,
+         "weights, prior_load and delay must have equal length"),
+        (dict(weights=[0.5, 0.0]), ValueError, r"weights must lie in \(0, 1\]"),
+        (dict(weights=[-0.5, 0.5]), ValueError, r"weights must lie in \(0, 1\]"),
+        (dict(weights=[1.0 + 1e-11, 0.5]), ValueError, r"weights must lie in \(0, 1\]"),
+        (dict(weights=np.array([[0.5, 2.0], [0.5, 0.5]])), ValueError,
+         r"weights must lie in \(0, 1\]"),
+        (dict(prior_load=[0.0, -1e-12]), ValueError, "prior loads and delays must be >= 0"),
+        (dict(delay=[-1.0, 0.0]), ValueError, "prior loads and delays must be >= 0"),
+        (dict(affected=-1.0), ValueError, "affected must be >= 0"),
+        (dict(epsilon=0.0), ValueError, "capacity, delay_cap and epsilon must be > 0"),
+        (dict(k2=-0.1), ValueError, "k1 and k2 must be >= 0"),
+    ])
+    def test_same_error(self, change, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            LbPsvmProblem(**{**self.GOOD, **change})
+
+    def test_valid_problem_is_frozen_floats(self):
+        prob = LbPsvmProblem(**{**self.GOOD, "weights": [1, 1.0 + 1e-13]})
+        for arr in (prob.weights, prob.prior_load, prob.delay):
+            assert arr.dtype == float and not arr.flags.writeable
+        # as under the array comparisons, a nan passes the range checks
+        LbPsvmProblem(**{**self.GOOD, "weights": [math.nan, 0.5], "delay": [math.nan, 0.0]})
+
 
 def random_problem(rng, n=None, k_zero=False, budget_hi=40.0):
     n = n or int(rng.integers(1, 4))
