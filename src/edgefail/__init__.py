@@ -42,7 +42,6 @@ from .mobility import (
 from .model import (
     DelayModel,
     EdgeNode,
-    NodeStatus,
     PlacementDecision,
     PrimaryMapping,
     RequestBatch,
@@ -83,7 +82,6 @@ __all__ = [
     "MetricsRecord",
     "MobilityModel",
     "NoCandidateError",
-    "NodeStatus",
     "PlacementDecision",
     "PrimaryMapping",
     "RequestBatch",

@@ -64,12 +64,9 @@ def main(argv=None) -> int:
             return _run(args)
         print(compare(args.summaries).to_text())
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (EdgefailError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ConfigError) else 3
 
 
 if __name__ == "__main__":

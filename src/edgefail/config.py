@@ -12,6 +12,7 @@ delay caps 50..120 ms, 30 connections per instance, and an attack every
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -49,26 +50,37 @@ def _coerce(key: str, value, where: str = "") -> object:
     return str(value)
 
 
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines, split as in text mode; ConfigError names
+    the file and the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def parse_config_file(path) -> dict[str, object]:
     """Parse a flat ``key = value`` file; ``#`` starts a comment.
 
     Raises:
-        ConfigError: with the offending line number on unknown keys or
-            malformed lines.
+        ConfigError: with the offending line number on unknown keys,
+            malformed lines or bytes that are not UTF-8.
     """
     out: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, value.strip(), where=f"{path}:{lineno}: ")
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = _coerce(key, value.strip(), where=f"{path}:{lineno}: ")
     return out
 
 
@@ -171,9 +183,9 @@ class ExperimentConfig:
             problems.append("attack.every: must be >= 1")
         if self.recovery_delay < 1:
             problems.append("recovery.delay: must be >= 1")
-        # an onset drops the node health a split is solved from, and only a
-        # non-attack unit, after the recovery, keeps it again: so recovery
-        # must come at least one unit before the next onset can
+        # an onset solves splits only after a non-attack unit, and the units
+        # up to the recovery are attack units: so recovery must come at least
+        # one unit before the next onset can
         if self.quarantine_units() <= self.recovery_delay:
             problems.append("attack.quarantine: must be > recovery.delay")
         if self.monitor_period < 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import ExperimentConfig, read_lines
 from .errors import ConfigError
 from .metrics import RunTable
 from .model import RequestStream
@@ -44,10 +44,6 @@ plot for [p in policies] 'metrics.csv' \\
 
 
 FLOAT_FORMAT = "%.9g"  # every float in metrics.csv and summary.csv
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT % float(x)
 
 
 def build_requests(cfg: ExperimentConfig) -> RequestStream:
@@ -160,7 +156,7 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for p in policies:
-            row = [p] + [_fmt(summary[p][c]) for c in SUMMARY_COLUMNS[1:]]
+            row = [p] + [FLOAT_FORMAT % summary[p][c] for c in SUMMARY_COLUMNS[1:]]
             fh.write(",".join(row) + "\n")
 
     manifest = {
@@ -208,21 +204,25 @@ class Comparison:
 
 
 def _read_summary(path: str) -> dict[str, dict[str, float]]:
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows or rows[0] != SUMMARY_COLUMNS:
-        raise ConfigError(f"{path}: not a summary file (header mismatch)")
-    return {
-        r[0]: {c: float(v) for c, v in zip(SUMMARY_COLUMNS[1:], r[1:])} for r in rows[1:]
-    }
+    rows = [(n, line.strip().split(",")) for n, line in enumerate(read_lines(path), start=1)
+            if line.strip()]
+    if len(rows) < 2 or rows[0][1] != SUMMARY_COLUMNS:
+        raise ConfigError(f"{path}: not a summary file (the header, then a row per policy)")
+    out = {}
+    for lineno, (policy, *cells) in rows[1:]:
+        try:
+            out[policy] = dict(zip(SUMMARY_COLUMNS[1:], map(float, cells), strict=True))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: not a summary row ({exc})") from None
+    return out
 
 
 def compare(summary_paths: list[str]) -> Comparison:
     """Compare two or more run summaries produced with the same config.
 
     Raises:
-        ConfigError: on fewer than two runs or mismatched config hashes
-            (the message lists the differing keys).
+        ConfigError: on fewer than two runs, mismatched config hashes (the
+            message lists the differing keys), or a damaged summary or manifest.
     """
     if len(summary_paths) < 2:
         raise ConfigError("compare needs at least two summary files")
@@ -231,8 +231,11 @@ def compare(summary_paths: list[str]) -> Comparison:
         mpath = os.path.join(os.path.dirname(path) or ".", "manifest.json")
         if not os.path.exists(mpath):
             raise ConfigError(f"{path}: no manifest.json next to the summary")
-        with open(mpath, encoding="utf-8") as fh:
-            manifests.append(json.load(fh))
+        try:
+            m = json.loads("".join(read_lines(mpath)))
+            manifests.append({"config_hash": m["config_hash"], "config": dict(m["config"])})
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{mpath}: not a run manifest ({exc!r})") from None
     base = manifests[0]
     for m, path in zip(manifests[1:], summary_paths[1:]):
         if m["config_hash"] != base["config_hash"]:

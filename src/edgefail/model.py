@@ -15,11 +15,6 @@ import numpy as np
 from .errors import StructuralError
 
 
-class NodeStatus(enum.Enum):
-    HEALTHY = "Healthy"
-    ATTACKED = "Attacked"
-
-
 class SimPhase(enum.Enum):
     """Network state of the discrete-time loop."""
 
@@ -57,28 +52,17 @@ class ServiceType:
 
 @dataclass(frozen=True)
 class EdgeNode:
-    """An edge node: position in km, resource budget, attack status."""
+    """An edge node: position in km and resource budget."""
 
     id: int
     location: tuple[float, float]
     capacity: float
-    status: NodeStatus = NodeStatus.HEALTHY
 
     def __post_init__(self):
         if self.capacity <= 0:
             raise ValueError(f"node {self.id}: capacity must be > 0")
         if not all(math.isfinite(c) for c in self.location):
             raise ValueError(f"node {self.id}: location must be finite")
-
-    @property
-    def healthy(self) -> bool:
-        return self.status is NodeStatus.HEALTHY
-
-    def with_status(self, status: NodeStatus) -> "EdgeNode":
-        """A copy with ``status``, built without re-checking the fields ``self`` holds."""
-        node = object.__new__(type(self))
-        node.__dict__.update(self.__dict__, status=status)
-        return node
 
 
 @dataclass(frozen=True)

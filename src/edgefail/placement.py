@@ -21,11 +21,18 @@ from .model import (
 MAX_SEARCH_STATES = 200_000
 
 
-def check_budget(services: list[ServiceType], nodes: list[EdgeNode], instances: int) -> None:
+def _up(nodes: list[EdgeNode], healthy) -> list[int]:
+    """The ids of ``nodes`` in ``healthy``, ascending: every ``healthy`` here
+    holds node ids, as in ``solvers.failover_candidates``, and None means all."""
+    return [n.id for n in nodes if healthy is None or n.id in healthy]
+
+
+def check_budget(services: list[ServiceType], nodes: list[EdgeNode], instances: int,
+                 healthy=None) -> None:
     """Raise InfeasibleError when ``instances`` instances of every service
     need more resource units than the healthy nodes have in total."""
     total_need = sum(instances * s.resource_cost for s in services)
-    total_have = sum(n.capacity for n in nodes if n.healthy)
+    total_have = sum(nodes[e].capacity for e in _up(nodes, healthy))
     if total_need > total_have + 1e-9:
         raise InfeasibleError(
             f"aggregate demand {total_need:.6g} resource units exceeds "
@@ -39,17 +46,17 @@ def footprint_order(services: list[ServiceType], ids) -> list[int]:
     return sorted(ids, key=lambda s: (-services[s].resource_cost, s))
 
 
-def _room(x, reserved, s: int, services, nodes) -> dict[int, float]:
+def _room(x, reserved, s: int, services, nodes, healthy) -> dict[int, float]:
     """Residual capacity of each healthy node that hosts no instance of
     service s, active or reserved, and has room left for one."""
     usage = resource_usage(x, reserved, services).tolist()
     taken = (x[:, s] | reserved[:, s]).tolist()
     need = services[s].resource_cost - 1e-9
     room = {}
-    for n in nodes:
-        left = n.capacity - usage[n.id]
-        if not taken[n.id] and left >= need and n.healthy:
-            room[n.id] = left
+    for e in _up(nodes, healthy):
+        left = nodes[e].capacity - usage[e]
+        if not taken[e] and left >= need:
+            room[e] = left
     return room
 
 
@@ -58,6 +65,7 @@ def place_services(
     nodes: list[EdgeNode],
     delay: DelayModel,
     instances_per_service: int = 3,
+    healthy=None,
 ) -> PlacementDecision:
     """Greedy-by-delay siting with capacity backtracking.
 
@@ -77,11 +85,11 @@ def place_services(
     if need < 2:
         raise ValueError("each service needs at least 2 instances (redundancy)")
 
-    check_budget(services, nodes, need)
-    healthy = [n.id for n in nodes if n.healthy]
+    check_budget(services, nodes, need, healthy)
+    up = _up(nodes, healthy)
 
     order = footprint_order(services, range(S))
-    residual = {e: nodes[e].capacity for e in healthy}
+    residual = {e: nodes[e].capacity for e in up}
     chosen: dict[int, tuple[int, ...]] = {}
     states = 0
 
@@ -91,7 +99,7 @@ def place_services(
             return True
         s = order[idx]
         cost = services[s].resource_cost
-        options = [e for e in delay.ranked(healthy, s) if residual[e] >= cost - 1e-9]
+        options = [e for e in delay.ranked(up, s) if residual[e] >= cost - 1e-9]
         for hosts in combinations(options, need):
             states += 1
             if states > MAX_SEARCH_STATES:
@@ -128,6 +136,7 @@ def reserve_backup(
     order: list[int],
     services: list[ServiceType],
     nodes: list[EdgeNode],
+    healthy=None,
 ) -> tuple[PlacementDecision, list[int]]:
     """Add one idle backup instance of each service in ``order``, in that order.
 
@@ -142,7 +151,7 @@ def reserve_backup(
     """
     reserved, missing = p.reserved.copy(), []
     for s in order:
-        room = _room(p.x, reserved, s, services, nodes)
+        room = _room(p.x, reserved, s, services, nodes, healthy)
         if not room:
             missing.append(s)
             continue
@@ -159,6 +168,7 @@ def recover_placement(
     services: list[ServiceType],
     nodes: list[EdgeNode],
     delay: DelayModel,
+    healthy=None,
 ) -> tuple[PlacementDecision, tuple[int, ...]]:
     """Restore the instances of ``services_lost`` that the attacked node
     hosted, bigger footprints first.
@@ -174,14 +184,15 @@ def recover_placement(
     """
     x, reserved = p.x.copy(), p.reserved.copy()
     x[attacked] = reserved[attacked] = 0
+    up = _up(nodes, healthy)
     unrecovered: list[int] = []
     for s in footprint_order(services, services_lost):
-        backups = [e for e in np.flatnonzero(reserved[:, s]).tolist() if nodes[e].healthy]
+        backups = [e for e in np.flatnonzero(reserved[:, s]).tolist() if e in up]
         if backups:
             e = delay.nearest(backups, s)
             x[e, s], reserved[e, s] = 1, 0
             continue
-        options = [e for e in _room(x, reserved, s, services, nodes) if e != attacked]
+        options = [e for e in _room(x, reserved, s, services, nodes, healthy) if e != attacked]
         if not options:
             unrecovered.append(s)
             continue

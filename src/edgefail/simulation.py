@@ -1,11 +1,11 @@
 """Discrete-time failure/recovery simulation.
 
 The loop walks a three-phase state machine per attack cycle, whose phase
-is read from the attack record (``SimulationState.phase``), not stored:
+and node health are read from the attack record, not stored: every node
+but the target is healthy (``SimulationState.phase``, ``healthy_ids``).
 
 * PreAttack -- demand is served by the primary mapping; the state keeps
-  the unit's loads, delay matrix and node health, the inputs of a
-  failover split.
+  the unit's loads and delay matrix, the inputs of a failover split.
 * Attack -- at onset the hit node's splits are solved from these inputs
   of t-1, within the same unit (zero-gap failover); the previous unit's
   mapping acts as routing proportions rescaled to the current demand.
@@ -58,7 +58,6 @@ from .metrics import RunTable, average_elf, edge_load_factor, jain_fairness, ser
 from .mobility import derive_delay_matrix, derive_demand, unit_chunks
 from .model import (
     DelayModel,
-    NodeStatus,
     PlacementDecision,
     PrimaryMapping,
     RequestStream,
@@ -146,13 +145,12 @@ class Lookahead:
 
 @dataclass
 class SimulationState:
-    nodes: tuple  # EdgeNode by id; only set_status replaces it
+    nodes: tuple  # EdgeNode by id
     history: RunTable
     placement: PlacementDecision | None = None
     primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
     primary_demand: np.ndarray | None = None
     delay_matrix: np.ndarray | None = None  # (E, S) delays of the last unit
-    primary_nodes: tuple | None = None  # nodes of the last non-attack unit since the last onset
     proactive: dict = field(default_factory=dict)  # (target, s) -> split of the attack
     attack_target: int | None = None  # the attacked node until it heals
     recover_at: int | None = None  # set only during an attack, until its recovery
@@ -177,14 +175,9 @@ class SimulationState:
         """The last unit's delay matrix, built when read."""
         return None if self.delay_matrix is None else DelayModel(self.delay_matrix)
 
-    def set_status(self, node: int, status: NodeStatus) -> None:
-        """The one writer of ``nodes``: a new tuple, so a kept one stays as it was."""
-        nodes = list(self.nodes)
-        nodes[node] = nodes[node].with_status(status)
-        self.nodes = tuple(nodes)
-
     def healthy_ids(self) -> list[int]:
-        return [n.id for n in self.nodes if n.healthy]
+        """Every node but the attack target, ascending."""
+        return [e for e in range(len(self.nodes)) if e != self.attack_target]
 
 
 class Simulation:
@@ -263,9 +256,12 @@ class Simulation:
         Returns False (a warned no-op) when the target hosts nothing.
 
         Raises:
+            ValueError: if ``target`` is no node id; nothing changes.
             ConcurrentAttackError: if an attack is already active.
         """
         st = self.state
+        if not 0 <= target < len(st.nodes):
+            raise ValueError(f"attack at t={t} on node {target}: nodes are 0..{len(st.nodes) - 1}")
         if st.attack_target is not None:
             raise ConcurrentAttackError(
                 f"attack on node {target} at t={t} while node "
@@ -274,19 +270,17 @@ class Simulation:
         if st.placement is None or not st.placement.services_on(target, include_reserved=True):
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
-        # unit t-1 was served by the primary mapping and left st.primary and
-        # st.delay at its values; no split when no such unit ran since the last
-        # onset (a validated config has one) or the target was down at t-1
-        healthy = {n.id for n in st.primary_nodes or () if n.healthy}
+        # splits only after a non-attack unit t-1 (a validated config has one before
+        # each onset), which left st.primary and st.delay; a node back at t hosts nothing
+        states = st.history.column("state")
         st.proactive = {}
-        if target in healthy:
-            primary, d = st.primary, st.delay
+        if len(states) and states[-1] is not SimPhase.ATTACK:
+            primary, d, healthy = st.primary, st.delay, set(st.healthy_ids())
             st.proactive = {
                 (target, s): self._policy_secondary(primary, d, healthy, target, s)
                 for s in st.placement.services_on(target)
             }
-        st.set_status(target, NodeStatus.ATTACKED)
-        st.attack_target, st.primary_nodes = target, None
+        st.attack_target = target
         st.recover_at = t + self.cfg.recovery_delay
         st.heal_at = t + self.cfg.quarantine_units()
         return True
@@ -299,13 +293,13 @@ class Simulation:
         st = self.state
         if st.phase is not SimPhase.ATTACK:
             raise ValueError(f"recover at t={t}: the phase is {st.phase.value}, not Attack")
-        target, old = st.attack_target, st.placement
+        target, old, healthy = st.attack_target, st.placement, st.healthy_ids()
         plc, unrecovered = recover_placement(old, target, old.services_on(target),
-                                             self.services, st.nodes, st.delay)
+                                             self.services, st.nodes, st.delay, healthy)
         if unrecovered:
             logger.warning("t=%d: unrecovered services %s", t, unrecovered)
         if self.uses_reserves:
-            backed = plc.reserved[st.healthy_ids()].any(axis=0).tolist()
+            backed = plc.reserved[healthy].any(axis=0).tolist()
             unreserved = [s for s in old.services_on(target, include_reserved=True)
                           if not backed[s]]
             plc = self._reserve(plc, unreserved, t)
@@ -318,7 +312,6 @@ class Simulation:
         st = self.state
         if st.attack_target is None:
             raise ValueError(f"heal at t={t}: no attack is active")
-        st.set_status(st.attack_target, NodeStatus.HEALTHY)
         st.attack_target = st.recover_at = st.heal_at = None
 
     # ---- per-unit work ----------------------------------------------------
@@ -343,7 +336,6 @@ class Simulation:
                 look, i = self._look_ahead(inputs, t), 0
             st.primary_gamma = look.gamma[i]
             st.primary_demand = lam
-            st.primary_nodes = st.nodes
         table, period = st.history, self.cfg.monitor_period
         if t % period == 0:
             # this unit's row and the period - 1 rows before it
@@ -393,9 +385,8 @@ class Simulation:
         """Place every service; a failed re-placement keeps the current one."""
         st = self.state
         try:
-            plc = place_services(
-                self.services, st.nodes, d, self.cfg.placement_instances_per_service
-            )
+            plc = place_services(self.services, st.nodes, d,
+                                 self.cfg.placement_instances_per_service, st.healthy_ids())
         except InfeasibleError as exc:
             if st.placement is None:
                 raise
@@ -409,7 +400,8 @@ class Simulation:
     def _reserve(self, plc: PlacementDecision, order: list[int], t: int) -> PlacementDecision:
         """One idle backup per service, in the given order, where room is
         left; a service without room fails over as psvm would."""
-        plc, missing = reserve_backup(plc, order, self.services, self.state.nodes)
+        st = self.state
+        plc, missing = reserve_backup(plc, order, self.services, st.nodes, st.healthy_ids())
         for s in missing:
             logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc

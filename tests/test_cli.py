@@ -365,6 +365,43 @@ class TestCliEntry:
         code = main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)]))
         assert code == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        # the file and line of the bad byte, not a UnicodeDecodeError traceback;
+        # lines split as in text mode, so a CRLF file counts its lines alike
+        cfgfile = tmp_path / "exp.conf"
+        for data, want in ((b"horizon = 5\r\n# caf\xe9\r\n", r"exp\.conf:2: not UTF-8 text"),
+                           (b"horizon = 5\r\n\r\nbanana\r\n", r"exp\.conf:3: expected 'key")):
+            cfgfile.write_bytes(data)
+            assert main(fast_args(tmp_path / "o", extra=["--config", str(cfgfile)])) == 2
+            assert re.match(rf"error: .*{want}", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, edit, want", [
+        ("manifest.json", lambda text: text[:40],
+         r"manifest\.json: not a run manifest \(JSONDecodeError\(.*line \d+"),
+        ("manifest.json", lambda text: text.replace('"config_hash"', '"hash"'),
+         r"manifest\.json: not a run manifest \(KeyError\('config_hash'\)\)"),
+        ("summary.csv", lambda text: re.sub(r"^psvm,[^,]*", "psvm,abc", text, flags=re.M),
+         r"summary\.csv:3: not a summary row \(could not convert string to float: 'abc'\)"),
+        ("summary.csv", lambda text: re.sub(r"^(lb-psvm,.*),[^,\n]*$", r"\1", text, flags=re.M),
+         r"summary\.csv:2: not a summary row"),
+        ("summary.csv", lambda text: text.splitlines(keepends=True)[0],
+         r"summary\.csv: not a summary file \(the header, then a row per policy\)"),
+    ], ids=["truncated-manifest", "manifest-without-hash", "summary-cell", "short-summary-row",
+            "header-only-summary"])
+    def test_damaged_compare_input_exit_2(self, tmp_path, capsys, name, edit, want):
+        # compare names the damaged file, and its line where it has one
+        for run_dir in ("a", "b"):
+            assert main(fast_args(tmp_path / run_dir)) == 0
+        damaged = tmp_path / "b" / name
+        damaged.write_text(edit(read(damaged)))
+        capsys.readouterr()
+        code = main(["compare", str(tmp_path / "a" / "summary.csv"),
+                     str(tmp_path / "b" / "summary.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.match(rf"error: {re.escape(str(tmp_path / 'b'))}/{want}", err), err
+
     def test_missing_trace_exit_2(self, tmp_path):
         code = main([
             "run", "--dataset", "trace:/does/not/exist.csv",

@@ -5,7 +5,6 @@ from edgefail.errors import StructuralError
 from edgefail.model import (
     DelayModel,
     EdgeNode,
-    NodeStatus,
     PlacementDecision,
     PrimaryMapping,
     SecondaryMapping,
@@ -144,12 +143,3 @@ class TestSecondaryMapping:
         m = SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
                              beta=[0.1, 0.2], affected=0.30000000000000004)
         assert m.beta.tolist() == [0.1, 0.2] and not m.beta.flags.writeable
-
-
-class TestNodeStatus:
-    def test_with_status_copies(self):
-        n = EdgeNode(id=0, location=(0, 0), capacity=10)
-        m = n.with_status(NodeStatus.ATTACKED)
-        assert n.healthy and not m.healthy
-        assert (m.id, m.location, m.capacity) == (n.id, n.location, n.capacity)
-        assert m.with_status(NodeStatus.HEALTHY) == n

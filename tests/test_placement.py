@@ -11,7 +11,6 @@ from edgefail.mobility import GridMap, derive_delay_matrix, generate_synthetic
 from edgefail.model import (
     DelayModel,
     EdgeNode,
-    NodeStatus,
     PlacementDecision,
     ServiceType,
     placement_problems,
@@ -92,6 +91,13 @@ class TestPlaceServices:
         with pytest.raises(InfeasibleError, match="aggregate"):
             place_services(services, nodes, uniform_delay(2, 2), instances_per_service=3)
 
+    def test_budget_counts_healthy_nodes_only(self):
+        nodes, services = make_nodes(2, capacity=25.0), make_services([10.0, 12.0])
+        check_budget(services, nodes, 2)
+        check_budget(services, nodes, 2, healthy=[0, 1])
+        with pytest.raises(InfeasibleError, match="healthy capacity 25"):
+            check_budget(services, nodes, 2, healthy=[1])
+
     def test_backtracking_finds_tight_fit(self):
         # greedy-by-delay alone would strand the big service: both cheap
         # nodes must keep room for one 20-unit instance each
@@ -103,10 +109,11 @@ class TestPlaceServices:
 
     def test_attacked_nodes_excluded(self):
         nodes = make_nodes(3)
-        nodes[0] = nodes[0].with_status(NodeStatus.ATTACKED)
         services = make_services([10.0])
-        p = place_services(services, nodes, uniform_delay(3, 1), instances_per_service=2)
+        p = place_services(services, nodes, uniform_delay(3, 1), instances_per_service=2,
+                           healthy=[1, 2])
         assert p.x[0, 0] == 0
+        assert place_services(services, nodes, uniform_delay(3, 1), 2).x[0, 0] == 1
 
     def test_redundancy_precondition(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -165,6 +172,16 @@ class TestReserveBackup:
         assert q.reserved[:, 0].sum() == 0
         assert q.reserved[:, 1].sum() == 1
 
+    def test_skips_nodes_not_healthy(self):
+        # nodes 2 and 3 tie on room: the backup goes to 2, or to 3 with 2 down
+        nodes = make_nodes(4)
+        services = make_services([10.0])
+        p = PlacementDecision(x=np.array([[1], [1], [0], [0]]))
+        for healthy, want in ((None, 2), ([0, 1, 2, 3], 2), ([0, 1, 3], 3)):
+            q, missing = reserve_backup(p, [0], services, nodes, healthy)
+            assert missing == [] and q.reserved[:, 0].tolist().index(1) == want
+        assert reserve_backup(p, [0], services, nodes, [0, 1]) == (p, [0])
+
     def test_order_is_the_callers(self):
         # only node 2 has room, for one instance: the first service of the
         # order gets it, the second is reported
@@ -177,12 +194,12 @@ class TestReserveBackup:
             assert missing == order[1:]
 
 
-class TestRecoverPlacement:
-    def attack(self, nodes, target):
-        out = list(nodes)
-        out[target] = out[target].with_status(NodeStatus.ATTACKED)
-        return out
+def up(E, *down):
+    """The ids of E nodes but ``down``."""
+    return [e for e in range(E) if e not in down]
 
+
+class TestRecoverPlacement:
     def test_three_lost_services_reinstantiated(self):
         # node 0 under attack hosting three services; replacements land on
         # nodes that do not already host them
@@ -196,7 +213,7 @@ class TestRecoverPlacement:
         ])
         p = PlacementDecision(x=x)
         d = uniform_delay(4, 3)
-        q, unrecovered = recover_placement(p, 0, [0, 1, 2], services, self.attack(nodes, 0), d)
+        q, unrecovered = recover_placement(p, 0, [0, 1, 2], services, nodes, d, up(4, 0))
         assert not unrecovered
         assert q.x[0].sum() == 0
         for s in range(3):
@@ -213,7 +230,7 @@ class TestRecoverPlacement:
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1], [0]]))
         d = uniform_delay(3, 1)
-        q, unrecovered = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        q, unrecovered = recover_placement(p, 0, [0], services, nodes, d, up(3, 0))
         assert not unrecovered
         assert q.x[:, 0].tolist() == [0, 1, 1]
 
@@ -222,20 +239,20 @@ class TestRecoverPlacement:
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1]]))
         d = uniform_delay(2, 1)
-        q, unrecovered = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        q, unrecovered = recover_placement(p, 0, [0], services, nodes, d, up(2, 0))
         assert unrecovered == (0,)
         assert q.x[:, 0].tolist() == [0, 1]
 
     def test_never_places_on_attacked_node(self):
         rng = np.random.default_rng(8)
-        for _ in range(50):
+        for i in range(50):
             nodes, services, delay = grid_scenario(seed=int(rng.integers(1000)))
             p = place_services(services, nodes, delay, instances_per_service=3)
             target = int(rng.integers(0, 9))
             lost = p.services_on(target)
-            q, unrecovered = recover_placement(
-                p, target, lost, services, self.attack(nodes, target), delay
-            )
+            # without ``healthy`` every node is, but the attacked one is still skipped
+            healthy = up(9, target) if i % 2 else None
+            q, unrecovered = recover_placement(p, target, lost, services, nodes, delay, healthy)
             assert q.x[target].sum() == 0
             assert q.reserved[target].sum() == 0
             problems = placement_problems(q, nodes, services, require_redundancy=not unrecovered)
@@ -246,26 +263,26 @@ class TestRecoverPlacement:
         services = make_services([10.0])
         p = PlacementDecision(x=np.array([[1], [1], [0], [0]]))
         d = uniform_delay(4, 1)
-        q, _ = recover_placement(p, 0, [0], services, self.attack(nodes, 0), d)
+        q, _ = recover_placement(p, 0, [0], services, nodes, d, up(4, 0))
         assert q.x[:, 0].tolist() == [0, 1, 1, 0]
 
     def test_promotes_nearest_healthy_backup(self):
         # node 0 is hit; service 0's backups sit on node 2 (down, nearest),
         # nodes 3 and 4 (tied); service 1 has no backup and gets a new instance
-        nodes = self.attack(self.attack(make_nodes(5), 2), 0)
+        nodes = make_nodes(5)
         services = make_services([10.0, 12.0])
         x = np.array([[1, 1], [1, 1], [0, 0], [0, 0], [0, 0]])
         reserved = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 0]])
         d = DelayModel(d=np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, 3.0], [2.0, 2.0]]))
         q, unrecovered = recover_placement(
-            PlacementDecision(x=x, reserved=reserved), 0, [0, 1], services, nodes, d
+            PlacementDecision(x=x, reserved=reserved), 0, [0, 1], services, nodes, d, up(5, 0, 2)
         )
         assert not unrecovered
         assert q.x.tolist() == [[0, 0], [1, 1], [0, 0], [1, 0], [0, 1]]
         assert q.reserved[:, 0].tolist() == [0, 0, 1, 0, 1]
 
 
-def promote_then_recover(p, attacked, services, nodes, delay):
+def promote_then_recover(p, attacked, services, nodes, delay, healthy):
     """Reference on plain arrays: clear the attacked node, promote each lost
     service's nearest healthy backup, then re-instantiate the rest, bigger
     footprints first, on the nearest healthy node with room; returns the
@@ -275,7 +292,7 @@ def promote_then_recover(p, attacked, services, nodes, delay):
     costs = np.array([s.resource_cost for s in services])
     needed = []
     for s in p.services_on(attacked):
-        backups = [n.id for n in nodes if reserved[n.id, s] and n.healthy]
+        backups = [n.id for n in nodes if reserved[n.id, s] and n.id in healthy]
         if backups:
             e = min(backups, key=lambda e: (delay.d[e, s], e))
             x[e, s], reserved[e, s] = 1, 0
@@ -286,7 +303,7 @@ def promote_then_recover(p, attacked, services, nodes, delay):
         left = [n.capacity - float((x[n.id] + reserved[n.id]) @ costs) for n in nodes]
         options = [
             n.id for n in nodes
-            if n.healthy and n.id != attacked and not x[n.id, s] and not reserved[n.id, s]
+            if n.id in healthy and n.id != attacked and not x[n.id, s] and not reserved[n.id, s]
             and left[n.id] >= costs[s] - 1e-9
         ]
         if options:
@@ -308,23 +325,19 @@ def reserved_placements(draw):
     delays = draw(st.lists(st.integers(0, 3), min_size=E * S, max_size=E * S))
     down = draw(st.sets(st.integers(0, E - 1), max_size=E - 1))
     attacked = draw(st.integers(0, E - 1))
-    nodes = [
-        EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e],
-                 status=NodeStatus.ATTACKED if e in down | {attacked} else NodeStatus.HEALTHY)
-        for e in range(E)
-    ]
+    nodes = [EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e]) for e in range(E)]
     placement = PlacementDecision(x=(grid == 1).astype(int), reserved=(grid == 2).astype(int))
     delay = DelayModel(d=np.array(delays, dtype=float).reshape(E, S))
-    return placement, attacked, make_services(costs), nodes, delay
+    return placement, attacked, make_services(costs), nodes, delay, up(E, attacked, *down)
 
 
 @settings(max_examples=300, deadline=None)
 @given(reserved_placements())
 def test_recovery_equals_promote_then_recover(case):
-    p, attacked, services, nodes, delay = case
+    p, attacked, services, nodes, delay, healthy = case
     got, unrecovered = recover_placement(p, attacked, p.services_on(attacked), services, nodes,
-                                         delay)
-    x, reserved, want = promote_then_recover(p, attacked, services, nodes, delay)
+                                         delay, healthy)
+    x, reserved, want = promote_then_recover(p, attacked, services, nodes, delay, healthy)
     assert got.x.tolist() == x.tolist()
     assert got.reserved.tolist() == reserved.tolist()
     assert unrecovered == want
@@ -336,16 +349,15 @@ def test_room_equals_per_node_reference(case, slack):
     # the attacked node and the others drawn down are never room; ``slack``
     # puts residuals that met a footprint exactly just inside (-5e-10) or
     # just outside (-2e-9) the 1e-9 tolerance
-    p, attacked, services, nodes, _delay = case
-    nodes = [EdgeNode(id=n.id, location=n.location, capacity=n.capacity + slack, status=n.status)
-             for n in nodes]
+    p, attacked, services, nodes, _delay, healthy = case
+    nodes = [EdgeNode(id=n.id, location=n.location, capacity=n.capacity + slack) for n in nodes]
     x, reserved = np.array(p.x), np.array(p.reserved)
     for s in range(p.num_services):
         usage = resource_usage(x, reserved, services)
         want = {n.id: n.capacity - usage[n.id] for n in nodes
-                if n.healthy and x[n.id, s] == 0 and reserved[n.id, s] == 0
+                if n.id in healthy and x[n.id, s] == 0 and reserved[n.id, s] == 0
                 and n.capacity - usage[n.id] >= services[s].resource_cost - 1e-9}
-        got = placement._room(x, reserved, s, services, nodes)
+        got = placement._room(x, reserved, s, services, nodes, healthy)
         assert list(got) == list(want) and attacked not in got
         assert [bits(v) for v in got.values()] == [bits(v) for v in want.values()]
 
@@ -354,12 +366,12 @@ def bits(v) -> bytes:
     return np.float64(v).tobytes()
 
 
-def reference_place_services(services, nodes, delay, need, budget=MAX_SEARCH_STATES):
+def reference_place_services(services, nodes, delay, need, healthy, budget=MAX_SEARCH_STATES):
     """Reference: the recursive search ``place_services`` replaced, which
     picks each service's hosts one by one from its ranked options and
     counts every pick against ``budget``."""
-    check_budget(services, nodes, need)
-    healthy = [n.id for n in nodes if n.healthy]
+    check_budget(services, nodes, need, healthy)
+    healthy = [n.id for n in nodes if healthy is None or n.id in healthy]
     order = footprint_order(services, range(len(services)))
     residual = {e: nodes[e].capacity for e in healthy}
     chosen = {}
@@ -410,20 +422,19 @@ def reference_place_services(services, nodes, delay, need, budget=MAX_SEARCH_STA
 
 @st.composite
 def placement_cases(draw):
-    """3 to 9 nodes, some tight, one maybe down; 1 to 8 services of 2 to 4
-    instances; delays from a few values, so ranks tie."""
+    """3 to 9 nodes, some tight, one maybe down (``healthy`` None when none
+    is); 1 to 8 services of 2 to 4 instances; delays from a few values, so
+    ranks tie."""
     E, S = draw(st.integers(3, 9)), draw(st.integers(1, 8))
     need = draw(st.integers(2, 4))
     capacity = draw(st.lists(st.sampled_from([15.0, 25.0, 40.0, 100.0]), min_size=E, max_size=E))
     costs = draw(st.lists(st.sampled_from([5.0, 10.0, 15.0, 20.0]), min_size=S, max_size=S))
     delays = draw(st.lists(st.integers(0, 3), min_size=E * S, max_size=E * S))
     down = draw(st.none() | st.integers(0, E - 1))
-    nodes = [
-        EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e],
-                 status=NodeStatus.ATTACKED if e == down else NodeStatus.HEALTHY)
-        for e in range(E)
-    ]
-    return make_services(costs), nodes, DelayModel(d=np.array(delays, float).reshape(E, S)), need
+    nodes = [EdgeNode(id=e, location=(float(e), 0.0), capacity=capacity[e]) for e in range(E)]
+    healthy = None if down is None else up(E, down)
+    return (make_services(costs), nodes, DelayModel(d=np.array(delays, float).reshape(E, S)),
+            need, healthy)
 
 
 def x_or_error(place, *args):
@@ -466,6 +477,7 @@ SLOW_REFERENCE = (
         [0, 0, 2, 1, 0, 2, 0, 0],
     ], dtype=float)),
     4,
+    None,
 )
 
 

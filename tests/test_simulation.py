@@ -22,7 +22,7 @@ from edgefail.errors import (
 from edgefail import experiment, simulation
 from edgefail.experiment import build_requests, run, simulate_policy, summarize
 from edgefail.metrics import MetricsRecord
-from edgefail.model import DelayModel, NodeStatus, SimPhase
+from edgefail.model import DelayModel, SimPhase
 from edgefail.placement import place_services, reserve_backup
 from edgefail.simulation import Simulation, derive_inputs, evaluate_quality
 from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
@@ -91,7 +91,6 @@ def check_onsets_against_previous_unit(cfg, policy):
         step(unit, t)
         st = sim.state
         record = st.history[-1]
-        assert st.healthy_ids() == [n.id for n in st.nodes if n.healthy], t
         seen.update(placement=st.placement, gamma=st.primary, d=st.delay,
                     healthy=st.healthy_ids(), recovered=False, healed=False,
                     phase=record.state)
@@ -222,6 +221,23 @@ class TestStateMachine:
         assert [r.state for r in sim.state.history] == [
             SimPhase.PRE_ATTACK, SimPhase.ATTACK, SimPhase.PRE_ATTACK]
 
+    def test_attack_on_a_node_outside_the_grid_raises(self):
+        # an id outside 0..8 is refused before any state changes: nodes[-1]
+        # would reach node 8 and leave its vehicles without a split
+        cfg = ExperimentConfig.from_sources(overrides={"seed": 1})
+        sim, units = Simulation(cfg, "lb-psvm"), derived(cfg)
+        for t in range(1, 6):
+            sim.step(units, t)
+        before = dataclasses.replace(sim.state)
+        for node in (-1, 9):
+            with pytest.raises(ValueError, match=rf"^attack at t=6 on node {node}: nodes are 0..8$"):
+                sim.inject_attack(node, 6)
+            assert all(getattr(sim.state, f.name) is getattr(before, f.name)
+                       for f in dataclasses.fields(before))
+        assert sim.inject_attack(8, 6)
+        assert sim.state.healthy_ids() == list(range(8))
+        assert set(sim.state.proactive) == {(8, s) for s in sim.state.placement.services_on(8)}
+
     def test_attack_on_empty_node_is_noop(self):
         cfg = small_cfg(**{"grid.rows": 4, "placement.instances_per_service": 2,
                            "services.count": 2})
@@ -249,7 +265,7 @@ class TestStateMachine:
         assert sim.state.recover_at is None and sim.state.heal_at is None
         assert [r.state for r in sim.state.history] == [
             SimPhase.PRE_ATTACK, SimPhase.ATTACK, SimPhase.PRE_ATTACK]
-        assert sim.state.nodes[target].healthy
+        assert target in sim.state.healthy_ids()
         assert sim.state.placement.services_on(target)  # never recovered away
         assert sim.inject_attack(target, 4)
         assert sim.state.proactive  # solved from unit 3, a non-attack unit
@@ -352,49 +368,32 @@ class TestServingInvariants:
                     assert mapping.affected == pytest.approx(float(gamma[e, s]), abs=1e-9)
                     assert float(np.sum(mapping.beta)) == pytest.approx(mapping.affected)
 
-    @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
-    def test_onset_splits_use_previous_unit_health(self, policy):
-        # a node that goes down after step t-1 stays a candidate of the
-        # splits solved at t, as it was healthy in the data of t-1
-        cfg = small_cfg()
-        reqs = derived(cfg)
-        sim = Simulation(cfg, policy)
-        for t in range(1, 10):
-            sim.step(reqs, t)
-        target = sim._pick_target()
-        reference = copy.deepcopy(sim)
-        assert reference.inject_attack(target, 10)
-        used = {e for m in reference.state.proactive.values() if m is not None
-                for e in m.candidates}
-        assert used
-        for e in used:
-            sim.state.set_status(e, NodeStatus.ATTACKED)
-        assert sim.inject_attack(target, 10)
-        assert set(sim.state.proactive) == set(reference.state.proactive)
-        for key, want in reference.state.proactive.items():
-            got = sim.state.proactive[key]
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got.candidates == want.candidates
-                assert np.array_equal(got.beta, want.beta)
-
     def test_no_split_for_target_down_at_previous_unit(self):
+        # unit t-1 was an Attack unit: a bare heal before the recovery, then
+        # an onset in the same unit, on the node that was down or another,
+        # gets no split, while the same onset a unit later gets them
         cfg = small_cfg()
         reqs = derived(cfg)
         sim = Simulation(cfg, "lb-psvm")
         sim.step(reqs, 1)
         target = sim._pick_target()
-        with pytest.raises(TypeError):  # nodes change only through set_status
-            sim.state.nodes[target] = sim.state.nodes[target].with_status(NodeStatus.ATTACKED)
-        sim.state.set_status(target, NodeStatus.ATTACKED)
+        assert sim.inject_attack(target, 2)
         sim.step(reqs, 2)
-        sim.state.set_status(target, NodeStatus.HEALTHY)
-        assert sim.inject_attack(target, 3)
-        assert sim.state.proactive == {}
+        sim.heal(3)
+        other = next(e for e in sim.state.healthy_ids()
+                     if e != target and sim.state.placement.services_on(e))
+        for node in (target, other):
+            trial = copy.deepcopy(sim)
+            assert trial.inject_attack(node, 3)
+            assert trial.state.proactive == {}, node
+            trial = copy.deepcopy(sim)
+            trial.step(reqs, 3)
+            assert trial.inject_attack(node, 4)
+            assert trial.state.proactive, node
 
     def test_recovery_precedes_the_next_onset(self):
-        # recovery drops the t-1 snapshot; one in the unit of the next onset
-        # would leave that attack without splits, so validation rejects it
+        # a recovery in the unit of the next onset leaves unit t-1 an attack
+        # unit, so that attack would get no splits: validation rejects it
         with pytest.raises(ConfigError, match="attack.quarantine"):
             small_cfg(**{"recovery.delay": 10, "attack.quarantine": 10, "horizon": 100})
         cfg = small_cfg(**{"recovery.delay": 9, "attack.quarantine": 10, "horizon": 100})
@@ -1259,7 +1258,7 @@ class BareSteps(RuleBasedStateMachine):
         self.sim.heal(self.t + 1)
         self.done.add("bare heal" if bare else "heal")
         assert self.state.phase is SimPhase.PRE_ATTACK
-        assert self.state.nodes[target].healthy
+        assert target in self.state.healthy_ids()
 
     @precondition(lambda self: not self.ended and "inject" not in self.done
                   and self.state.attack_target is None)
@@ -1269,7 +1268,7 @@ class BareSteps(RuleBasedStateMachine):
         if self.sim.inject_attack(target, self.t + 1):
             self.onset = self.t + 1
             assert self.state.phase is SimPhase.ATTACK
-            assert not self.state.nodes[target].healthy
+            assert target not in self.state.healthy_ids()
         else:
             assert self.state.phase is SimPhase.PRE_ATTACK
         self.done.add("inject")
@@ -1301,6 +1300,10 @@ class BareSteps(RuleBasedStateMachine):
         state = self.state
         assert (state.phase is SimPhase.PRE_ATTACK) == (state.attack_target is None)
         assert len(state.history) == self.t
+        if state.phase is SimPhase.RECOVERED:
+            # from the recovery until the heal the node hosts nothing, so a
+            # heal never adds a candidate to a split solved in its unit
+            assert not state.placement.services_on(state.attack_target, include_reserved=True)
         if self.t:
             r = state.history[-1]
             np.testing.assert_allclose(r.served_per_service + r.unserved_per_service,
