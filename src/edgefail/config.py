@@ -36,15 +36,6 @@ def _coerce(key: str, value, where: str = "") -> object:
             return int(str(value))
         if kind == "float":
             return float(str(value))
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            v = str(value).strip().lower()
-            if v in ("true", "1", "yes", "on"):
-                return True
-            if v in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
     except ValueError as exc:
         raise ConfigError(f"{where}{key}: {exc}") from None
     return str(value)
@@ -107,7 +98,6 @@ class ExperimentConfig:
     mobility_speed_min_kmh: float = 20.0
     mobility_speed_max_kmh: float = 60.0
     placement_instances_per_service: int = 3
-    br_enabled: bool = True
     lbpsvm_k1: float | None = None
     lbpsvm_k2: float | None = None
     lbpsvm_epsilon: float = 1e-3

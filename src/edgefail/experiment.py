@@ -210,6 +210,8 @@ def _read_summary(path: str) -> dict[str, dict[str, float]]:
         raise ConfigError(f"{path}: not a summary file (the header, then a row per policy)")
     out = {}
     for lineno, (policy, *cells) in rows[1:]:
+        if policy in out:
+            raise ConfigError(f"{path}:{lineno}: a second row for policy {policy!r}")
         try:
             out[policy] = dict(zip(SUMMARY_COLUMNS[1:], map(float, cells), strict=True))
         except ValueError as exc:
@@ -221,13 +223,20 @@ def compare(summary_paths: list[str]) -> Comparison:
     """Compare two or more run summaries produced with the same config.
 
     Raises:
-        ConfigError: on fewer than two runs, mismatched config hashes (the
-            message lists the differing keys), or a damaged summary or manifest.
+        ConfigError: on fewer than two runs, one file given twice, mismatched
+            config hashes (the message lists the differing keys), or a
+            missing or damaged summary or manifest.
     """
     if len(summary_paths) < 2:
         raise ConfigError("compare needs at least two summary files")
-    manifests = []
+    manifests, seen = [], {}
     for path in summary_paths:
+        if not os.path.isfile(path):
+            raise ConfigError(f"{path}: no such summary file")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"{path}: the same file as {seen[real]}")
+        seen[real] = path
         mpath = os.path.join(os.path.dirname(path) or ".", "manifest.json")
         if not os.path.exists(mpath):
             raise ConfigError(f"{path}: no manifest.json next to the summary")

@@ -113,15 +113,6 @@ class RequestBatch:
         vehicle, xy = self.vehicles[self.vehicle[i]], tuple(self.xy[i].tolist())
         return ServiceRequest(vehicle, xy, self.time, int(self.service[i]))
 
-    def _names(self) -> list[str]:
-        return [self.vehicles[v] for v in self.vehicle.tolist()]
-
-    def __eq__(self, other):
-        if not isinstance(other, RequestBatch):
-            return NotImplemented
-        return (self.time == other.time and np.array_equal(self.xy, other.xy)
-                and np.array_equal(self.service, other.service) and self._names() == other._names())
-
 
 @dataclass(frozen=True, eq=False)
 class RequestStream:
@@ -158,11 +149,6 @@ class RequestStream:
         lo, hi = off[0], off[-1]
         return RequestStream(self.xy[lo:hi], self.service[lo:hi], self.vehicle[lo:hi], off - lo,
                              self.vehicles)
-
-    def __eq__(self, other):
-        if not isinstance(other, RequestStream):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -240,14 +226,13 @@ class PrimaryMapping:
 
 @dataclass(frozen=True)
 class SecondaryMapping:
-    """Failover assignment of one attacked (node, service) pair.
+    """Failover assignment of one attacked (node, service) pair, which is
+    the key it is stored under (``SimulationState.proactive``).
 
     ``beta[i]`` vehicles are re-homed onto ``candidates[i]``; the betas
-    sum to the affected vehicle count at the source node.
+    sum to the affected vehicle count at the attacked node.
     """
 
-    source_node: int
-    service: int
     candidates: tuple[int, ...]
     beta: np.ndarray
     affected: float

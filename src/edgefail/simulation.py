@@ -188,8 +188,7 @@ class Simulation:
             raise ValueError(f"unknown policy {policy!r}")
         self.cfg = cfg
         self.policy = policy
-        # br keeps one idle backup instance per service unless disabled
-        self.uses_reserves = policy == "br" and cfg.br_enabled
+        self.uses_reserves = policy == "br"  # one idle backup instance per service
         self.services = cfg.services()
         self.capacity = cfg.service_capacity
         self.num_services = len(self.services)
@@ -240,7 +239,7 @@ class Simulation:
         if st.placement is None:
             return None
         busy = (st.placement.x | st.placement.reserved).any(axis=1).tolist()
-        hosting = [e for e in st.healthy_ids() if busy[e]]
+        hosting = [e for e, b in enumerate(busy) if b]  # no attack is active: every node is up
         if not hosting:
             return None
         if self.cfg.attack_target == "random":
@@ -271,15 +270,14 @@ class Simulation:
             logger.warning("attack at t=%d on node %d hosting nothing: no-op", t, target)
             return False
         # splits only after a non-attack unit t-1 (a validated config has one before
-        # each onset), which left st.primary and st.delay; a node back at t hosts nothing
+        # each onset), which left st.primary and st.delay; without an active attack
+        # every node is up, and a node back at t hosts nothing
         states = st.history.column("state")
         st.proactive = {}
         if len(states) and states[-1] is not SimPhase.ATTACK:
-            primary, d, healthy = st.primary, st.delay, set(st.healthy_ids())
-            st.proactive = {
-                (target, s): self._policy_secondary(primary, d, healthy, target, s)
-                for s in st.placement.services_on(target)
-            }
+            primary, d = st.primary, st.delay
+            st.proactive = {(target, s): self._policy_secondary(primary, d, target, s)
+                            for s in st.placement.services_on(target)}
         st.attack_target = target
         st.recover_at = t + self.cfg.recovery_delay
         st.heal_at = t + self.cfg.quarantine_units()
@@ -406,28 +404,20 @@ class Simulation:
             logger.warning("t=%d: no room to reserve a backup of service %d", t, s)
         return plc
 
-    def _policy_secondary(self, gamma: PrimaryMapping, d: DelayModel, healthy: set, target: int,
+    def _policy_secondary(self, gamma: PrimaryMapping, d: DelayModel, target: int,
                           service: int) -> SecondaryMapping | None:
-        """The split of (target, service) from ``gamma``, ``d`` and ``healthy``."""
+        """The split of (target, service) from ``gamma`` and ``d``, onto nodes but the target."""
         st = self.state
         try:
             if self.uses_reserves:
-                reserved = [
-                    e for e in st.placement.reserved_nodes(service)
-                    if e != target and e in healthy
-                ]
+                reserved = [e for e in st.placement.reserved_nodes(service) if e != target]
                 if reserved:
                     affected = float(gamma.gamma[target, service])
-                    return SecondaryMapping(
-                        source_node=target,
-                        service=service,
-                        candidates=(d.nearest(reserved, service),),
-                        beta=np.array([affected]),
-                        affected=affected,
-                    )
+                    return SecondaryMapping(candidates=(d.nearest(reserved, service),),
+                                            beta=np.array([affected]), affected=affected)
             if self.policy != "lb-psvm":
-                # br without reserves (disabled or exhausted) degrades to psvm
-                return solve_psvm(gamma, st.placement, target, service, d, healthy)
+                # br without a reserve left degrades to psvm
+                return solve_psvm(gamma, st.placement, target, service, d)
             problem = build_lb_psvm(
                 gamma,
                 st.placement,
@@ -439,7 +429,6 @@ class Simulation:
                 k1=self.cfg.lbpsvm_k1,
                 k2=self.cfg.lbpsvm_k2,
                 epsilon=self.cfg.lbpsvm_epsilon,
-                healthy=healthy,
             )
             return solve_lb_psvm(
                 problem,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NoCandidateError
-from .metrics import QUEUE_GUARD, queue_delay
+from .metrics import QUEUE_GUARD, _backlog_wait, queue_delay
 from .model import DelayModel, PlacementDecision, PrimaryMapping, SecondaryMapping, _freeze
 
 logger = logging.getLogger(__name__)
@@ -203,13 +203,7 @@ class LbPsvmSolution:
         return bool(self.delay_attained <= self.problem.delay_cap + 1e-12)
 
     def to_secondary(self) -> SecondaryMapping:
-        return SecondaryMapping(
-            source_node=self.problem.source_node,
-            service=self.problem.service,
-            candidates=self.problem.candidates,
-            beta=self.beta,
-            affected=float(self.beta.sum()),
-        )
+        return SecondaryMapping(self.problem.candidates, self.beta, float(self.beta.sum()))
 
 
 def build_lb_psvm(
@@ -528,11 +522,10 @@ def solve_psvm(
     attacked: int,
     service: int,
     delay: DelayModel,
-    healthy=None,
 ) -> SecondaryMapping:
     """All-to-one baseline: every affected vehicle goes to the single
-    lowest-delay healthy candidate (ties to the lowest node index)."""
-    candidates = failover_candidates(placement, attacked, service, healthy)
+    lowest-delay candidate (ties to the lowest node index)."""
+    candidates = failover_candidates(placement, attacked, service)
     if not candidates:
         raise NoCandidateError(
             f"service {service}: no healthy candidate besides node {attacked}"
@@ -541,13 +534,7 @@ def solve_psvm(
     beta = np.zeros(len(candidates))
     affected = float(gamma.gamma[attacked, service])
     beta[candidates.index(target)] = affected
-    return SecondaryMapping(
-        source_node=attacked,
-        service=service,
-        candidates=tuple(candidates),
-        beta=beta,
-        affected=affected,
-    )
+    return SecondaryMapping(tuple(candidates), beta, affected)
 
 
 def oracle_lb_psvm(problem: LbPsvmProblem, step: float) -> LbPsvmSolution:
@@ -580,7 +567,7 @@ def oracle_lb_psvm(problem: LbPsvmProblem, step: float) -> LbPsvmSolution:
     for i in range(n):
         u = problem.prior_load[i] + vals - C
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(u > 0, u / (2.0 * C * (C - u)), 0.0)
+            q = np.where(u > 0, _backlog_wait(u, C, 1.0), 0.0)
             phi = (
                 -problem.weights[i] * np.log(vals)
                 + problem.k1 * problem.delay[i] * vals

@@ -101,6 +101,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             ExperimentConfig.from_sources(overrides={"placement.strategy": "greedy"})
 
+    def test_br_enabled_is_an_unknown_key(self, tmp_path, capsys):
+        # br always reserves; the runs br.enabled = false gave are --policies psvm
+        path = tmp_path / "br.conf"
+        path.write_text("br.enabled = false\n")
+        with pytest.raises(ConfigError, match=r"br\.conf:1: unknown key 'br\.enabled'"):
+            parse_config_file(path)
+        with pytest.raises(ConfigError, match=r"^unknown config key 'br\.enabled'$"):
+            ExperimentConfig.from_sources(overrides={"br.enabled": False})
+        assert main(fast_args(tmp_path / "o", extra=["--config", str(path)])) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: unknown key 'br.enabled'\n"
+
     OPTIONAL = {"out", "trace.bbox", "lbpsvm.k1", "lbpsvm.k2", "attack.schedule",
                 "attack.quarantine"}
 
@@ -387,8 +398,10 @@ class TestCliEntry:
          r"summary\.csv:2: not a summary row"),
         ("summary.csv", lambda text: text.splitlines(keepends=True)[0],
          r"summary\.csv: not a summary file \(the header, then a row per policy\)"),
+        ("summary.csv", lambda text: text + text.splitlines(keepends=True)[1],
+         r"summary\.csv:5: a second row for policy 'lb-psvm'"),
     ], ids=["truncated-manifest", "manifest-without-hash", "summary-cell", "short-summary-row",
-            "header-only-summary"])
+            "header-only-summary", "policy-row-twice"])
     def test_damaged_compare_input_exit_2(self, tmp_path, capsys, name, edit, want):
         # compare names the damaged file, and its line where it has one
         for run_dir in ("a", "b"):
@@ -401,6 +414,25 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert code == 2
         assert re.match(rf"error: {re.escape(str(tmp_path / 'b'))}/{want}", err), err
+
+    def test_same_summary_twice_exit_2(self, tmp_path, capsys):
+        # one file, under one path or two spellings of it, is one run, not two
+        assert main(fast_args(tmp_path / "a")) == 0
+        capsys.readouterr()
+        path = f"{tmp_path}/a/summary.csv"
+        for again in (path, f"{tmp_path}/a/./summary.csv"):
+            assert main(["compare", path, again]) == 2
+            assert capsys.readouterr().err == f"error: {again}: the same file as {path}\n"
+
+    def test_missing_summary_next_to_manifest_exit_2(self, tmp_path, capsys):
+        for run_dir in ("a", "b"):
+            assert main(fast_args(tmp_path / run_dir)) == 0
+        (tmp_path / "b" / "summary.csv").unlink()
+        capsys.readouterr()
+        code = main(["compare", str(tmp_path / "a" / "summary.csv"),
+                     str(tmp_path / "b" / "summary.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {tmp_path}/b/summary.csv: no such summary file\n"
 
     def test_missing_trace_exit_2(self, tmp_path):
         code = main([

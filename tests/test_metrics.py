@@ -1,16 +1,22 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from edgefail.config import ExperimentConfig
 from edgefail.errors import SaturationError
+from edgefail.experiment import simulate_policy
 from edgefail.metrics import (
     QUEUE_GUARD,
+    RunTable,
     average_elf,
     edge_load_factor,
     jain_fairness,
     queue_delay,
     service_delay,
 )
+from edgefail.model import SimPhase
 
 
 class TestQueueDelay:
@@ -206,3 +212,51 @@ class TestJainFairness:
             x = rng.uniform(0, 10, rng.integers(1, 9))
             f = jain_fairness(x)
             assert 1.0 / len(x) - 1e-12 <= f <= 1.0 + 1e-12
+
+
+class TestRunTableDerived:
+    """``sla_violated`` and ``degraded_services`` are derived from the
+    table's columns when a record is read."""
+
+    def test_sla_violated_lists_services_over_their_cap(self):
+        # all-to-one failover at 500 vehicles pushes a candidate past its
+        # capacity, so some attack units exceed a service's delay cap
+        cfg = ExperimentConfig.from_sources(overrides={
+            "horizon": 40, "attack.every": 10, "mobility.vehicles": 500, "seed": 1,
+            "service.capacity": 15.0, "services.count": 4})
+        table = simulate_policy(cfg, "psvm")
+        caps = [s.delay_threshold for s in cfg.services()]
+        violated = []
+        for r in table:
+            late = tuple(s for s, ms in enumerate(r.per_service_delay.tolist()) if ms > caps[s])
+            assert r.sla_violated == late, r.time
+            violated += [r.time] * bool(late)
+        assert violated and all(table[t - 1].state is SimPhase.ATTACK for t in violated)
+
+    def test_rows_read_back_their_derived_fields(self):
+        # a delay at its cap meets it; a service is degraded by its mask alone
+        table = RunTable(2, num_nodes=3, thresholds=np.array([50.0, 60.0, 70.0]))
+        table.write(slice(0, 2), time=np.array([1, 2]),
+                    per_service_delay=np.array([[50.0, 60.5, 0.0], [51.0, 60.0, 70.0]]),
+                    degraded=np.array([[False, True, True], [False, False, False]]))
+        for state in (SimPhase.PRE_ATTACK, SimPhase.ATTACK):
+            table.commit(state, 1.0)
+        first, second = table[0], table[1]
+        assert (first.sla_violated, first.degraded_services) == ((1,), (1, 2))
+        assert (second.sla_violated, second.degraded_services) == ((0,), ())
+
+    def test_no_service_loses_every_instance_in_a_run(self, caplog):
+        # only a run's first recovery can find no room: every later one has
+        # the last target back and empty, with room for all the next target
+        # hosted.  The first leaves services 6 and 7 on two of three
+        # instances, so the field reads empty on every row
+        cfg = ExperimentConfig.from_sources(overrides={
+            "horizon": 60, "attack.every": 6, "attack.quarantine": 3, "node.capacity": 46,
+            "mobility.vehicles": 60, "seed": 5})
+        for policy in cfg.policy_list():
+            with caplog.at_level(logging.WARNING, logger="edgefail.simulation"):
+                caplog.clear()
+                table = simulate_policy(cfg, policy)
+            assert [m for m in caplog.messages if "unrecovered" in m] == [
+                "t=7: unrecovered services (6, 7)"]
+            assert all(r.degraded_services == () for r in table)

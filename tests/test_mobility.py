@@ -168,14 +168,17 @@ def short_column(sidecar_bytes):
     return out.getvalue()
 
 
+def same_columns(sa, sb):
+    """Whether two request streams are the same, bit for bit; vehicle ids
+    are compared as str (a numpy str array would strip trailing NULs)."""
+    return sa.vehicles == sb.vehicles and all(getattr(sa, c).tobytes() == getattr(sb, c).tobytes()
+                                              for c in ("xy", "service", "vehicle", "offsets"))
+
+
 def same_stream(a, b):
-    """Whether two ingests return the same counts and the same stream, bit
-    for bit; vehicle ids are compared as str (a numpy str array would strip
-    trailing NULs)."""
-    sa, sb = a.requests_by_unit, b.requests_by_unit
-    return ((a.dropped, a.malformed, sa.vehicles) == (b.dropped, b.malformed, sb.vehicles)
-            and all(getattr(sa, c).tobytes() == getattr(sb, c).tobytes()
-                    for c in ("xy", "service", "vehicle", "offsets")))
+    """Whether two ingests return the same counts and the same stream."""
+    return ((a.dropped, a.malformed) == (b.dropped, b.malformed)
+            and same_columns(a.requests_by_unit, b.requests_by_unit))
 
 
 class TestGridMap:
@@ -200,9 +203,9 @@ class TestGenerateSynthetic:
     def test_determinism(self):
         a = generate_synthetic(seed=7, vehicles=40, grid=GRID, horizon=30)
         b = generate_synthetic(seed=7, vehicles=40, grid=GRID, horizon=30)
-        assert a == b
+        assert same_columns(a, b)
         c = generate_synthetic(seed=8, vehicles=40, grid=GRID, horizon=30)
-        assert a != c
+        assert not same_columns(a, c)
 
     def test_vehicles_stay_in_area(self):
         units = generate_synthetic(seed=3, vehicles=50, grid=GRID, horizon=80)
@@ -250,14 +253,6 @@ class TestRequestBatch:
         with pytest.raises(StructuralError, match="one row per request"):
             RequestBatch(0, [(1.0, 2.0)], [0, 1], [0, 0], ("a",))
 
-    def test_equality_compares_columns(self):
-        batch = RequestBatch(0, [(1.0, 2.0)], [1], [0], ("a",))
-        assert batch == RequestBatch(0, [(1.0, 2.0)], [1], [1], ("z", "a"))
-        assert batch != RequestBatch(1, [(1.0, 2.0)], [1], [0], ("a",))
-        assert batch != RequestBatch(0, [(1.0, 2.5)], [1], [0], ("a",))
-        assert batch != RequestBatch(0, [(1.0, 2.0)], [0], [0], ("a",))
-        assert batch != RequestBatch(0, [(1.0, 2.0)], [1], [0], ("b",))
-
     def test_producers_make_no_request_objects(self, tmp_path, monkeypatch):
         def refuse(self):
             raise AssertionError("a ServiceRequest was built")
@@ -281,8 +276,11 @@ class TestRequestBatch:
             assert batch.vehicles is stream.vehicles
         part = stream[10:20]
         assert len(part) == 10 and part.offsets[0] == 0
-        assert list(part) == [RequestBatch(t - 10, b.xy, b.service, b.vehicle, b.vehicles)
-                              for t, b in enumerate(stream) if 10 <= t < 20]
+        for t, batch in enumerate(part):
+            whole = stream[t + 10]
+            assert batch.time == t and batch.vehicles is whole.vehicles
+            assert all(np.array_equal(getattr(batch, c), getattr(whole, c))
+                       for c in ("xy", "service", "vehicle"))
         assert len(stream[20:10]) == 0 and len(stream[:1000]) == 30
         with pytest.raises(IndexError):
             stream[30]

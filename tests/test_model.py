@@ -123,23 +123,18 @@ class TestDelayModel:
 class TestSecondaryMapping:
     def test_sum_must_match_affected(self):
         with pytest.raises(ValueError, match=r"^beta must sum to the affected vehicle count$"):
-            SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
-                             beta=np.array([1.0, 2.0]), affected=4.0)
+            SecondaryMapping(candidates=(1, 2), beta=np.array([1.0, 2.0]), affected=4.0)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match=r"^beta entries must be >= 0$"):
-            SecondaryMapping(source_node=0, service=0, candidates=(1,),
-                             beta=np.array([-1.0]), affected=-1.0)
+            SecondaryMapping(candidates=(1,), beta=np.array([-1.0]), affected=-1.0)
         with pytest.raises(ValueError, match=r"^beta entries must be >= 0$"):
-            SecondaryMapping(source_node=0, service=0, candidates=(1, 2, 3),
-                             beta=[2.0, -0.0, -1e-300], affected=2.0)
+            SecondaryMapping(candidates=(1, 2, 3), beta=[2.0, -0.0, -1e-300], affected=2.0)
 
     def test_length_must_match_candidates(self):
         with pytest.raises(StructuralError, match=r"^beta length must match candidates$"):
-            SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
-                             beta=np.array([1.0]), affected=1.0)
+            SecondaryMapping(candidates=(1, 2), beta=np.array([1.0]), affected=1.0)
 
     def test_sum_within_tolerance_passes(self):
-        m = SecondaryMapping(source_node=0, service=0, candidates=(1, 2),
-                             beta=[0.1, 0.2], affected=0.30000000000000004)
+        m = SecondaryMapping(candidates=(1, 2), beta=[0.1, 0.2], affected=0.30000000000000004)
         assert m.beta.tolist() == [0.1, 0.2] and not m.beta.flags.writeable

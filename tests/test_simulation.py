@@ -25,7 +25,7 @@ from edgefail.metrics import MetricsRecord
 from edgefail.model import DelayModel, SimPhase
 from edgefail.placement import place_services, reserve_backup
 from edgefail.simulation import Simulation, derive_inputs, evaluate_quality
-from edgefail.solvers import build_lb_psvm, solve_lb_psvm, solve_psvm
+from edgefail.solvers import build_lb_psvm, solve_lb_psvm
 
 
 SMALL = {
@@ -54,17 +54,22 @@ def run_sim(cfg, policy="lb-psvm"):
 
 def direct_split(sim, plc, gamma, d, healthy, target, s):
     """The policy's split for (target, s) solved straight from the given
-    inputs, or None when none is feasible."""
+    inputs over the ``healthy`` nodes but the target, or None when none is
+    feasible; psvm's all-to-one rule is written out here."""
     cfg = sim.cfg
     try:
-        if sim.policy == "br" and cfg.br_enabled:
+        if sim.policy == "br":
             reserved = [e for e in plc.reserved_nodes(s) if e != target and e in healthy]
             if reserved:
                 best = min(reserved, key=lambda e: (d.d[e, s], e))
                 return (best,), np.array([gamma.gamma[target, s]])
         if sim.policy in ("psvm", "br"):
-            m = solve_psvm(gamma, plc, target, s, d, healthy)
-            return m.candidates, m.beta
+            cands = tuple(e for e in plc.nodes_hosting(s) if e != target and e in healthy)
+            if not cands:
+                return None
+            beta = np.zeros(len(cands))
+            beta[cands.index(min(cands, key=lambda e: (d.d[e, s], e)))] = gamma.gamma[target, s]
+            return cands, beta
         problem = build_lb_psvm(
             gamma, plc, target, s, d, sim.capacity, sim.services[s].delay_threshold,
             k1=cfg.lbpsvm_k1, k2=cfg.lbpsvm_k2, epsilon=cfg.lbpsvm_epsilon, healthy=healthy,
@@ -543,11 +548,10 @@ def per_node_attack_record(sim, loads, added):
             elf[e] = float(np.mean(100.0 * added[e, hit] / avail[e, hit]))
     loaded = added.sum(axis=1) > 0
     avg = float(elf[loaded].mean()) if loaded.any() else 0.0
-    splits = [sim.state.proactive[(sim.state.attack_target, s)] for s in range(sim.num_services)
-              if added[:, s].sum() > 0]
     jains = []
-    for m in splits:
-        x = np.array([added[e, m.service] / avail[e, m.service] for e in m.candidates])
+    for s in [s for s in range(sim.num_services) if added[:, s].sum() > 0]:
+        m = sim.state.proactive[(sim.state.attack_target, s)]
+        x = np.array([added[e, s] / avail[e, s] for e in m.candidates])
         x = x / x.max() if x.max() < sys.float_info.min ** 0.5 else x  # no subnormal squares
         jains.append(float(x.sum()) ** 2 / (len(x) * float((x * x).sum())))
     return elf, avg, float(np.mean(jains)) if jains else 1.0
@@ -687,14 +691,6 @@ class TestBrPolicy:
         plc = sim.state.placement
         # after recovery every service is hosted on >= 2 nodes again
         assert (plc.instance_counts() >= 2).all()
-
-    def test_br_disabled_behaves_like_psvm(self):
-        cfg = small_cfg(**{"br.enabled": False})
-        _, br_records = run_sim(cfg, "br")
-        _, ps_records = run_sim(cfg, "psvm")
-        for a, b in zip(br_records, ps_records):
-            assert a.avg_delay == b.avg_delay
-
 
     def test_no_room_for_any_backup_degrades_to_psvm(self, caplog):
         # node capacity 46 holds the three instances of every service (408
@@ -879,13 +875,13 @@ class TestLookahead:
         {"monitor.threshold": 0.99, "monitor.period": 3},
         {"attack.target": "random", "attack.every": 7, "recovery.delay": 3},
         {"attack.schedule": "10:4,30:0,55:8"},
-        {"br.enabled": False, "mobility.vehicles": 650},
+        {"mobility.vehicles": 650},
         {"service.capacity": 30.7},
         {"grid.rows": 4, "grid.cols": 4, "services.count": 12, "mobility.vehicles": 900},
         SATURATED_REPLACEMENT,
         INTERMITTENT_REPLACEMENT,
         {"services.count": 1, "mobility.vehicles": 120, "service.capacity": 30.7},
-    ], ids=["q097", "q099-period3", "random7-recovery3", "schedule", "br-off-650",
+    ], ids=["q097", "q099-period3", "random7-recovery3", "schedule", "vehicles650",
             "capacity30.7", "grid4x4", "saturated-replacement", "intermittent-replacement",
             "one-service"])
     def test_run_equals_bare_steps(self, over):
@@ -1087,7 +1083,6 @@ def small_configs(draw):
         "service.capacity": draw(st.sampled_from([5.0, 15.0, 30.0])),
         "mobility.vehicles": draw(st.integers(10, 150)),
         "mobility.p_request": draw(st.sampled_from([0.1, 0.3, 0.6])),
-        "br.enabled": draw(st.booleans()),
         "monitor.period": draw(st.integers(1, 5)),
         "monitor.threshold": draw(st.sampled_from([0.5, 0.9, 0.99])),
         "recovery.delay": recovery,
@@ -1208,7 +1203,6 @@ def machine_configs(draw):
         "service.capacity": draw(st.sampled_from([5.0, 15.0, 30.0])),
         "mobility.vehicles": draw(st.integers(10, 150)),
         "mobility.p_request": draw(st.sampled_from([0.1, 0.3, 0.6])),
-        "br.enabled": draw(st.booleans()),
         "monitor.period": draw(st.integers(1, 5)),
         "monitor.threshold": draw(st.sampled_from([0.5, 0.9, 0.99])),
         "horizon": 30,
