@@ -123,10 +123,12 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     Policies run over one request stream, built once; the demand and delay
     matrix of every unit are derived once from it, in chunks of whole
     units, and shared with every policy as read-only (T, S) and (T, E, S)
-    arrays, so their rows are directly comparable.  They also share the
-    calm-unit serving the inputs store (``StreamInputs.served``): a calm
-    unit is served once per set of active instances, and a later policy
-    under the same instances reuses what an earlier one computed."""
+    arrays, so their rows are directly comparable.  They also share what
+    the inputs store: the calm-unit serving (``StreamInputs.served``),
+    computed once per set of active instances, and the t=1 placements,
+    re-placements and recoveries (``StreamInputs.placed``), each computed
+    once per set of arguments.  A later policy reuses what an earlier one
+    computed."""
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)

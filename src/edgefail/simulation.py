@@ -42,6 +42,18 @@ attack, before the first unit whose demand its instances cannot serve
 lookahead under a set of active instances ends at the next monitor
 evaluation; each later one is at most twice the previous one.  A
 ``step`` outside ``run`` is a one-unit lookahead.
+
+The inputs own the placement decisions too (``StreamInputs.placed``):
+``place_services`` and ``recover_placement`` are pure and return frozen
+placements, so a result a simulation inside ``run`` computes serves
+every later one whose state gives the same arguments.  A placement at
+unit t reads unit t's delay row, every node but the attack target, the
+node capacity and the instance count; a recovery at t reads unit t-1's
+delay row, the old placement's active and reserved instances, the
+target and the node capacity.  The keys name exactly these; the catalog
+and the node count are fixed by the inputs' shape.  Backup reservation,
+onset splits and attack units stay per policy, and bare ``step`` and
+``recover`` calls compute directly.
 """
 
 from __future__ import annotations
@@ -96,13 +108,21 @@ def evaluate_quality(caps, delays) -> float:
 class StreamInputs:
     """A request stream as every policy sees it, read-only: unit t (0-based)
     has demand ``demand[t]`` (lambda_s) and delay matrix ``delay[t]``.
+
+    Every simulation over these inputs shares what they store.
     ``served`` holds the ``Lookahead`` blocks served from them, keyed by
     (``x.tobytes()``, first unit, uncut end, service capacity, queue ms
-    per unit): every simulation over these inputs shares it."""
+    per unit).  ``placed`` holds the placements searched at unit t
+    (1-based), keyed by (t, attack target, node capacity, instances per
+    service), and the (placement, unrecovered services) of the
+    recoveries at t, keyed by (t, target, old ``x.tobytes()``, old
+    ``reserved.tobytes()``, node capacity): each key names every input
+    of its call that the inputs' shape does not fix."""
 
     demand: np.ndarray  # (T, S)
     delay: np.ndarray  # (T, E, S) in ms
     served: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    placed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.delay < 0).any() or not np.isfinite(self.delay).all():
@@ -193,7 +213,7 @@ class Simulation:
         self.capacity = cfg.service_capacity
         self.num_services = len(self.services)
         self.thresholds = np.array([s.delay_threshold for s in self.services])
-        self.target_rng = np.random.default_rng([cfg.seed, 0xA77AC])
+        self.target_rng: np.random.Generator | None = None  # built on the first random target
         self.schedule = dict(cfg.schedule_list())
         nodes = tuple(cfg.nodes())
         self.state = SimulationState(nodes=nodes,
@@ -243,6 +263,8 @@ class Simulation:
         if not hosting:
             return None
         if self.cfg.attack_target == "random":
+            if self.target_rng is None:
+                self.target_rng = np.random.default_rng([self.cfg.seed, 0xA77AC])
             return int(self.target_rng.choice(hosting))
         loads = st.primary_gamma.sum(axis=1).tolist()
         return max(hosting, key=lambda e: (loads[e], -e))
@@ -284,16 +306,21 @@ class Simulation:
         return True
 
     def recover(self, t: int) -> None:
-        """Restore the attacked node's instances (``recover_placement``);
-        with reserves, each service it hosted that has no healthy backup
-        left then reserves a new one.  Outside the Attack phase, raise
+        """Restore the attacked node's instances (``recover_placement``, or
+        its result stored in ``inputs.placed`` inside ``run``); with
+        reserves, each service it hosted that has no healthy backup left
+        then reserves a new one.  Outside the Attack phase, raise
         ValueError and change nothing."""
         st = self.state
         if st.phase is not SimPhase.ATTACK:
             raise ValueError(f"recover at t={t}: the phase is {st.phase.value}, not Attack")
         target, old, healthy = st.attack_target, st.placement, st.healthy_ids()
-        plc, unrecovered = recover_placement(old, target, old.services_on(target),
-                                             self.services, st.nodes, st.delay, healthy)
+        key = (t, target, old.x.tobytes(), old.reserved.tobytes(), self.cfg.node_capacity)
+        placed = self.inputs.placed if self.inputs is not None else {}
+        if key not in placed:
+            placed[key] = recover_placement(old, target, old.services_on(target),
+                                            self.services, st.nodes, st.delay, healthy)
+        plc, unrecovered = placed[key]
         if unrecovered:
             logger.warning("t=%d: unrecovered services %s", t, unrecovered)
         if self.uses_reserves:
@@ -323,7 +350,7 @@ class Simulation:
         phase = st.phase
         attack = phase is SimPhase.ATTACK
         if not attack and (st.placement is None or st.pending_reopt):
-            self._place(DelayModel(d), t)
+            self._place(d, t)
             st.pending_reopt = False
         if attack:
             self._attack_record(t, lam, d, *self._attack_serve(lam, d))
@@ -379,18 +406,26 @@ class Simulation:
         self.lookahead = look
         return look
 
-    def _place(self, d: DelayModel, t: int) -> None:
-        """Place every service; a failed re-placement keeps the current one."""
+    def _place(self, d: np.ndarray, t: int) -> None:
+        """Place every service from unit t's delay matrix ``d``, or read the
+        placement from ``inputs.placed``; a failed re-placement keeps the
+        current one."""
         st = self.state
-        try:
-            plc = place_services(self.services, st.nodes, d,
-                                 self.cfg.placement_instances_per_service, st.healthy_ids())
-        except InfeasibleError as exc:
-            if st.placement is None:
-                raise
-            logger.warning("t=%d: re-placement failed, keeping the current placement: %s",
-                           t, exc)
-            return
+        instances = self.cfg.placement_instances_per_service
+        key = (t, st.attack_target, self.cfg.node_capacity, instances)
+        placed = self.inputs.placed if self.inputs is not None else {}
+        plc = placed.get(key)
+        if plc is None:
+            try:
+                plc = place_services(self.services, st.nodes, DelayModel(d), instances,
+                                     st.healthy_ids())
+            except InfeasibleError as exc:
+                if st.placement is None:
+                    raise
+                logger.warning("t=%d: re-placement failed, keeping the current placement: %s",
+                               t, exc)
+                return
+            placed[key] = plc
         if self.uses_reserves:
             plc = self._reserve(plc, footprint_order(self.services, range(self.num_services)), t)
         st.placement = plc
@@ -410,7 +445,7 @@ class Simulation:
         st = self.state
         try:
             if self.uses_reserves:
-                reserved = [e for e in st.placement.reserved_nodes(service) if e != target]
+                reserved = st.placement.reserved_nodes(service)
                 if reserved:
                     affected = float(gamma.gamma[target, service])
                     return SecondaryMapping(candidates=(d.nearest(reserved, service),),

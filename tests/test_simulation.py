@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from edgefail.config import POLICIES, ExperimentConfig
@@ -734,23 +734,29 @@ def same_record(a, b):
     return True
 
 
-def primary_rows(monkeypatch):
-    """Units passed to the simulation's primary solve, by the policy that
-    ``experiment.simulate_policy`` is running."""
-    rows, policy = {}, []
-    solve, simulate = simulation.solve_primary_mapping, experiment.simulate_policy
+def calls_by_policy(monkeypatch, name, weight=lambda *args: 1):
+    """Calls of ``simulation.<name>``, each counted as ``weight(*args)``, by
+    the policy that ``experiment.simulate_policy`` is running."""
+    counts, policy = {}, []
+    func, simulate = getattr(simulation, name), experiment.simulate_policy
 
-    def counted(placement, demand, *args, **kwargs):
-        rows[policy[-1]] = rows.get(policy[-1], 0) + len(np.atleast_2d(demand))
-        return solve(placement, demand, *args, **kwargs)
+    def counted(*args, **kwargs):
+        counts[policy[-1]] = counts.get(policy[-1], 0) + weight(*args)
+        return func(*args, **kwargs)
 
-    def tagged(cfg, name, *args, **kwargs):
-        policy.append(name)
-        return simulate(cfg, name, *args, **kwargs)
+    def tagged(cfg, policy_name, *args, **kwargs):
+        policy.append(policy_name)
+        return simulate(cfg, policy_name, *args, **kwargs)
 
-    monkeypatch.setattr(simulation, "solve_primary_mapping", counted)
+    monkeypatch.setattr(simulation, name, counted)
     monkeypatch.setattr(experiment, "simulate_policy", tagged)
-    return rows
+    return counts
+
+
+def primary_rows(monkeypatch):
+    """Units passed to the simulation's primary solve, by policy."""
+    return calls_by_policy(monkeypatch, "solve_primary_mapping",
+                           lambda placement, demand, *args: len(np.atleast_2d(demand)))
 
 
 class TestSharedInputs:
@@ -778,6 +784,29 @@ class TestSharedInputs:
         assert shared["lb-psvm"] == rows["lb-psvm"] > 0
         assert "psvm" not in shared and rows["psvm"] > 0
         assert shared.get("br", 0) < rows["br"]
+
+    def test_placements_and_recoveries_computed_once(self, tmp_path, monkeypatch):
+        # the inputs own placement searches and recoveries too: psvm places
+        # and recovers as lb-psvm does, so it computes none of them; br
+        # reserves on lb-psvm's placements and recovers its own backups;
+        # lb-psvm computes what it computes alone
+        places = calls_by_policy(monkeypatch, "place_services")
+        recoveries = calls_by_policy(monkeypatch, "recover_placement")
+        cfg = small_cfg(horizon=80, **{"monitor.threshold": 0.99})
+
+        def counts():
+            got = {p: (places.pop(p, 0), recoveries.pop(p, 0)) for p in cfg.policy_list()}
+            assert not places and not recoveries
+            return got
+
+        run(cfg, out=str(tmp_path / "o"))
+        shared = counts()
+        for policy in cfg.policy_list():
+            experiment.simulate_policy(cfg, policy)
+        alone = counts()
+        assert shared["lb-psvm"] == alone["lb-psvm"] and min(alone["lb-psvm"]) > 1
+        assert shared["psvm"] == (0, 0) and min(alone["psvm"]) > 1
+        assert sum(shared["br"]) < sum(alone["br"])
 
     def test_runs_in_one_process_give_standalone_bytes(self, tmp_path, monkeypatch):
         # a store that outlived its run would serve the second seed's calm
@@ -1157,20 +1186,52 @@ def records_or_error(simulate):
         return str(exc)
 
 
+# at t=1 a node of capacity 15 holds one instance and one of 30 holds
+# two: the same instance count, placed otherwise
+SHARED_PLACEMENT = {
+    "grid.rows": 2, "grid.cols": 2, "services.count": 2, "placement.instances_per_service": 2,
+    "node.capacity": 30.0, "service.capacity": 5.0, "mobility.vehicles": 10,
+    "mobility.p_request": 0.1, "monitor.period": 1, "monitor.threshold": 0.5,
+    "recovery.delay": 1, "attack.quarantine": 2, "attack.target": "most-loaded", "horizon": 1,
+    "seed": 0, "attack.schedule": "1:0",
+}
+# a recovery of a placement that nodes of capacity 60 and 120 make alike,
+# which the bigger nodes recover otherwise; three instances of each
+# service are placed otherwise than two
+SHARED_RECOVERY = {
+    "grid.rows": 2, "grid.cols": 2, "services.count": 5, "placement.instances_per_service": 2,
+    "node.capacity": 60.0, "service.capacity": 15.0, "mobility.vehicles": 121,
+    "mobility.p_request": 0.1, "monitor.period": 2, "monitor.threshold": 0.9,
+    "recovery.delay": 2, "attack.quarantine": 5, "attack.target": "random", "horizon": 21,
+    "seed": 5, "attack.every": 2,
+}
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_configs(), st.sampled_from([5.0, 15.0, 30.0, 60.0]), st.sampled_from([1000.0, 250.0]))
-def test_shared_inputs_give_standalone_records(over, capacity, ms_per_unit):
-    # a sibling config with another service capacity or queue scale serves
-    # the shared inputs first, then bare steps and a run over them; each
-    # gives the records of a run over inputs of its own.  A sibling above
-    # every drawn capacity (60) stores blocks that load an instance past
-    # the config's capacity, which a store keyed without it would serve
+@given(small_configs(), st.sampled_from([5.0, 15.0, 30.0, 60.0]), st.sampled_from([1000.0, 250.0]),
+       st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([-1, 0, 1]))
+@example(SHARED_PLACEMENT, 5.0, 1000.0, 0.5, 0)
+@example(SHARED_RECOVERY, 15.0, 1000.0, 1.0, 1)
+@example(SHARED_RECOVERY, 15.0, 1000.0, 2.0, 0)
+def test_shared_inputs_give_standalone_records(over, capacity, ms_per_unit, node_scale, more):
+    # a sibling config with another service capacity or queue scale, half,
+    # the same or twice the node capacity and one instance fewer, the same
+    # or one more serves the shared inputs first, then bare steps and a run
+    # over them; each gives the records of a run over inputs of its own.  A
+    # sibling above every drawn capacity (60) stores blocks that load an
+    # instance past the config's capacity, and one with other nodes or
+    # instances stores placements and recoveries the config would not make:
+    # a store keyed without them would serve those
     try:
         cfg = ExperimentConfig.from_sources(overrides=over)
-        sibling = ExperimentConfig.from_sources(overrides={
-            **over, "service.capacity": capacity, "queue.ms_per_unit": ms_per_unit})
     except ConfigError:
         return
+    # built without validation: a sibling whose instances outgrow its nodes
+    # fails its t=1 placement and stores nothing
+    sibling = dataclasses.replace(
+        cfg, service_capacity=capacity, queue_ms_per_unit=ms_per_unit,
+        node_capacity=cfg.node_capacity * node_scale,
+        placement_instances_per_service=max(2, cfg.placement_instances_per_service + more))
     shared = derived(cfg)
     for policy in cfg.policy_list():
         records_or_error(lambda: Simulation(sibling, policy).run(shared))
