@@ -57,11 +57,16 @@ def parse_config_file(path) -> dict[str, object]:
     """Parse a flat ``key = value`` file; ``#`` starts a comment.
 
     Raises:
-        ConfigError: with the offending line number on unknown keys,
-            malformed lines or bytes that are not UTF-8.
+        ConfigError: naming the path when it cannot be read, and with the
+            offending line number on unknown keys, malformed lines or
+            bytes that are not UTF-8.
     """
+    try:
+        lines = read_lines(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file ({exc.strerror})") from None
     out: dict[str, object] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -128,7 +128,8 @@ def run(cfg: ExperimentConfig, out: str | None = None) -> RunArtifacts:
     computed once per set of active instances, and the t=1 placements,
     re-placements and recoveries (``StreamInputs.placed``), each computed
     once per set of arguments.  A later policy reuses what an earlier one
-    computed."""
+    computed; br's recoveries, keyed on backups no other policy has, are
+    not stored."""
     cfg.validate()
     policies = cfg.policy_list()
     out_dir = resolve_out_dir(cfg, out)

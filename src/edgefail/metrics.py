@@ -156,17 +156,15 @@ class MetricsRecord:
     served_per_service: np.ndarray
     unserved_per_service: np.ndarray
     sla_violated: tuple[int, ...]
-    degraded_services: tuple[int, ...]
     failover_active: bool
 
 
 class RunTable:
     """One simulation's output: a column per ``MetricsRecord`` field, save
-    ``sla_violated`` and ``degraded_services``, which are derived on read
-    (the latter from a per-service ``degraded`` mask).  Columns are
-    preallocated and doubled when a write runs past them; a fresh row is
-    a unit without failover (fairness 1, the rest 0).  Rows past ``len``
-    may hold units written ahead of the clock; ``commit`` closes one per
+    ``sla_violated``, which is derived on read.  Columns are preallocated
+    and doubled when a write runs past them; a fresh row is a unit
+    without failover (fairness 1, the rest 0).  Rows past ``len`` may
+    hold units written ahead of the clock; ``commit`` closes one per
     step.  As a sequence the table yields ``MetricsRecord`` rows."""
 
     def __init__(self, rows: int, num_nodes: int, thresholds: np.ndarray):
@@ -178,7 +176,6 @@ class RunTable:
             "elf_per_node": np.zeros((rows, num_nodes)),
             **{k: np.zeros(rows) for k in ("avg_delay", "avg_elf", "q_value")},
             "fairness": np.ones(rows), "failover_active": np.zeros(rows, dtype=bool),
-            "degraded": np.zeros((rows, S), dtype=bool),
         }
 
     def write(self, rows: slice, **columns) -> None:
@@ -215,6 +212,5 @@ class RunTable:
     def record(self, i: int) -> MetricsRecord:
         """Row i as a record whose arrays are read-only views of the table."""
         row = {k: c.item(i) if c.ndim == 1 else _freeze(c[i]) for k, c in self.cols.items()}
-        degraded, late = row.pop("degraded"), row["per_service_delay"] > self.thresholds
-        return MetricsRecord(**row, sla_violated=tuple(np.flatnonzero(late).tolist()),
-                             degraded_services=tuple(np.flatnonzero(degraded).tolist()))
+        late = row["per_service_delay"] > self.thresholds
+        return MetricsRecord(**row, sla_violated=tuple(np.flatnonzero(late).tolist()))

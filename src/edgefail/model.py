@@ -278,16 +278,11 @@ def resource_usage(x: np.ndarray, reserved: np.ndarray, services: list[ServiceTy
     return (x + reserved) @ costs
 
 
-def placement_problems(
-    p: PlacementDecision,
-    nodes: list[EdgeNode],
-    services: list[ServiceType],
-    require_redundancy: bool = True,
-) -> list[str]:
+def placement_problems(p: PlacementDecision, nodes: list[EdgeNode],
+                       services: list[ServiceType]) -> list[str]:
     """Check per-node resource feasibility and per-service redundancy: a
     message per node over its capacity, then per service on fewer than two
-    distinct nodes (waivable for post-attack partial states), in id order;
-    empty when the placement is valid.
+    distinct nodes, in id order; empty when the placement is valid.
 
     Raises:
         StructuralError: when the placement shape does not match the
@@ -298,11 +293,7 @@ def placement_problems(
             f"placement is {p.x.shape}, expected ({len(nodes)}, {len(services)})"
         )
     usage = resource_usage(p.x, p.reserved, services)
-    messages = [
-        f"node {e}: resource use {usage[e]:.3f} exceeds capacity {n.capacity:.3f}"
-        for e, n in enumerate(nodes) if not usage[e] <= n.capacity + 1e-9
-    ]
-    if require_redundancy:
-        messages += [f"service {s}: hosted on {int(n)} node(s), needs >= 2"
-                     for s, n in enumerate(p.instance_counts()) if n < 2]
-    return messages
+    return ([f"node {e}: resource use {usage[e]:.3f} exceeds capacity {n.capacity:.3f}"
+             for e, n in enumerate(nodes) if not usage[e] <= n.capacity + 1e-9]
+            + [f"service {s}: hosted on {int(n)} node(s), needs >= 2"
+               for s, n in enumerate(p.instance_counts()) if n < 2])

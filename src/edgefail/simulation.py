@@ -52,8 +52,9 @@ node capacity and the instance count; a recovery at t reads unit t-1's
 delay row, the old placement's active and reserved instances, the
 target and the node capacity.  The keys name exactly these; the catalog
 and the node count are fixed by the inputs' shape.  Backup reservation,
-onset splits and attack units stay per policy, and bare ``step`` and
-``recover`` calls compute directly.
+onset splits and attack units stay per policy; bare ``step`` and
+``recover`` calls compute directly, and so does a recovery of a
+placement with backups, which only br has.
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class StreamInputs:
     per unit).  ``placed`` holds the placements searched at unit t
     (1-based), keyed by (t, attack target, node capacity, instances per
     service), and the (placement, unrecovered services) of the
-    recoveries at t, keyed by (t, target, old ``x.tobytes()``, old
-    ``reserved.tobytes()``, node capacity): each key names every input
-    of its call that the inputs' shape does not fix."""
+    recoveries at t of placements without backups, keyed by (t, target,
+    old ``x.tobytes()``, old ``reserved.tobytes()``, node capacity):
+    each key names every input of its call that the inputs' shape does
+    not fix."""
 
     demand: np.ndarray  # (T, S)
     delay: np.ndarray  # (T, E, S) in ms
@@ -307,16 +309,17 @@ class Simulation:
 
     def recover(self, t: int) -> None:
         """Restore the attacked node's instances (``recover_placement``, or
-        its result stored in ``inputs.placed`` inside ``run``); with
-        reserves, each service it hosted that has no healthy backup left
-        then reserves a new one.  Outside the Attack phase, raise
-        ValueError and change nothing."""
+        its result stored in ``inputs.placed`` inside ``run``, unless the
+        placement holds backups: only br reserves and a run holds br once,
+        so no other simulation could read it); with reserves, each service
+        it hosted that has no healthy backup left then reserves a new one.
+        Outside the Attack phase, raise ValueError and change nothing."""
         st = self.state
         if st.phase is not SimPhase.ATTACK:
             raise ValueError(f"recover at t={t}: the phase is {st.phase.value}, not Attack")
         target, old, healthy = st.attack_target, st.placement, st.healthy_ids()
         key = (t, target, old.x.tobytes(), old.reserved.tobytes(), self.cfg.node_capacity)
-        placed = self.inputs.placed if self.inputs is not None else {}
+        placed = self.inputs.placed if self.inputs is not None and not old.reserved.any() else {}
         if key not in placed:
             placed[key] = recover_placement(old, target, old.services_on(target),
                                             self.services, st.nodes, st.delay, healthy)
@@ -535,8 +538,7 @@ class Simulation:
         table, T = self.state.history, len(lam)
         table.write(slice(len(table), len(table) + T), time=np.arange(t, t + T),
                     demand_per_service=lam, per_service_delay=per_service,
-                    served_per_service=served, avg_delay=avg_delay,
-                    degraded=self.state.placement.instance_counts() == 0, **failover)
+                    served_per_service=served, avg_delay=avg_delay, **failover)
 
 
 def _mean_delay(lam, per_service):

@@ -387,6 +387,18 @@ class TestCliEntry:
             assert re.match(rf"error: .*{want}", capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("path, reason", [
+        ("missing.conf", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"])
+    def test_unreadable_config_path_exit_2(self, tmp_path, capsys, path, reason):
+        # a config path that names no readable file is an input error, as a
+        # missing trace is, not a runtime failure
+        path = str(tmp_path / path)
+        assert main(fast_args(tmp_path / "o", extra=["--config", path])) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot read the config file ({reason})\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name, edit, want", [
         ("manifest.json", lambda text: text[:40],
          r"manifest\.json: not a run manifest \(JSONDecodeError\(.*line \d+"),

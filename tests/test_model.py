@@ -97,11 +97,6 @@ class TestValidatePlacement:
         with pytest.raises(StructuralError):
             placement_problems(p, make_nodes(3), make_services([10.0]))
 
-    def test_redundancy_waivable(self):
-        p = PlacementDecision(x=np.array([[1], [0]]))
-        assert placement_problems(p, make_nodes(2), make_services([10.0]),
-                                  require_redundancy=False) == []
-
 
 class TestDelayModel:
     def test_ranked_ties_to_the_lower_id(self):

@@ -808,6 +808,20 @@ class TestSharedInputs:
         assert shared["psvm"] == (0, 0) and min(alone["psvm"]) > 1
         assert sum(shared["br"]) < sum(alone["br"])
 
+    def test_store_holds_only_readable_recoveries(self, tmp_path, monkeypatch):
+        # br's recoveries are keyed on its backups, which no other policy
+        # has, so they are computed and not stored; br's rows stay its own
+        inputs, derive = [], experiment.derive_inputs
+        monkeypatch.setattr(experiment, "derive_inputs",
+                            lambda *args: inputs.append(derive(*args)) or inputs[-1])
+        cfg = small_cfg(horizon=80, **{"monitor.threshold": 0.99})
+        art = run(cfg, out=str(tmp_path / "o"))
+        recoveries = [key for key in inputs[0].placed if len(key) == 5]
+        assert recoveries and not any(any(reserved) for _, _, _, reserved, _ in recoveries)
+        alone = simulate_policy(cfg, "br")
+        assert len(art.records["br"]) == len(alone) == cfg.horizon
+        assert all(map(same_record, art.records["br"], alone))
+
     def test_runs_in_one_process_give_standalone_bytes(self, tmp_path, monkeypatch):
         # a store that outlived its run would serve the second seed's calm
         # units from the first seed's blocks
@@ -1152,6 +1166,17 @@ def check_splits_at_onset(sim):
     sim.inject_attack = checked
 
 
+def check_instances_kept(sim):
+    """Wrap ``recover`` and ``_place`` to check that no recovery or
+    (re-)placement leaves a service without an active instance."""
+    for name in ("recover", "_place"):
+        def checked(*args, method=getattr(sim, name)):
+            method(*args)
+            assert sim.state.placement.instance_counts().min() >= 1
+
+        setattr(sim, name, checked)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_configs())
 def test_every_valid_config_runs_or_fails_cleanly(over):
@@ -1163,6 +1188,7 @@ def test_every_valid_config_runs_or_fails_cleanly(over):
     for policy in cfg.policy_list():
         sim = Simulation(cfg, policy)
         check_splits_at_onset(sim)
+        check_instances_kept(sim)
         try:
             records = sim.run(units)
         except InfeasibleError as exc:
@@ -1276,7 +1302,8 @@ class BareSteps(RuleBasedStateMachine):
     ``run``'s order: within a unit, a recovery or the node's return, then an
     onset, then the step.  A recovery comes at least one unit after its
     onset; the node may also return in its place.  Each onset's splits are
-    checked to sum to their affected counts (``check_splits_at_onset``)."""
+    checked to sum to their affected counts (``check_splits_at_onset``),
+    and every service keeps an active instance once placed."""
 
     @initialize(over=machine_configs(), policy=st.sampled_from(POLICIES))
     def start(self, over, policy):
@@ -1355,6 +1382,7 @@ class BareSteps(RuleBasedStateMachine):
         state = self.state
         assert (state.phase is SimPhase.PRE_ATTACK) == (state.attack_target is None)
         assert len(state.history) == self.t
+        assert state.placement is None or state.placement.instance_counts().min() >= 1
         if state.phase is SimPhase.RECOVERED:
             # from the recovery until the heal the node hosts nothing, so a
             # heal never adds a candidate to a split solved in its unit
