@@ -228,7 +228,7 @@ def compare(summary_paths: list[str]) -> Comparison:
     Raises:
         ConfigError: on fewer than two runs, one file given twice, mismatched
             config hashes (the message lists the differing keys), or a
-            missing or damaged summary or manifest.
+            missing, unreadable or damaged summary or manifest.
     """
     if len(summary_paths) < 2:
         raise ConfigError("compare needs at least two summary files")
@@ -246,6 +246,8 @@ def compare(summary_paths: list[str]) -> Comparison:
         try:
             m = json.loads("".join(read_lines(mpath)))
             manifests.append({"config_hash": m["config_hash"], "config": dict(m["config"])})
+        except OSError as exc:
+            raise ConfigError(f"{mpath}: cannot read the manifest ({exc.strerror})") from None
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{mpath}: not a run manifest ({exc!r})") from None
     base = manifests[0]

@@ -164,8 +164,8 @@ class RunTable:
     ``sla_violated``, which is derived on read.  Columns are preallocated
     and doubled when a write runs past them; a fresh row is a unit
     without failover (fairness 1, the rest 0).  Rows past ``len`` may
-    hold units written ahead of the clock; ``commit`` closes one per
-    step.  As a sequence the table yields ``MetricsRecord`` rows."""
+    hold units written ahead of the clock, or closed ahead by a ``commit``,
+    which a step then only counts.  As a sequence it yields ``MetricsRecord`` rows."""
 
     def __init__(self, rows: int, num_nodes: int, thresholds: np.ndarray):
         self.thresholds, self.n, S = thresholds, 0, len(thresholds)  # per-service delay caps
@@ -191,11 +191,13 @@ class RunTable:
         for name, values in columns.items():
             self.cols[name][rows] = values
 
-    def commit(self, state: SimPhase, q_value: float) -> None:
-        """Close the current row with the unit's phase and monitor score."""
-        if not 0.0 <= q_value <= 1.0:
-            raise ValueError(f"q_value {q_value} outside [0, 1]")
-        self.cols["state"][self.n], self.cols["q_value"][self.n] = state, q_value
+    def commit(self, state: SimPhase, *q_values: float) -> None:
+        """Close the current row and count it; more scores close the next rows ahead."""
+        if not 0.0 <= min(q_values) <= max(q_values) <= 1.0:
+            raise ValueError(f"q_value {q_values} outside [0, 1]")
+        states, scores = self.cols["state"], self.cols["q_value"]
+        for i, q in enumerate(q_values, start=self.n):  # index writes: cheaper than slices
+            states[i], scores[i] = state, q
         self.n += 1
 
     def column(self, name: str) -> np.ndarray:

@@ -41,7 +41,10 @@ attack, before the first unit whose demand its instances cannot serve
 (that unit's step raises), and at the end of the units.  The first
 lookahead under a set of active instances ends at the next monitor
 evaluation; each later one is at most twice the previous one.  A
-``step`` outside ``run`` is a one-unit lookahead.
+``step`` outside ``run`` is a one-unit lookahead.  Inside ``run``, a full
+step also closes its block's later rows (phase, and monitor scores from one
+call over a stack of windows) up to its end, a re-placement, or two units
+before an onset or heal; in that stretch ``step`` only counts its row.
 
 The inputs own the placement decisions too (``StreamInputs.placed``):
 ``place_services`` and ``recover_placement`` are pure and return frozen
@@ -92,17 +95,19 @@ from .solvers import (
 logger = logging.getLogger(__name__)
 
 
-def evaluate_quality(caps, delays) -> float:
+def evaluate_quality(caps, delays):
     """Delay-based stand-in for a learned critic, in [0, 1]: the mean over
     services of clip(1 - mean window delay / cap, 0, 1), so 1 when recent
     delays are negligible and 0 once they reach the per-service ``caps``;
-    ``delays`` holds one row of per-service delays per unit of the window."""
+    ``delays`` holds one row of per-service delays per unit of a (P, S) window,
+    or of each of k windows in a (k, P, S) stack: k scores, as k calls give."""
     delays = np.asarray(delays, dtype=float)
-    if len(delays) == 0:
+    if delays.size == 0:
         raise ValueError("need at least one unit")
     # np.mean and np.clip without their Python wrappers: the same bits
-    score = np.minimum(np.maximum(1.0 - np.add.reduce(delays) / len(delays) / caps, 0.0), 1.0)
-    return float(np.add.reduce(score) / len(score))
+    score = np.add.reduce(delays, axis=-2) / delays.shape[-2] / caps
+    score = np.add.reduce(np.minimum(np.maximum(1.0 - score, 0.0), 1.0), axis=-1) / len(caps)
+    return float(score) if delays.ndim == 2 else score
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,7 @@ class SimulationState:
     nodes: tuple  # EdgeNode by id
     history: RunTable
     placement: PlacementDecision | None = None
+    # while a step only counts a row closed ahead, the fields below keep their values
     primary_gamma: np.ndarray | None = None  # (E, S) loads of the last non-attack unit
     primary_demand: np.ndarray | None = None
     delay_matrix: np.ndarray | None = None  # (E, S) delays of the last unit
@@ -177,7 +183,7 @@ class SimulationState:
     attack_target: int | None = None  # the attacked node until it heals
     recover_at: int | None = None  # set only during an attack, until its recovery
     heal_at: int | None = None  # set only during an attack
-    pending_reopt: bool = False
+    pending_reopt: bool = False  # the last monitor score asks for a re-placement
     q_value: float = 1.0  # the last monitor score
 
     @property
@@ -222,6 +228,8 @@ class Simulation:
                                      history=RunTable(cfg.horizon, len(nodes), self.thresholds))
         self.inputs: StreamInputs | None = None  # those of the current run
         self.lookahead: Lookahead | None = None
+        self.calm_to = 0  # last unit to close ahead: the block's, or 2 before an onset or heal
+        self.stretch = (0, 1.0, False)  # the last unit closed ahead and the state it leaves
 
     # ---- driver ---------------------------------------------------------
 
@@ -231,16 +239,17 @@ class Simulation:
         self.inputs, self.lookahead = inputs, None
         try:
             for t in range(1, len(inputs) + 1):
-                if st.recover_at == t:
-                    self.recover(t)
-                if st.heal_at == t:
-                    self.heal(t)
-                target = self._scheduled_target(t)
-                if target is not None:
-                    self.inject_attack(target, t)
+                if t > self.stretch[0]:  # no event falls on a row closed ahead
+                    if st.recover_at == t:
+                        self.recover(t)
+                    if st.heal_at == t:
+                        self.heal(t)
+                    target = self._scheduled_target(t)
+                    if target is not None:
+                        self.inject_attack(target, t)
                 self.step(inputs, t)
         finally:
-            self.inputs = self.lookahead = None
+            self.inputs, self.lookahead, self.stretch = None, None, (0, 1.0, False)
         return st.history
 
     def _next_onset(self, t: int) -> int | float:
@@ -345,10 +354,19 @@ class Simulation:
     # ---- per-unit work ----------------------------------------------------
 
     def step(self, inputs: StreamInputs, t: int) -> None:
-        """Serve unit t of ``inputs`` (its row t - 1) and close its row of the run table."""
+        """Serve unit t of ``inputs`` (its row t - 1) and close its row of the
+        run table, or only count the row when an earlier step closed it ahead."""
+        st = self.state
+        if 0 < t <= self.stretch[0]:  # only ``run`` closes rows ahead, within its units
+            st.history.n += 1
+            if t == self.stretch[0]:  # the state the unit's full step would leave
+                _, q_value, reopt = self.stretch
+                look = self.lookahead
+                st.primary_gamma, st.primary_demand = look.gamma[t - look.t0], inputs.demand[t - 1]
+                st.delay_matrix, st.q_value, st.pending_reopt = inputs.delay[t - 1], q_value, reopt
+            return
         if not 0 < t <= len(inputs):
             raise IndexError(f"t={t} is outside units 1..{len(inputs)}")
-        st = self.state
         lam, d = inputs.demand[t - 1], inputs.delay[t - 1]
         phase = st.phase
         attack = phase is SimPhase.ATTACK
@@ -364,16 +382,37 @@ class Simulation:
                 look, i = self._look_ahead(inputs, t), 0
             st.primary_gamma = look.gamma[i]
             st.primary_demand = lam
-        table, period = st.history, self.cfg.monitor_period
-        if t % period == 0:
-            # this unit's row and the period - 1 rows before it
-            first = max(0, len(table) - period + 1)
-            window = table.cols["per_service_delay"][first:len(table) + 1]
-            st.q_value = evaluate_quality(self.thresholds, window)
-            if st.q_value < self.cfg.monitor_threshold and not attack:
-                st.pending_reopt = True
-        table.commit(phase, st.q_value)
+        end = t if attack else max(t, self.calm_to)
+        if end == t and t % self.cfg.monitor_period:  # one row, no score
+            st.history.commit(phase, st.q_value)
+        else:
+            self._close(t, end, phase)
         st.delay_matrix = d
+
+    def _close(self, t: int, end: int, phase: SimPhase) -> None:
+        """Close the rows of units t..end with ``phase`` and their monitor scores (each over
+        its row and the period - 1 before) up to the first low one; count t's row only."""
+        st, table, period = self.state, self.state.history, self.cfg.monitor_period
+        first = t + (-t) % period  # the first monitor unit from t on
+        k = (end - first) // period + 1  # the monitor units up to end
+        qs, reopt = [st.q_value] * (first - t), False  # each row's score
+        if k:
+            col, row = table.cols["per_service_delay"], table.n + first - t - period + 1
+            if k == 1:  # 2-D, cheaper; bare steps from after unit 1 may cut it short
+                scores = [evaluate_quality(self.thresholds, col[max(0, row):row + period])]
+            else:  # the windows of units a period apart tile the rows from the first on
+                windows = col[row:row + k * period].reshape(k, period, -1)
+                scores = evaluate_quality(self.thresholds, windows).tolist()
+            thr = self.cfg.monitor_threshold
+            if min(scores) < thr and phase is not SimPhase.ATTACK:  # the first low one ends them
+                end, reopt = first + period * next(j for j, q in enumerate(scores) if q < thr), True
+            for q in scores:
+                qs += [q] * period
+        del qs[end + 1 - t:]
+        table.commit(phase, *qs)
+        st.q_value, st.pending_reopt = qs[0], st.pending_reopt or reopt and end == t
+        if end > t:
+            self.stretch = (end, qs[-1], reopt)
 
     def _look_ahead(self, inputs: StreamInputs, t: int) -> Lookahead:
         """Serve unit t and the units after it under the same active instances
@@ -382,13 +421,14 @@ class Simulation:
         st = self.state
         prev, x = self.lookahead, st.placement.x.tobytes()
         if self.inputs is None:
-            stop = t + 1
+            stop = onset = t + 1
         else:
             if prev is not None and prev.x == x:
                 stop = t + 2 * len(prev.gamma)
             else:  # through the next monitor evaluation
                 stop = t + (-t) % self.cfg.monitor_period + 1
-            stop = min(stop, self._next_onset(t), len(inputs) + 1)
+            onset = self._next_onset(t)
+            stop = min(stop, onset, len(inputs) + 1)
         key = (x, t, stop, self.capacity, self.cfg.queue_ms_per_unit)
         look = inputs.served.get(key)
         if look is None:
@@ -407,6 +447,7 @@ class Simulation:
         lam = inputs.demand[t - 1 : t - 1 + len(look.gamma)]
         self._write_rows(t, lam, look.delay, look.served, look.avg_delay)
         self.lookahead = look
+        self.calm_to = min(t + len(look.gamma) - 1, onset - 2, (st.heal_at or math.inf) - 2)
         return look
 
     def _place(self, d: np.ndarray, t: int) -> None:

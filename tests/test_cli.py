@@ -446,6 +446,20 @@ class TestCliEntry:
         assert code == 2
         assert capsys.readouterr().err == f"error: {tmp_path}/b/summary.csv: no such summary file\n"
 
+    def test_manifest_directory_exit_2(self, tmp_path, capsys):
+        # a manifest.json that cannot be read is an input error, as a missing one is
+        for run_dir in ("a", "b"):
+            assert main(fast_args(tmp_path / run_dir)) == 0
+        manifest = tmp_path / "b" / "manifest.json"
+        manifest.unlink()
+        manifest.mkdir()
+        capsys.readouterr()
+        code = main(["compare", str(tmp_path / "a" / "summary.csv"),
+                     str(tmp_path / "b" / "summary.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: cannot read the manifest (Is a directory)\n")
+
     def test_missing_trace_exit_2(self, tmp_path):
         code = main([
             "run", "--dataset", "trace:/does/not/exist.csv",

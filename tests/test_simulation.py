@@ -21,7 +21,7 @@ from edgefail.errors import (
 )
 from edgefail import experiment, simulation
 from edgefail.experiment import build_requests, run, simulate_policy, summarize
-from edgefail.metrics import MetricsRecord
+from edgefail.metrics import MetricsRecord, RunTable
 from edgefail.model import DelayModel, SimPhase
 from edgefail.placement import place_services, reserve_backup
 from edgefail.simulation import Simulation, derive_inputs, evaluate_quality
@@ -618,6 +618,21 @@ class TestQualityMonitor:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert evaluate_quality(caps, list(window)) == got
 
+    @settings(max_examples=300, deadline=None)
+    @given(services=st.integers(1, 39), units=st.integers(1, 14), windows=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 60.0, 1e6]))
+    def test_stack_same_bits_as_one_window_calls(self, services, units, windows, seed, scale):
+        # a (k, P, S) stack scores each window as a one-window call does, bit
+        # for bit, across numpy's 8-term pairwise block in both summed axes
+        rng = np.random.default_rng(seed)
+        caps = rng.uniform(1.0, 100.0, services)
+        stack = (rng.random((windows, units, services)) * rng.choice([0.0, 1.0, 2.0, 3.0])
+                 * caps * scale)
+        got = evaluate_quality(caps, stack)
+        assert got.shape == (windows,)
+        want = [evaluate_quality(caps, window) for window in stack]
+        assert got.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("period", [1, 3, 5])
     def test_score_over_the_last_period_records(self, period):
         # each evaluation scores the delays of the last ``period`` records,
@@ -858,9 +873,17 @@ class TestSharedInputs:
         assert sum(map(len, calls)) == cfg.horizon
 
 
-def stepped(cfg, policy, units):
+def left_state(st):
+    """What a step leaves for the next unit: the inputs of an onset split
+    and the monitor's state, as bytes."""
+    arrays = (st.primary_gamma, st.primary_demand, st.delay_matrix)
+    return (*(None if a is None else a.tobytes() for a in arrays), st.q_value, st.pending_reopt)
+
+
+def stepped(cfg, policy, units, states=None):
     """The records of ``run``, from bare ``step`` calls: run's loop, unit by
-    unit.  Checks each served vector against a sum over one unit's loads."""
+    unit.  Checks each served vector against a sum over one unit's loads;
+    ``states``, when given, gets each unit's ``left_state``."""
     sim = Simulation(cfg, policy)
     st = sim.state
     for t in range(1, len(units) + 1):
@@ -875,6 +898,8 @@ def stepped(cfg, policy, units):
         record = st.history[-1]
         if record.state is not SimPhase.ATTACK:
             assert np.array_equal(record.served_per_service, st.primary.gamma.sum(axis=0)), t
+        if states is not None:
+            states[t] = left_state(st)
     return st.history
 
 
@@ -1017,6 +1042,111 @@ class TestLookahead:
             Simulation(small_cfg(), "psvm").step(derived(small_cfg()), t)
 
 
+# configs (the small fleet over 80 units unless named) whose stretches of rows
+# closed ahead end at every kind of event: a monitor unit that triggers a
+# re-placement, the unit before an onset, the unit before a heal, a
+# lookahead's end and the horizon; the flag says whether any row is closed ahead
+CLOSE_AHEAD = {
+    # at period 1 every unit's score is below the threshold: none is closed ahead
+    **{f"replace-period{p}": ({"horizon": 120, "attack.every": 40, "monitor.period": p,
+                              "monitor.threshold": 0.99}, p > 1) for p in (1, 2, 3, 7, 13)},
+    "schedule-quarantine15": ({"attack.schedule": "10:4,25:0,40:8,55:4",
+                               "attack.quarantine": 15}, True),
+    "heal-before-onset": ({"horizon": 100, "attack.schedule": "10:4,40:0,70:8",
+                           "attack.quarantine": 12, "recovery.delay": 2}, True),
+    "random7-recovery3": ({"attack.target": "random", "attack.every": 7,
+                           "recovery.delay": 3}, True),
+    "every3": ({"attack.every": 3, "attack.quarantine": 3, "recovery.delay": 2}, False),
+    "horizon83-period5": ({"horizon": 83, "attack.every": 30}, True),
+    "horizon97-period7": ({"horizon": 97, "attack.every": 30, "monitor.period": 7}, True),
+    # a score below the threshold inside a lookahead, not at its end
+    "intermittent-replacement": (INTERMITTENT_REPLACEMENT, True),
+}
+
+
+def closed_ahead_run(monkeypatch, cfg, policy, units):
+    """Run ``policy`` and return its records, the units whose step took the
+    full path (it closed its own row), the step calls per unit, the heal
+    units, each unit's ``left_state`` and the (first, last) unit of each
+    lookahead read."""
+    full, calls, heals, states, blocks = [], {}, [], {}, []
+    commit, step, heal = RunTable.commit, Simulation.step, Simulation.heal
+    look_ahead = Simulation._look_ahead
+
+    def spy_commit(table, *args):
+        full.append(len(table) + 1)  # a run's row i is unit i + 1
+        return commit(table, *args)
+
+    def spy_step(sim, inputs, t):
+        calls[t] = calls.get(t, 0) + 1
+        step(sim, inputs, t)
+        states[t] = left_state(sim.state)
+
+    def spy_heal(sim, t):
+        heals.append(t)
+        heal(sim, t)
+
+    def spy_look_ahead(sim, inputs, t):
+        look = look_ahead(sim, inputs, t)
+        blocks.append((t, t + len(look.gamma) - 1))
+        return look
+
+    with monkeypatch.context() as m:
+        m.setattr(RunTable, "commit", spy_commit)
+        m.setattr(Simulation, "step", spy_step)
+        m.setattr(Simulation, "heal", spy_heal)
+        m.setattr(Simulation, "_look_ahead", spy_look_ahead)
+        records = Simulation(cfg, policy).run(units)
+    return records, sorted(set(full)), calls, heals, states, blocks
+
+
+class TestCloseAhead:
+    @pytest.mark.parametrize("over, ahead", CLOSE_AHEAD.values(), ids=CLOSE_AHEAD)
+    def test_run_equals_bare_steps(self, monkeypatch, over, ahead):
+        # rows closed ahead are the bits of one-unit steps; the last unit of
+        # a stretch leaves the state its bare step does; run steps each unit
+        # once, and the units before an onset or a heal take the full path
+        cfg = small_cfg(**{"horizon": 80, **over})
+        units = derived(cfg)
+        for policy in cfg.policy_list():
+            want_states = {}
+            want = stepped(cfg, policy, units, want_states)
+            got, full, calls, heals, states, _ = closed_ahead_run(monkeypatch, cfg, policy, units)
+            assert len(got) == len(want) == cfg.horizon
+            for a, b in zip(got, want):
+                assert same_record(a, b), (policy, a.time)
+            assert calls == {t: 1 for t in range(1, cfg.horizon + 1)}, policy
+            assert (len(full) < cfg.horizon) == ahead, policy
+            # a stretch's last unit is followed by a full step or the horizon
+            for t in full + [u - 1 for u in full] + [cfg.horizon]:
+                if t >= 1:
+                    assert states[t] == want_states[t], (policy, t)
+            for t in onsets(got) + heals:
+                assert t == 1 or t - 1 in full, (policy, t)
+
+    def test_stretches_end_at_every_event(self, monkeypatch):
+        # the configs above close stretches at each kind of end, and at no other
+        kinds = set()
+        for over, _ in CLOSE_AHEAD.values():
+            cfg = small_cfg(**{"horizon": 80, **over})
+            _, full, _, heals, states, blocks = closed_ahead_run(
+                monkeypatch, cfg, "psvm", derived(cfg))
+            # an attack may start there, even if its target hosts nothing
+            onset_units = ({t for t, _ in cfg.schedule_list()}
+                           or set(range(cfg.attack_every, cfg.horizon + 1, cfg.attack_every)))
+            starts = [t for t in full if t + 1 not in full and t < cfg.horizon]
+            for t in starts:  # the stretch from t + 1 to the unit before the next full step
+                end = next((u - 1 for u in full if u > t), cfg.horizon)
+                block_end = [last for first, last in blocks if first <= t][-1]
+                after = end + 2  # the event a stretch must end two units before
+                kinds.add("re-placement" if states[end][-1] and end < block_end
+                          else "horizon" if end == cfg.horizon
+                          else "onset" if after in onset_units
+                          else "heal" if after in heals
+                          else "lookahead" if end == block_end else ("other", t, end))
+        assert kinds == {"re-placement", "onset", "heal", "lookahead", "horizon"}
+
+
 class TestSingleCandidateCollapse:
     def test_lb_and_psvm_identical_when_one_candidate(self):
         cfg = small_cfg(**{"placement.instances_per_service": 2})
@@ -1086,6 +1216,8 @@ class TestRunTable:
         table = sim.state.history
         with pytest.raises(ValueError, match="q_value"):
             table.commit(SimPhase.PRE_ATTACK, 1.5)
+        with pytest.raises(ValueError, match="q_value"):  # a row closed ahead is checked too
+            table.commit(SimPhase.PRE_ATTACK, 0.5, 0.5, -0.1)
         with pytest.raises(ValueError, match="fairness"):
             table.write(slice(0, 1), fairness=0.0)
         assert len(table) == 0
