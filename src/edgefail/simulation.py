@@ -39,12 +39,13 @@ starts another (which rewrites the rows the last one wrote ahead).  A
 lookahead ends before the next unit at which ``run`` may start an
 attack, before the first unit whose demand its instances cannot serve
 (that unit's step raises), and at the end of the units.  The first
-lookahead under a set of active instances ends at the next monitor
-evaluation; each later one is at most twice the previous one.  A
-``step`` outside ``run`` is a one-unit lookahead.  Inside ``run``, a full
-step also closes its block's later rows (phase, and monitor scores from one
-call over a stack of windows) up to its end, a re-placement, or two units
-before an onset or heal; in that stretch ``step`` only counts its row.
+lookahead after a placement (at t=1 or a monitor re-placement) ends at
+the next monitor evaluation; each later one is at most twice the
+previous one, also across a recovery.  A ``step`` outside ``run`` is a
+one-unit lookahead.  Inside ``run``, a full step also closes its block's
+later rows (phase, and monitor scores from one call over a stack of
+windows) up to its end, a re-placement, or two units before an onset or
+heal; in that stretch ``step`` only counts its row.
 
 The inputs own the placement decisions too (``StreamInputs.placed``):
 ``place_services`` and ``recover_placement`` are pure and return frozen
@@ -228,6 +229,7 @@ class Simulation:
                                      history=RunTable(cfg.horizon, len(nodes), self.thresholds))
         self.inputs: StreamInputs | None = None  # those of the current run
         self.lookahead: Lookahead | None = None
+        self.reach = 0  # the last block's length, or 0 once a placement restarts it
         self.calm_to = 0  # last unit to close ahead: the block's, or 2 before an onset or heal
         self.stretch = (0, 1.0, False)  # the last unit closed ahead and the state it leaves
 
@@ -236,7 +238,7 @@ class Simulation:
     def run(self, inputs: StreamInputs) -> RunTable:
         """Advance the clock over the derived units; clock is 1-based."""
         st = self.state
-        self.inputs, self.lookahead = inputs, None
+        self.inputs, self.lookahead, self.reach = inputs, None, 0
         try:
             for t in range(1, len(inputs) + 1):
                 if t > self.stretch[0]:  # no event falls on a row closed ahead
@@ -417,15 +419,17 @@ class Simulation:
     def _look_ahead(self, inputs: StreamInputs, t: int) -> Lookahead:
         """Serve unit t and the units after it under the same active instances
         by the primary mapping in one batched pass, or read them from
-        ``inputs.served``; write their rows."""
-        st = self.state
-        prev, x = self.lookahead, st.placement.x.tobytes()
+        ``inputs.served``; write their rows.  Inside ``run`` the block is at
+        most twice the last one (``reach``), or after a placement runs
+        through the next monitor unit, so the rows computed stay within
+        twice the rows used plus one monitor period per placement."""
+        st, x = self.state, self.state.placement.x.tobytes()
         if self.inputs is None:
             stop = onset = t + 1
         else:
-            if prev is not None and prev.x == x:
-                stop = t + 2 * len(prev.gamma)
-            else:  # through the next monitor evaluation
+            if self.reach:  # at most twice the last block, also across a recovery
+                stop = t + 2 * self.reach
+            else:  # the first after a placement: through the next monitor evaluation
                 stop = t + (-t) % self.cfg.monitor_period + 1
             onset = self._next_onset(t)
             stop = min(stop, onset, len(inputs) + 1)
@@ -446,7 +450,7 @@ class Simulation:
                 x, t, *map(_freeze, (delay, gamma, gamma.sum(axis=-2), _mean_delay(lam, delay))))
         lam = inputs.demand[t - 1 : t - 1 + len(look.gamma)]
         self._write_rows(t, lam, look.delay, look.served, look.avg_delay)
-        self.lookahead = look
+        self.lookahead, self.reach = look, len(look.gamma)
         self.calm_to = min(t + len(look.gamma) - 1, onset - 2, (st.heal_at or math.inf) - 2)
         return look
 
@@ -472,7 +476,7 @@ class Simulation:
             placed[key] = plc
         if self.uses_reserves:
             plc = self._reserve(plc, footprint_order(self.services, range(self.num_services)), t)
-        st.placement = plc
+        st.placement, self.reach = plc, 0
 
     def _reserve(self, plc: PlacementDecision, order: list[int], t: int) -> PlacementDecision:
         """One idle backup per service, in the given order, where room is

@@ -963,29 +963,69 @@ class TestLookahead:
             for a, b in zip(got, want):
                 assert same_record(a, b), (policy, a.time)
 
-    @pytest.mark.parametrize("over, replacements", [
-        ({"horizon": 2000, "attack.every": 2000, "monitor.threshold": 0.99}, 100),
-        (INTERMITTENT_REPLACEMENT, 10),
-        ({"horizon": 400, "attack.every": 150}, 0),
+    @pytest.mark.parametrize("over, replacements, carried", [
+        ({"horizon": 2000, "attack.every": 2000, "monitor.threshold": 0.99}, 100, False),
+        (INTERMITTENT_REPLACEMENT, 10, False),
+        ({"horizon": 400, "attack.every": 150}, 0, True),
     ], ids=["replacement-storm", "intermittent-replacement", "calm"])
-    def test_rows_computed_within_twice_rows_used(self, monkeypatch, over, replacements):
-        seen = lookaheads(monkeypatch)
+    def test_rows_computed_within_twice_rows_used(self, monkeypatch, over, replacements,
+                                                  carried):
+        seen, placed, recovered = lookaheads(monkeypatch), [], []
+        place, recover = Simulation._place, Simulation.recover
+
+        def spy_place(sim, d, t):
+            before = sim.state.placement
+            place(sim, d, t)
+            if sim.state.placement is not before:  # a failed re-placement keeps it
+                placed.append(t)
+
+        monkeypatch.setattr(Simulation, "_place", spy_place)
+        monkeypatch.setattr(Simulation, "recover",
+                            lambda sim, t: recovered.append(t) or recover(sim, t))
         cfg = small_cfg(**over)
         period = cfg.monitor_period
         records = Simulation(cfg, "psvm").run(derived(cfg))
         served = sum(r.state is not SimPhase.ATTACK for r in records)
-        # a lookahead under the active instances of the one before it is
-        # at most twice as long; any other is the first under its instances
-        firsts = {i for i, (x, _, _) in enumerate(seen) if i == 0 or seen[i - 1][0] != x}
+
+        def since(units, i):  # whether one of the units falls in (block i - 1's t0, block i's]
+            return any(seen[i - 1][1] < u <= seen[i][1] for u in units)
+
+        # the first lookahead after a placement ends at the next monitor
+        # unit; any other is at most twice the one before it, also across
+        # a recovery, which changes the active instances
+        firsts = {i for i in range(len(seen)) if i == 0 or since(placed, i)}
         rows = sum(n for _, _, n in seen)
         assert len(seen) < served / 4
-        assert served <= rows <= 2 * served + period * len(firsts)
-        assert len(firsts) > replacements
+        assert served <= rows <= 2 * served + period * len(placed)
+        assert len(placed) > replacements
         for i, (x, t0, n) in enumerate(seen):
             if i in firsts:  # through the next monitor evaluation at most
                 assert t0 + n - 1 <= t0 + (-t0) % period, t0
             else:
                 assert n <= 2 * seen[i - 1][2], t0
+        if carried:  # a block after a recovery may run past the next monitor unit
+            after = [i for i in range(1, len(seen)) if i not in firsts and since(recovered, i)]
+            assert recovered and len(after) == len(recovered)
+            assert any(seen[i][1] + seen[i][2] - 1 > seen[i][1] + (-seen[i][1]) % period
+                       for i in after), [seen[i][1:] for i in after]
+
+    def test_default_blocks_carry_their_reach_over_recoveries(self):
+        # the default run: only a placement restarts a block's reach, so
+        # lb-psvm serves its calm units in 11 blocks, psvm reads them all
+        # and br, whose recoveries promote backups, serves its own in 6;
+        # the rows stay the bits of one-unit steps
+        cfg = ExperimentConfig.from_sources(overrides={"seed": 1})
+        units = derived(cfg)
+        gained = {}
+        for policy in cfg.policy_list():
+            before = len(units.served)
+            got = simulate_policy(cfg, policy, inputs=units)
+            gained[policy] = len(units.served) - before
+            want = stepped(cfg, policy, units)
+            assert len(got) == len(want) == cfg.horizon
+            for a, b in zip(got, want):
+                assert same_record(a, b), (policy, a.time)
+        assert gained == {"lb-psvm": 11, "psvm": 0, "br": 6}
 
     @pytest.mark.parametrize("policy", ["lb-psvm", "psvm", "br"])
     def test_overload_raises_at_its_unit(self, policy):
